@@ -22,17 +22,18 @@ from .cycletrain import (
     ConfigError,
     NumericalError,
     TrainConfig,
+    eval_report,
+    feature_extractor,
     load_generator,
     run_iterative,
-    sample_views,
     synthesize_sample,
     train_direction,
+    write_manifest,
 )
 from .datagen import corpus_stats, generate_corpus
 from .graphs import graph_dump
 from .layout import DataError, load_corpus, write_gray, write_photo, write_pnm
-from .losses import FeatureExtractor, LossWeights
-from .metrics import evaluate_pairs
+from .losses import LossWeights
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
@@ -206,7 +207,7 @@ def cmd_train(args):
     _check_corpus_size(train, cfg.image_size)
     out_dir = os.path.join(args.out, f"stage0_{args.direction}")
     result = train_direction(train, val, cfg, args.direction, 0, None, out_dir)
-    _write_run_manifest(args.out, cfg, [result.checkpoint])
+    write_manifest(args.out, cfg, {args.direction: [result.checkpoint]})
     print(f"stage0_{args.direction}: val {json.dumps(result.checkpoint.val, sort_keys=True)}")
     return 0
 
@@ -221,18 +222,6 @@ def cmd_train_iterative(args):
         print(f"direction {d}: {len(ckpts)} checkpoints, "
               f"final val {json.dumps(last.val, sort_keys=True)}")
     return 0
-
-
-def _write_run_manifest(out_root, cfg, checkpoints):
-    from dataclasses import asdict
-
-    os.makedirs(out_root, exist_ok=True)
-    payload = {
-        "config": asdict(cfg),
-        "checkpoints": [asdict(c) for c in checkpoints],
-    }
-    with open(os.path.join(out_root, "manifest.json"), "w", encoding="utf-8") as f:
-        f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _load_model_and_data(args):
@@ -288,22 +277,12 @@ def _write_contact_sheet(path, tiles, columns=8):
 
 def cmd_eval(args):
     gen, direction, samples = _load_model_and_data(args)
-    with open(os.path.join(args.model, "model.json"), "r", encoding="utf-8") as f:
-        seed = json.load(f)["seed"]
-    didx = 0 if direction == "k" else 1
-    extractor = FeatureExtractor(gen.out_channels, seed=[seed, 91, didx])
-
-    reals, fakes, ids = [], [], []
-    for s in samples:
-        _, _, _, tgt, _, _ = sample_views(s, direction)
-        reals.append(tgt.data)
-        fakes.append(synthesize_sample(gen, s, direction))
-        ids.append(s.id)
-
+    # model.json keeps the generator's seed list; the run seed leads it.
+    seed = gen.seed[0] if isinstance(gen.seed, list) else gen.seed
     map_fn, pool = _worker_map()
     try:
-        embed = extractor.embed if len(samples) >= 2 else None
-        report = evaluate_pairs(reals, fakes, embed=embed, map_fn=map_fn)
+        report = eval_report(gen, samples, direction,
+                             feature_extractor(seed, direction), map_fn=map_fn)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -313,8 +292,8 @@ def cmd_eval(args):
         f.write(json.dumps(report.summary(), sort_keys=True) + "\n")
     with open(os.path.join(args.out, "per_sample.csv"), "w", encoding="utf-8") as f:
         f.write("id,ssim,fsim\n")
-        for sid, s_v, f_v in zip(ids, report.ssim_values, report.fsim_values):
-            f.write(f"{sid},{s_v!r},{f_v!r}\n")
+        for s, s_v, f_v in zip(samples, report.ssim_values, report.fsim_values):
+            f.write(f"{s.id},{s_v!r},{f_v!r}\n")
     print(json.dumps(report.summary(), sort_keys=True))
     return 0
 

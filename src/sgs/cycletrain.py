@@ -19,20 +19,20 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graphs import compute_nodes, inter_graph, inter_graph_loss, intra_graph, intra_graph_loss
 from .layout import DataError
 from .losses import (
+    LOSS_CSV_COLUMNS,
     FeatureExtractor,
     LossLog,
     LossWeights,
     ParsingOracle,
-    binary_cross_entropy,
-    tap_l1,
-    tap_mse,
+    discriminator_loss,
+    objective,
+    target_record,
 )
 from .metrics import evaluate_pairs
 from .network import Generator, PatchDiscriminator
-from .numerics import Tensor, adam_step, load_params, lr_at_epoch, save_params, softplus
+from .numerics import adam_step, load_checkpoint, lr_at_epoch, restore_params, save_params
 
 DIRECTIONS = ("k", "o")  # k: photo -> sketch, o: sketch -> photo
 DEFAULT_ICT_TAPS = (
@@ -99,6 +99,14 @@ class TrainConfig:
             raise ConfigError(f"unknown stats mode {self.stats!r}")
         if self.variance_mode not in ("literal", "masked"):
             raise ConfigError(f"unknown variance mode {self.variance_mode!r}")
+        try:
+            self.weights.validate()
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        return self
+
+    def validate_taps(self):
+        """Check ``ict_taps``; needed only where a cycle stage will run."""
         if len(self.ict_taps) != 5:
             raise ConfigError(
                 f"cycle distillation needs exactly 5 taps, got {len(self.ict_taps)}"
@@ -111,10 +119,6 @@ class TrainConfig:
                     raise ConfigError(
                         f"tap {name!r} exceeds decoder depth {self.depth}"
                     )
-        try:
-            self.weights.validate()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
         return self
 
 
@@ -166,21 +170,6 @@ def sample_views(sample, direction):
             sample.photo, sample.saliency_photo, sample.layout_photo)
 
 
-def cycle_distillation_loss(frozen_gen, y_real, y_fake, m, layout,
-                            taps=DEFAULT_ICT_TAPS):
-    """L1 agreement of frozen-generator activations on real vs fake input.
-
-    The real branch is detached; gradients reach only ``y_fake``.
-    Exactly five taps are required (the full objective's cycle term);
-    :func:`tap_l1` remains available for ad-hoc tap sets.
-    """
-    if len(taps) != 5:
-        raise ConfigError(f"cycle distillation needs exactly 5 taps, got {len(taps)}")
-    _, real_taps = frozen_gen.forward(y_real.detach(), m, layout, want_taps=True)
-    _, fake_taps = frozen_gen.forward(y_fake, m, layout, want_taps=True)
-    return tap_l1(real_taps, fake_taps, taps)
-
-
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -222,22 +211,22 @@ def load_generator(model_dir, stats="instance"):
     missing = [k for k in MODEL_JSON_KEYS if k not in cfg]
     if missing:
         raise ConfigError(f"{model_dir}/model.json missing keys {missing}")
-    from .numerics import load_checkpoint
-
-    blob = load_checkpoint(os.path.join(model_dir, "model.bin"))
-    hidden = blob["blocks.0.si1.shared_w"].shape[0]
-    gen = Generator(
-        in_channels=cfg["in_channels"],
-        out_channels=cfg["out_channels"],
-        depth=cfg["depth"],
-        base_channels=cfg["base_channels"],
-        si_hidden=int(hidden),
-        use_saliency=cfg["use_saliency"],
-        image_size=cfg["image_size"],
-        seed=cfg["seed"],
-        stats=stats,
-    )
-    load_params(os.path.join(model_dir, "model.bin"), gen.named_params())
+    try:
+        blob = load_checkpoint(bin_path)
+        gen = Generator(
+            in_channels=cfg["in_channels"],
+            out_channels=cfg["out_channels"],
+            depth=cfg["depth"],
+            base_channels=cfg["base_channels"],
+            si_hidden=int(blob["blocks.0.si1.shared_w"].shape[0]),
+            use_saliency=cfg["use_saliency"],
+            image_size=cfg["image_size"],
+            seed=cfg["seed"],
+            stats=stats,
+        )
+        restore_params(blob, gen.named_params(), bin_path)
+    except (KeyError, IndexError, ValueError) as err:
+        raise DataError(f"corrupt checkpoint in {model_dir}: {err}") from err
     return gen
 
 
@@ -247,47 +236,23 @@ def synthesize_sample(gen, sample, direction):
     return gen.forward(src, m_src, lay_src).data
 
 
+def feature_extractor(seed, direction):
+    """The fixed extractor of a run's direction: the perceptual term and
+    the Frechet proxy's embedding both go through it."""
+    return FeatureExtractor(direction_channels(direction)[1],
+                            seed=[seed, 91, _dir_index(direction)])
+
+
+def eval_report(gen, samples, direction, extractor, map_fn=map):
+    """Score ``gen`` on (target, synthesized) pairs of ``samples``."""
+    reals = [sample_views(s, direction)[3].data for s in samples]
+    fakes = [synthesize_sample(gen, s, direction) for s in samples]
+    return evaluate_pairs(reals, fakes, embed=extractor.embed, map_fn=map_fn)
+
+
 def evaluate_direction(gen, val_samples, direction, extractor):
     """Pairwise SSIM/FSIM plus the embedding Frechet proxy on a val set."""
-    reals, fakes = [], []
-    for s in val_samples:
-        _, _, _, tgt, _, _ = sample_views(s, direction)
-        reals.append(tgt.data)
-        fakes.append(synthesize_sample(gen, s, direction))
-    embed = extractor.embed if len(val_samples) >= 2 else None
-    return evaluate_pairs(reals, fakes, embed=embed).summary()
-
-
-class _TargetCache:
-    """Constant per-sample artifacts reused every epoch of a stage."""
-
-    def __init__(self, cfg, direction, extractor, oracle, frozen_opp):
-        self.cfg = cfg
-        self.direction = direction
-        self.extractor = extractor
-        self.oracle = oracle
-        self.frozen_opp = frozen_opp
-        self._store = {}
-
-    def get(self, sample):
-        hit = self._store.get(sample.id)
-        if hit is None:
-            _, _, lay_src, tgt, m_tgt, lay_tgt = sample_views(sample, self.direction)
-            tgt_c = tgt.detach()
-            nodes = compute_nodes(tgt_c, lay_src, variance=self.cfg.variance_mode)
-            hit = {
-                "taps": [t.detach() for t in self.extractor.features(tgt_c)],
-                "probs": self.oracle.probs(tgt_c).detach(),
-                "intra": intra_graph(tgt_c, nodes),
-                "inter": inter_graph(nodes),
-            }
-            if self.frozen_opp is not None:
-                _, real_taps = self.frozen_opp.forward(tgt_c, m_tgt, lay_tgt,
-                                                       want_taps=True)
-                hit["ict"] = {name: real_taps[name].detach()
-                              for name in self.cfg.ict_taps}
-            self._store[sample.id] = hit
-        return hit
+    return eval_report(gen, val_samples, direction, extractor).summary()
 
 
 def train_direction(train_samples, val_samples, cfg, direction, stage,
@@ -301,6 +266,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
     didx = _dir_index(direction)
     in_ch, out_ch = direction_channels(direction)
     if frozen_opp is not None:
+        cfg.validate_taps()
         if (frozen_opp.in_channels, frozen_opp.out_channels) != (out_ch, in_ch):
             raise ConfigError(
                 f"frozen opposite generator maps {frozen_opp.in_channels}->"
@@ -316,14 +282,13 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
     disc = PatchDiscriminator(in_ch, out_ch, base_channels=cfg.base_channels,
                               use_saliency=cfg.use_saliency,
                               seed=[cfg.seed, stage, didx, 1], stats=cfg.stats)
-    extractor = FeatureExtractor(out_ch, seed=[cfg.seed, 91, didx])
+    extractor = feature_extractor(cfg.seed, direction)
     oracle = ParsingOracle(out_ch, seed=[cfg.seed, 92, didx])
     shuffle_rng = np.random.default_rng([cfg.seed, stage, didx, 4])
-    cache = _TargetCache(cfg, direction, extractor, oracle, frozen_opp)
+    targets = {}  # sample id -> Target, built on first use, constant for the stage
 
     os.makedirs(out_dir, exist_ok=True)
     log = LossLog(os.path.join(out_dir, "losses.csv"))
-    w = cfg.weights
     step = 0
     epoch_total, epoch_ict = [], []
 
@@ -336,24 +301,16 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
             scale = 1.0 / len(batch)
+            vals = dict.fromkeys(LOSS_CSV_COLUMNS[1:], 0.0)
 
             # Discriminator phase: fakes detached so only D learns here.
             disc.zero_grad()
             fakes = []
-            vals = dict.fromkeys(
-                ("l_gan_d", "l_gan_g", "l_content", "l_perc", "l_bce",
-                 "l_iag", "l_itg", "l_ict", "l_total"), 0.0)
             for s in batch:
                 src, m_src, lay_src, tgt, _, _ = sample_views(s, direction)
                 fake = gen.forward(src, m_src, lay_src)
                 fakes.append((s, fake))
-                real_logits = disc.forward(src, m_src, tgt)
-                fake_logits = disc.forward(src, m_src, fake.detach())
-                if cfg.gan_mode == "bce":
-                    loss_d = softplus(-real_logits).mean() + softplus(fake_logits).mean()
-                else:
-                    loss_d = ((real_logits - 1.0) * (real_logits - 1.0)).mean() \
-                        + (fake_logits * fake_logits).mean()
+                loss_d = discriminator_loss(disc, src, m_src, tgt, fake, cfg.gan_mode)
                 if not np.isfinite(loss_d.data):
                     raise NumericalError(
                         f"non-finite discriminator loss at stage {stage} "
@@ -363,42 +320,22 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
                 vals["l_gan_d"] += loss_d.item() * scale
             adam_step(disc.params(), lr, cfg.beta1, cfg.beta2)
 
-            # Generator phase.
+            # Generator phase, scored by the discriminator just updated.
             gen.zero_grad()
             disc.zero_grad()
             for s, fake in fakes:
-                src, m_src, lay_src, tgt, m_tgt, lay_tgt = sample_views(s, direction)
-                art = cache.get(s)
-                fake_logits = disc.forward(src, m_src, fake)
-                if cfg.gan_mode == "bce":
-                    l_gan_g = softplus(-fake_logits).mean()
-                else:
-                    l_gan_g = ((fake_logits - 1.0) * (fake_logits - 1.0)).mean()
-                l_content = (tgt.detach() - fake).abs().mean()
-                l_perc = tap_mse(art["taps"], extractor.features(fake))
-                l_bce = binary_cross_entropy(art["probs"], oracle.probs(fake))
-                nodes_f = compute_nodes(fake, lay_src, variance=cfg.variance_mode)
-                l_iag = intra_graph_loss(art["intra"], intra_graph(fake, nodes_f))
-                l_itg = inter_graph_loss(art["inter"], inter_graph(nodes_f))
-                if frozen_opp is not None:
-                    _, fake_taps = frozen_opp.forward(fake, m_tgt, lay_tgt,
-                                                      want_taps=True)
-                    l_ict = tap_l1(art["ict"], fake_taps, cfg.ict_taps)
-                else:
-                    l_ict = Tensor(0.0)
-                total = (l_gan_g + w.content * l_content + w.perceptual * l_perc
-                         + w.parsing * l_bce + w.intra_graph * l_iag
-                         + w.inter_graph * l_itg + w.cycle * l_ict)
-                if not np.isfinite(total.data):
+                if s.id not in targets:
+                    targets[s.id] = target_record(
+                        sample_views(s, direction), extractor, oracle,
+                        cfg.variance_mode, frozen_opp, cfg.ict_taps)
+                terms = objective(fake, disc, targets[s.id], cfg.weights, cfg.gan_mode)
+                if not np.isfinite(terms["l_total"].data):
                     raise NumericalError(
                         f"non-finite generator loss at stage {stage} "
                         f"direction {direction} step {step}"
                     )
-                (total * scale).backward()
-                for key, t in (("l_gan_g", l_gan_g), ("l_content", l_content),
-                               ("l_perc", l_perc), ("l_bce", l_bce),
-                               ("l_iag", l_iag), ("l_itg", l_itg),
-                               ("l_ict", l_ict), ("l_total", total)):
+                (terms["l_total"] * scale).backward()
+                for key, t in terms.items():
                     vals[key] += t.item() * scale
             adam_step(gen.params(), lr, cfg.beta1, cfg.beta2)
 
@@ -421,14 +358,15 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
                        epoch_total=epoch_total, epoch_ict=epoch_ict)
 
 
-def train_stage0(train_samples, val_samples, cfg, out_root):
-    """Train both directions independently (no cycle term)."""
-    results = {}
-    for d in DIRECTIONS:
-        out_dir = os.path.join(out_root, f"stage0_{d}")
-        results[d] = train_direction(train_samples, val_samples, cfg, d, 0,
-                                     None, out_dir)
-    return results
+def write_manifest(out_root, cfg, checkpoints):
+    """Write ``manifest.json``: the run config plus the checkpoints, as
+    lists keyed by direction."""
+    manifest = {
+        "config": asdict(cfg),
+        "checkpoints": {d: [asdict(c) for c in ckpts] for d, ckpts in checkpoints.items()},
+    }
+    with open(os.path.join(out_root, "manifest.json"), "w", encoding="utf-8") as f:
+        f.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def run_iterative(train_samples, val_samples, cfg, out_root):
@@ -438,20 +376,13 @@ def run_iterative(train_samples, val_samples, cfg, out_root):
     through the frozen stage-i generator of the opposite direction.
     Returns per-direction checkpoint lists plus per-stage results.
     """
-    cfg.validate()
+    cfg.validate().validate_taps()
     os.makedirs(out_root, exist_ok=True)
     checkpoints = {d: [] for d in DIRECTIONS}
     stage_results = []
+    frozen = dict.fromkeys(DIRECTIONS)  # stage 0 has no cycle term
 
-    results = train_stage0(train_samples, val_samples, cfg, out_root)
-    for d in DIRECTIONS:
-        checkpoints[d].append(results[d].checkpoint)
-    stage_results.append(results)
-    frozen = {d: results[d].generator for d in DIRECTIONS}
-    for d in DIRECTIONS:
-        frozen[d].freeze()
-
-    for stage in range(1, cfg.stages + 1):
+    for stage in range(cfg.stages + 1):
         results = {}
         for d in DIRECTIONS:
             out_dir = os.path.join(out_root, f"stage{stage}_{d}")
@@ -460,17 +391,8 @@ def run_iterative(train_samples, val_samples, cfg, out_root):
             checkpoints[d].append(results[d].checkpoint)
         stage_results.append(results)
         frozen = {d: results[d].generator for d in DIRECTIONS}
-        for d in DIRECTIONS:
-            frozen[d].freeze()
 
-    manifest = {
-        "config": asdict(cfg),
-        "checkpoints": {
-            d: [asdict(c) for c in checkpoints[d]] for d in DIRECTIONS
-        },
-    }
-    with open(os.path.join(out_root, "manifest.json"), "w", encoding="utf-8") as f:
-        f.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_manifest(out_root, cfg, checkpoints)
     return {"checkpoints": checkpoints, "stages": stage_results}
 
 

@@ -8,6 +8,9 @@ a two-tap feature extractor standing in for a pretrained backbone, and a
 twelve-class soft parser standing in for a pretrained face parser.  The
 graph terms come from :mod:`sgs.graphs`.  All reductions over feature
 elements use means so the default weights transfer across image sizes.
+
+:func:`objective` is the one place the generator-side terms and their
+weighted total are computed; its keys are the ``losses.csv`` columns.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .graphs import compute_nodes, inter_graph, inter_graph_loss, intra_graph, intra_graph_loss
 from .layout import N_CLASSES
 from .numerics import (
     ShapeError,
@@ -115,26 +119,26 @@ class ParsingOracle:
         return softmax(logits, axis=1)
 
 
-def adversarial_losses(d, source, m, y_real, y_fake, mode="bce"):
-    """(discriminator loss, generator loss) for one sample.
+def gan_term(logits, real, mode="bce"):
+    """Mean adversarial loss of patch ``logits`` against the real (True)
+    or fake (False) label.
 
-    The fake is detached inside the discriminator loss so its gradients
-    touch only the discriminator; the generator loss sees the live fake.
-    ``mode="lsgan"`` swaps in least-squares targets on the raw logits.
+    ``mode="bce"`` is sigmoid cross-entropy; ``mode="lsgan"`` swaps in
+    least-squares targets (1 for real, 0 for fake) on the raw logits.
     """
-    real_logits = d.forward(source, m, y_real)
-    fake_logits_d = d.forward(source, m, y_fake.detach())
-    fake_logits_g = d.forward(source, m, y_fake)
     if mode == "bce":
-        loss_d = softplus(-real_logits).mean() + softplus(fake_logits_d).mean()
-        loss_g = softplus(-fake_logits_g).mean()
-    elif mode == "lsgan":
-        loss_d = ((real_logits - 1.0) * (real_logits - 1.0)).mean() \
-            + (fake_logits_d * fake_logits_d).mean()
-        loss_g = ((fake_logits_g - 1.0) * (fake_logits_g - 1.0)).mean()
-    else:
-        raise ValueError(f"unknown adversarial mode {mode!r}")
-    return loss_d, loss_g
+        return softplus(-logits if real else logits).mean()
+    if mode == "lsgan":
+        d = logits - 1.0 if real else logits
+        return (d * d).mean()
+    raise ValueError(f"unknown adversarial mode {mode!r}")
+
+
+def discriminator_loss(d, source, m, y_real, y_fake, mode="bce"):
+    """One sample's discriminator loss; the fake is detached so only the
+    discriminator receives gradients."""
+    real = gan_term(d.forward(source, m, y_real), True, mode)
+    return real + gan_term(d.forward(source, m, y_fake.detach()), False, mode)
 
 
 def content_loss(y_real, y_fake):
@@ -175,11 +179,6 @@ def tap_l1(real_taps, fake_taps, names):
     return total
 
 
-def perceptual_loss(extractor, y_real, y_fake):
-    """Sum over both taps of the mean squared feature difference."""
-    return tap_mse(extractor.features(y_real), extractor.features(y_fake))
-
-
 def binary_cross_entropy(target_probs, probs):
     """Elementwise-mean BCE of ``probs`` against (constant) target probs.
 
@@ -196,24 +195,78 @@ def binary_cross_entropy(target_probs, probs):
     return -(pos + neg).mean()
 
 
-def parsing_loss(oracle, y_real, y_fake):
-    """BCE between the parser's soft maps of target and synthesized images."""
-    return binary_cross_entropy(oracle.probs(y_real), oracle.probs(y_fake))
+@dataclass(frozen=True)
+class Target:
+    """What one sample's fake is scored against, fixed for a whole stage.
+
+    ``views`` are the sample's (source, source saliency, source layout,
+    target image, target saliency, target layout) for one direction.
+    ``taps``, ``probs``, ``intra`` and ``inter`` are the fixed scorers'
+    outputs on the real target.  In a cycle stage ``teacher`` is the
+    frozen opposite-direction generator, ``tap_names`` the activations
+    it is compared on and ``teacher_taps`` those activations on the real
+    target; otherwise ``teacher`` and ``teacher_taps`` are None.
+    """
+
+    views: tuple
+    extractor: FeatureExtractor
+    oracle: ParsingOracle
+    variance: str
+    taps: list
+    probs: Tensor
+    intra: object
+    inter: object
+    teacher: object = None
+    tap_names: tuple = ()
+    teacher_taps: dict = None
 
 
-def total_objective(adversarial, content, perceptual, parsing, intra, inter,
-                    cycle, weights):
-    """Weighted sum of all generator-side terms."""
+def target_record(views, extractor, oracle, variance="literal", teacher=None,
+                  tap_names=()):
+    """Build the :class:`Target` of one sample from its direction views."""
+    _, _, lay_src, tgt, m_tgt, lay_tgt = views
+    tgt = tgt.detach()
+    nodes = compute_nodes(tgt, lay_src, variance=variance)
+    teacher_taps = None
+    if teacher is not None:
+        _, real = teacher.forward(tgt, m_tgt, lay_tgt, want_taps=True)
+        teacher_taps = {name: real[name].detach() for name in tap_names}
+    return Target(views, extractor, oracle, variance,
+                  taps=[t.detach() for t in extractor.features(tgt)],
+                  probs=oracle.probs(tgt).detach(), intra=intra_graph(tgt, nodes),
+                  inter=inter_graph(nodes), teacher=teacher, tap_names=tuple(tap_names),
+                  teacher_taps=teacher_taps)
+
+
+def objective(fake, d, target, weights, mode="bce"):
+    """Every generator-side loss term of one fake, keyed as in losses.csv.
+
+    ``d`` scores the live fake, so the adversarial term's gradient
+    reaches the generator.  The cycle term ``l_ict`` is the L1 agreement
+    of the teacher's activations on the fake and on the real target, and
+    is zero outside cycle stages.  ``l_total`` is the weighted sum.
+    """
     weights.validate()
-    return (
-        adversarial
-        + weights.content * content
-        + weights.perceptual * perceptual
-        + weights.parsing * parsing
-        + weights.intra_graph * intra
-        + weights.inter_graph * inter
-        + weights.cycle * cycle
-    )
+    src, m_src, lay_src, tgt, m_tgt, lay_tgt = target.views
+    terms = {"l_gan_g": gan_term(d.forward(src, m_src, fake), True, mode),
+             "l_content": content_loss(tgt.detach(), fake),
+             "l_perc": tap_mse(target.taps, target.extractor.features(fake)),
+             "l_bce": binary_cross_entropy(target.probs, target.oracle.probs(fake))}
+    nodes = compute_nodes(fake, lay_src, variance=target.variance)
+    terms["l_iag"] = intra_graph_loss(target.intra, intra_graph(fake, nodes))
+    terms["l_itg"] = inter_graph_loss(target.inter, inter_graph(nodes))
+    if target.teacher is None:
+        terms["l_ict"] = Tensor(0.0)
+    else:
+        _, fake_taps = target.teacher.forward(fake, m_tgt, lay_tgt, want_taps=True)
+        terms["l_ict"] = tap_l1(target.teacher_taps, fake_taps, target.tap_names)
+    terms["l_total"] = (terms["l_gan_g"] + weights.content * terms["l_content"]
+                        + weights.perceptual * terms["l_perc"]
+                        + weights.parsing * terms["l_bce"]
+                        + weights.intra_graph * terms["l_iag"]
+                        + weights.inter_graph * terms["l_itg"]
+                        + weights.cycle * terms["l_ict"])
+    return terms
 
 
 LOSS_CSV_COLUMNS = (

@@ -627,16 +627,22 @@ def load_checkpoint(path):
     out = {}
     pos = 4
     while pos < len(blob):
-        (nlen,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        name = blob[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
-        count = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape)
+        entry = pos
+        try:
+            (nlen,) = struct.unpack_from("<I", blob, pos)
+            pos += 4
+            name = blob[pos : pos + nlen].decode("utf-8")
+            pos += nlen
+            (rank,) = struct.unpack_from("<I", blob, pos)
+            pos += 4
+            shape = struct.unpack_from(f"<{rank}I", blob, pos)
+            pos += 4 * rank
+            count = int(np.prod(shape)) if rank else 1
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape)
+        except (struct.error, ValueError) as err:
+            raise ValueError(
+                f"{path}: truncated or corrupt checkpoint entry at byte {entry}: {err}"
+            ) from err
         pos += 8 * count
         if name in out:
             raise ValueError(f"{path}: duplicate checkpoint entry {name!r}")
@@ -655,9 +661,9 @@ def save_params(path, named_params):
     save_checkpoint(path, entries)
 
 
-def load_params(path, named_params):
-    """Restore parameters saved by :func:`save_params`, by name."""
-    blob = load_checkpoint(path)
+def restore_params(blob, named_params, path):
+    """Restore parameters saved by :func:`save_params`, by name, from the
+    dict :func:`load_checkpoint` read; ``path`` names it in errors."""
     for name, p in named_params:
         if name not in blob:
             raise KeyError(f"{path}: checkpoint missing parameter {name!r}")

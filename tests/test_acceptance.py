@@ -30,7 +30,7 @@ from test_graphs import (
 )
 
 from sgs.cli import main as cli_main
-from sgs.cycletrain import TrainConfig, cycle_distillation_loss, run_iterative, train_direction
+from sgs.cycletrain import DEFAULT_ICT_TAPS, TrainConfig, run_iterative, train_direction
 from sgs.datagen import generate_corpus
 from sgs.graphs import (
     compute_nodes,
@@ -44,12 +44,10 @@ from sgs.losses import (
     FeatureExtractor,
     LossWeights,
     ParsingOracle,
-    adversarial_losses,
     binary_cross_entropy,
-    content_loss,
-    perceptual_loss,
-    tap_l1,
-    total_objective,
+    discriminator_loss,
+    objective,
+    target_record,
 )
 from sgs.metrics import frechet_distance, frechet_from_stats, fsim, ssim
 from sgs.network import Generator, PatchDiscriminator, SIModule, SIResBlock
@@ -298,30 +296,35 @@ def _case_discriminator_candidate(seed):
     return gradcheck(build, x0)
 
 
-def _case_adversarial_generator(seed):
-    d, src, m, y_real = _disc_setup(seed)
+def _objective_setup(seed):
+    """A 32 px sample scored as training scores it: a patch discriminator,
+    the fixed extractor and parser, and a frozen depth-2 teacher for the
+    cycle term.  Targets sit in [0, 0.2] and candidates in [0.4, 0.9], so
+    the content L1 has no kink between the probe points."""
+    rng = np.random.default_rng([seed, 26])
+    d = PatchDiscriminator(1, 1, base_channels=4, seed=seed)
+    src = Tensor(rng.uniform(size=(1, 32, 32)))
+    m = SaliencyMap(rng.uniform(size=(32, 32)))
+    layout = rand_classes(rng, 32)
+    tgt = Tensor(rng.uniform(0.0, 0.2, size=(1, 32, 32)))
+    teacher = Generator(1, 1, depth=2, base_channels=2, si_hidden=2,
+                        image_size=32, seed=seed)
+    teacher.freeze()
+    target = target_record((src, m, layout, tgt, m, layout),
+                           FeatureExtractor(1, seed=seed), ParsingOracle(1, seed=seed),
+                           teacher=teacher,
+                           tap_names=("enc_bottleneck", "dec_block1", "dec_block2"))
+    return d, target
 
-    def build(leaf):
-        _, loss_g = adversarial_losses(d, src, m, y_real, _candidate(leaf))
-        return loss_g
 
-    x0 = np.random.default_rng(seed).uniform(0.2, 0.8, size=(1, 4, 4))
-    return gradcheck(build, x0)
-
-
-def _case_content(seed):
-    target = const((seed, 26), 2, 4, 4)
-    x0 = np.asarray(target.data) + np.random.default_rng(seed).uniform(
-        0.2, 0.7, size=(2, 4, 4))
-    return gradcheck(lambda x: content_loss(target, x), x0)
-
-
-def _case_perceptual(seed):
-    ext = FeatureExtractor(1, seed=seed)
-    rng = np.random.default_rng([seed, 27])
-    target = Tensor(rng.uniform(size=(1, 8, 8)))
-    x0 = np.random.default_rng(seed).uniform(size=(1, 8, 8))
-    return gradcheck(lambda x: perceptual_loss(ext, target, x), x0)
+def _objective_case(term):
+    """Gradient of one term of ``objective`` through the candidate image."""
+    def case(seed):
+        d, target = _objective_setup(seed)
+        x0 = np.random.default_rng(seed).uniform(0.4, 0.9, size=(1, 4, 4))
+        return gradcheck(
+            lambda leaf: objective(_candidate(leaf), d, target, LossWeights())[term], x0)
+    return case
 
 
 def _case_bce(seed):
@@ -329,29 +332,6 @@ def _case_bce(seed):
     target = Tensor(rng.uniform(0.2, 0.8, size=(3, 3)))
     x0 = np.random.default_rng(seed).uniform(0.2, 0.8, size=(3, 3))
     return gradcheck(lambda x: binary_cross_entropy(target, x), x0)
-
-
-def _case_parsing(seed):
-    oracle = ParsingOracle(1, seed=seed)
-    rng = np.random.default_rng([seed, 29])
-    target = oracle.probs(Tensor(rng.uniform(size=(1, 8, 8)))).detach()
-    x0 = np.random.default_rng(seed).uniform(size=(1, 8, 8))
-    return gradcheck(lambda x: binary_cross_entropy(target, oracle.probs(x)), x0)
-
-
-def _case_tap_l1(seed):
-    rng = np.random.default_rng([seed, 30])
-    names = ("enc_bottleneck", "dec_block1", "dec_block2", "dec_block3",
-             "dec_block4")
-    real = {n: Tensor(rng.normal(size=(2, 3))) for n in names}
-    offsets = {n: rng.uniform(0.2, 0.8, size=(2, 3)) for n in names}
-
-    def build(leaf):
-        fake = {n: leaf * 1.0 + Tensor(offsets[n]) for n in names}
-        return tap_l1(real, fake, names)
-
-    x0 = np.random.default_rng(seed).normal(size=(2, 3)) * 3.0
-    return gradcheck(build, x0)
 
 
 def _graph_setup(seed, variance):
@@ -409,12 +389,12 @@ GRADIENT_CASES = (
     ("si-resblock-input", _case_si_resblock_input),
     ("generator-params", _case_generator_params),
     ("discriminator-candidate", _case_discriminator_candidate),
-    ("adversarial-generator", _case_adversarial_generator),
-    ("content", _case_content),
-    ("perceptual", _case_perceptual),
+    ("adversarial-generator", _objective_case("l_gan_g")),
+    ("content", _objective_case("l_content")),
+    ("perceptual", _objective_case("l_perc")),
     ("bce", _case_bce),
-    ("parsing", _case_parsing),
-    ("cycle-tap-l1", _case_tap_l1),
+    ("parsing", _objective_case("l_bce")),
+    ("cycle-tap-l1", _objective_case("l_ict")),
     ("intra-graph-literal", lambda s: _case_intra_path(s, "literal")),
     ("intra-graph-masked", lambda s: _case_intra_path(s, "masked")),
     ("inter-graph-literal", lambda s: _case_inter_path(s, "literal")),
@@ -540,48 +520,40 @@ def test_criterion_3_metric_identities():
 
 
 def test_criterion_4_loss_identities():
+    """Identities on the terms ``objective`` returns, the dict training
+    steps on and logs."""
     rng = np.random.default_rng(400)
-    worst_zero = 0.0
-
     img = Tensor(rng.uniform(size=(3, 32, 32)))
-    same = Tensor(img.data.copy())
-    worst_zero = max(worst_zero, abs(content_loss(img, same).item()))
-    ext = FeatureExtractor(3, seed=41)
-    worst_zero = max(worst_zero, abs(perceptual_loss(ext, img, same).item()))
-
+    src = Tensor(rng.uniform(size=(1, 32, 32)))
     layout = SemanticLayout(rng.integers(0, 12, size=(32, 32)).astype(np.uint8))
-    nodes_a = compute_nodes(img, layout)
-    nodes_b = compute_nodes(same, layout)
-    worst_zero = max(worst_zero, abs(intra_graph_loss(
-        intra_graph(img, nodes_a), intra_graph(same, nodes_b)).item()))
-    worst_zero = max(worst_zero, abs(inter_graph_loss(
-        inter_graph(nodes_a), inter_graph(nodes_b)).item()))
-
+    m = SaliencyMap(rng.uniform(size=(32, 32)))
     teacher = Generator(3, 1, depth=4, base_channels=4, si_hidden=4,
                         image_size=32, seed=42)
     teacher.freeze()
-    m = SaliencyMap(rng.uniform(size=(32, 32)))
-    worst_zero = max(worst_zero, abs(cycle_distillation_loss(
-        teacher, img, same, m, layout).item()))
-
-    d = PatchDiscriminator(3, 3, base_channels=4, seed=43)
+    target = target_record((src, m, layout, img, m, layout),
+                           FeatureExtractor(3, seed=41), ParsingOracle(3, seed=44),
+                           teacher=teacher, tap_names=DEFAULT_ICT_TAPS)
+    d = PatchDiscriminator(1, 3, base_channels=4, seed=43)
     for p in d.params():
         p.data[...] = 0.0
-    loss_d, loss_g = adversarial_losses(
-        d, img, m, Tensor(rng.uniform(size=(3, 32, 32))),
-        Tensor(rng.uniform(size=(3, 32, 32))))
-    adv_err = max(abs(loss_d.item() - 2.0 * np.log(2.0)),
-                  abs(loss_g.item() - np.log(2.0)))
-
     weights = LossWeights()
+
+    at_equality = objective(Tensor(img.data.copy()), d, target, weights)
+    worst_zero = max(abs(at_equality[k].item())
+                     for k in ("l_content", "l_perc", "l_iag", "l_itg", "l_ict"))
+
+    loss_d = discriminator_loss(d, src, m, img, Tensor(rng.uniform(size=(3, 32, 32))))
+    adv_err = max(abs(loss_d.item() - 2.0 * np.log(2.0)),
+                  abs(at_equality["l_gan_g"].item() - np.log(2.0)))
+
     worst_total = 0.0
     for _ in range(5):
-        parts = rng.uniform(0.01, 2.0, size=7)
-        want = (parts[0] + 100.0 * parts[1] + 10.0 * parts[2] + 15.0 * parts[3]
-                + 100.0 * parts[4] + 100.0 * parts[5] + 5.0 * parts[6])
-        got = total_objective(*[Tensor(np.asarray(p)) for p in parts],
-                              weights).item()
-        worst_total = max(worst_total, abs(got - want))
+        terms = objective(Tensor(rng.uniform(size=(3, 32, 32))), d, target, weights)
+        v = {k: t.item() for k, t in terms.items()}
+        want = (v["l_gan_g"] + 100.0 * v["l_content"] + 10.0 * v["l_perc"]
+                + 15.0 * v["l_bce"] + 100.0 * v["l_iag"] + 100.0 * v["l_itg"]
+                + 5.0 * v["l_ict"])
+        worst_total = max(worst_total, abs(v["l_total"] - want))
 
     ok = worst_zero == 0.0 and adv_err <= 1e-12 and worst_total <= 1e-12
     verdict(4, "loss identities", ok,

@@ -6,6 +6,7 @@ the artifacts each command writes.
 """
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -173,7 +174,24 @@ class TestTrainCommand:
         assert len(lines) == 1 + 2 * 6  # header + epochs * train samples
         manifest = json.load(open(os.path.join(trained_run["out"], "manifest.json")))
         assert manifest["config"]["epochs"] == 2
-        assert manifest["checkpoints"][0]["direction"] == "k"
+        assert manifest["checkpoints"]["k"][0]["direction"] == "k"
+
+    def test_depth_below_default_taps_trains_stage0(self, cli_corpus, tmp_path):
+        """Stage 0 has no cycle term, so the cycle taps do not bound depth."""
+        flags = TRAIN_FLAGS + ["--depth", "3"]  # the later flag wins
+        rc = main(["train", "--data", cli_corpus["manifest"], "--out",
+                   str(tmp_path / "r")] + flags)
+        assert rc == 0
+        assert (tmp_path / "r" / "stage0_k" / "model.bin").exists()
+
+    def test_iterative_rejects_taps_beyond_depth_before_training(
+            self, cli_corpus, tmp_path, capsys):
+        rc = main(["train-iterative", "--data", cli_corpus["manifest"], "--out",
+                   str(tmp_path / "r")] + TRAIN_FLAGS + ["--depth", "3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: config: tap 'dec_block4' exceeds decoder depth 3\n"
+        assert not (tmp_path / "r" / "stage0_k").exists()
 
     def test_stdout_reports_val(self, cli_corpus, tmp_path, capsys):
         rc = main(["train", "--data", cli_corpus["manifest"], "--out",
@@ -270,6 +288,33 @@ class TestEvalCommand:
         rows = open(out / "per_sample.csv").read().splitlines()
         assert rows[0] == "id,ssim,fsim"
         assert len(rows) == 9
+
+    def test_val_split_reproduces_training_metrics(self, cli_corpus, trained_run,
+                                                   tmp_path):
+        """Scoring the training run's val split gives its val_metrics.json,
+        byte for byte."""
+        with open(cli_corpus["manifest"]) as f:
+            rows = f.read().splitlines()
+        val_manifest = cli_corpus["root"] / "val_manifest.jsonl"
+        val_manifest.write_text("\n".join(rows[-2:]) + "\n")  # --val-count 2
+        out = tmp_path / "eval"
+        assert main(["eval", "--model", trained_run["model"],
+                     "--data", str(val_manifest), "--out", str(out)]) == 0
+        trained = os.path.join(trained_run["model"], "val_metrics.json")
+        assert (out / "val_metrics.json").read_bytes() == open(trained, "rb").read()
+
+    @pytest.mark.parametrize("size", [6, 2000])
+    def test_truncated_checkpoint_is_data_error(self, cli_corpus, trained_run,
+                                                tmp_path, capsys, size):
+        model = tmp_path / "model"
+        shutil.copytree(trained_run["model"], model)
+        blob = (model / "model.bin").read_bytes()
+        (model / "model.bin").write_bytes(blob[:size])
+        rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
+                   "--out", str(tmp_path / "e")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
 
     def test_thread_pool_matches_serial(self, cli_corpus, trained_run, tmp_path,
                                         monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for biphasic cycle training: config validation, direction
-routing, checkpoint round-trips, the cycle-distillation term, and small
-end-to-end training runs with determinism and frozen-weight checks.
+routing, checkpoint round-trips, the cycle-distillation term as
+``objective`` computes it, and small end-to-end training runs with
+determinism and frozen-weight checks.
 """
 import dataclasses
 import json
@@ -15,7 +16,6 @@ from sgs.cycletrain import (
     Checkpoint,
     ConfigError,
     TrainConfig,
-    cycle_distillation_loss,
     direction_channels,
     evaluate_direction,
     load_generator,
@@ -27,7 +27,8 @@ from sgs.cycletrain import (
     train_direction,
 )
 from sgs.layout import DataError, SaliencyMap, SemanticLayout
-from sgs.network import Generator
+from sgs.losses import FeatureExtractor, LossWeights, ParsingOracle, objective, target_record
+from sgs.network import Generator, PatchDiscriminator
 from sgs.numerics import Tensor
 
 TINY = dict(epochs=2, image_size=32, depth=4, base_channels=4, si_hidden=4,
@@ -72,21 +73,29 @@ class TestTrainConfig:
 
     def test_tap_count_must_be_five(self):
         with pytest.raises(ConfigError, match="5 taps"):
-            tiny_config(ict_taps=("enc_bottleneck",)).validate()
+            tiny_config(ict_taps=("enc_bottleneck",)).validate_taps()
 
     def test_unknown_tap_name(self):
         bad = ("enc_bottleneck", "dec_block1", "dec_block2", "dec_block3", "foo")
         with pytest.raises(ConfigError, match="foo"):
-            tiny_config(ict_taps=bad).validate()
+            tiny_config(ict_taps=bad).validate_taps()
 
     def test_tap_beyond_depth(self):
         bad = ("enc_bottleneck", "dec_block1", "dec_block2", "dec_block3",
                "dec_block5")
         with pytest.raises(ConfigError, match="dec_block5"):
-            tiny_config(depth=4, ict_taps=bad).validate()
+            tiny_config(depth=4, ict_taps=bad).validate_taps()
+
+    def test_taps_unchecked_without_cycle_stage(self):
+        """Stage 0 has no cycle term, so a depth below the default taps'
+        validates; only the cycle-stage check rejects it."""
+        cfg = tiny_config(depth=3)
+        assert cfg.validate() is cfg
+        with pytest.raises(ConfigError, match="dec_block4"):
+            cfg.validate_taps()
 
     def test_default_taps_fit_default_depth(self):
-        TrainConfig().validate()
+        TrainConfig().validate().validate_taps()
         assert all(t == "enc_bottleneck" or int(t[9:]) <= 5
                    for t in DEFAULT_ICT_TAPS)
 
@@ -121,6 +130,8 @@ class TestDirectionPlumbing:
 
 
 class TestCycleDistillation:
+    """The cycle term ``l_ict`` of ``objective`` in a direction-k cycle stage."""
+
     @staticmethod
     def frozen_gen():
         gen = Generator(1, 3, depth=4, base_channels=2, si_hidden=2,
@@ -128,13 +139,22 @@ class TestCycleDistillation:
         gen.freeze()
         return gen
 
+    @staticmethod
+    def cycle_term(gen, rng, y, y_fake):
+        m = SaliencyMap(rng.uniform(size=(32, 32)))
+        lay = rand_layout(rng, 32)
+        src = Tensor(rng.uniform(size=(3, 32, 32)))
+        target = target_record((src, m, lay, y, m, lay), FeatureExtractor(1, seed=0),
+                               ParsingOracle(1, seed=0), teacher=gen,
+                               tap_names=DEFAULT_ICT_TAPS)
+        disc = PatchDiscriminator(3, 1, base_channels=2, seed=0)
+        return objective(y_fake, disc, target, LossWeights())["l_ict"]
+
     def test_zero_when_fake_equals_real(self):
         gen = self.frozen_gen()
         rng = np.random.default_rng(0)
         y = Tensor(rng.uniform(size=(1, 32, 32)))
-        m = SaliencyMap(rng.uniform(size=(32, 32)))
-        lay = rand_layout(rng, 32)
-        loss = cycle_distillation_loss(gen, y, Tensor(y.data.copy()), m, lay)
+        loss = self.cycle_term(gen, rng, y, Tensor(y.data.copy()))
         assert loss.item() == 0.0
 
     def test_positive_when_different(self):
@@ -142,28 +162,22 @@ class TestCycleDistillation:
         rng = np.random.default_rng(1)
         y = Tensor(rng.uniform(size=(1, 32, 32)))
         y_fake = Tensor(rng.uniform(size=(1, 32, 32)))
-        m = SaliencyMap(rng.uniform(size=(32, 32)))
-        lay = rand_layout(rng, 32)
-        assert cycle_distillation_loss(gen, y, y_fake, m, lay).item() > 0
+        assert self.cycle_term(gen, rng, y, y_fake).item() > 0
 
-    def test_requires_exactly_five_taps(self):
-        gen = self.frozen_gen()
-        rng = np.random.default_rng(2)
-        y = Tensor(rng.uniform(size=(1, 32, 32)))
-        m = SaliencyMap(rng.uniform(size=(32, 32)))
-        lay = rand_layout(rng, 32)
+    def test_requires_exactly_five_taps(self, tiny_corpus, tmp_path):
+        """A cycle stage checks the taps before it trains."""
+        cfg = tiny_config(ict_taps=("enc_bottleneck", "dec_block1"))
         with pytest.raises(ConfigError, match="5 taps"):
-            cycle_distillation_loss(gen, y, y, m, lay,
-                                    taps=("enc_bottleneck", "dec_block1"))
+            train_direction(tiny_corpus["samples"][:2], tiny_corpus["samples"][2:4],
+                            cfg, "k", 1, self.frozen_gen(), str(tmp_path / "r"))
+        assert not (tmp_path / "r").exists()
 
     def test_gradient_reaches_fake_only(self):
         gen = self.frozen_gen()
         rng = np.random.default_rng(3)
         y = Tensor(rng.uniform(size=(1, 32, 32)), requires_grad=True)
         y_fake = Tensor(rng.uniform(size=(1, 32, 32)), requires_grad=True)
-        m = SaliencyMap(rng.uniform(size=(32, 32)))
-        lay = rand_layout(rng, 32)
-        cycle_distillation_loss(gen, y, y_fake, m, lay).backward()
+        self.cycle_term(gen, rng, y, y_fake).backward()
         assert y.grad is None or not np.any(y.grad)
         assert y_fake.grad is not None and np.any(y_fake.grad)
         for p in gen.params():

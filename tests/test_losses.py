@@ -3,7 +3,8 @@
 Scalar losses are checked against per-element numpy oracles, the
 adversarial identities at zero logits are exact, and every loss that
 feeds the generator is finite-difference checked through its fake-image
-argument.
+argument.  Generator-side terms are read from the dict ``objective``
+returns, the same one training logs and steps on.
 """
 import numpy as np
 import pytest
@@ -17,17 +18,17 @@ from sgs.losses import (
     LossLog,
     LossWeights,
     ParsingOracle,
-    adversarial_losses,
     binary_cross_entropy,
     content_loss,
-    parsing_loss,
-    perceptual_loss,
+    discriminator_loss,
+    gan_term,
+    objective,
     tap_l1,
     tap_mse,
-    total_objective,
+    target_record,
 )
-from sgs.layout import SaliencyMap
-from sgs.network import PatchDiscriminator
+from sgs.layout import SaliencyMap, SemanticLayout
+from sgs.network import Generator, PatchDiscriminator
 from sgs.numerics import ShapeError, Tensor
 
 LN2 = float(np.log(2.0))
@@ -55,6 +56,27 @@ def zeroed_discriminator(channels=3, size=32):
     return d
 
 
+def make_target(rng, channels=1, size=8, image=None, seed=0, teacher=None):
+    """Target record of one random sample (or of ``image``), scored by
+    extractor and parser seeded with ``seed``.  A ``teacher`` adds the
+    cycle term over its bottleneck and first two decoder taps."""
+    src = rand_image(rng, channels, size)
+    m = rand_saliency(rng, size)
+    layout = SemanticLayout(rng.integers(0, 12, size=(size, size)).astype(np.uint8))
+    tgt = rand_image(rng, channels, size) if image is None else image
+    return target_record((src, m, layout, tgt, m, layout),
+                         FeatureExtractor(channels, seed=seed),
+                         ParsingOracle(channels, seed=seed), teacher=teacher,
+                         tap_names=("enc_bottleneck", "dec_block1", "dec_block2"))
+
+
+def frozen_teacher(channels=1, size=8):
+    gen = Generator(channels, channels, depth=2, base_channels=2, si_hidden=2,
+                    image_size=size, seed=9)
+    gen.freeze()
+    return gen
+
+
 class AffineStubD:
     """Minimal discriminator stand-in: logits are an affine map of the candidate.
 
@@ -68,8 +90,7 @@ class AffineStubD:
         self.shift = shift
 
     def forward(self, source, m, candidate):
-        return candidate.reshape((1, 1) + candidate.data.shape[-2:]) * self.scale \
-            + self.shift
+        return candidate.reshape((1,) + candidate.data.shape) * self.scale + self.shift
 
 
 class TestLossWeights:
@@ -173,7 +194,9 @@ class TestAdversarialLosses:
         m = rand_saliency(rng, 32)
         y_real = rand_image(rng, 3, 32)
         y_fake = rand_image(rng, 3, 32)
-        loss_d, loss_g = adversarial_losses(d, x, m, y_real, y_fake)
+        loss_d = discriminator_loss(d, x, m, y_real, y_fake)
+        loss_g = objective(y_fake, d, make_target(rng, 3, 32, image=y_real),
+                           LossWeights())["l_gan_g"]
         assert abs(loss_d.item() - 2.0 * LN2) < 1e-12
         assert abs(loss_g.item() - LN2) < 1e-12
 
@@ -182,7 +205,8 @@ class TestAdversarialLosses:
         stub = AffineStubD(scale=100.0, shift=-50.0)
         ones = Tensor(np.ones((1, 6, 6)))
         zeros = Tensor(np.zeros((1, 6, 6)))
-        loss_d, loss_g = adversarial_losses(stub, ones, ones, ones, zeros)
+        loss_d = discriminator_loss(stub, ones, ones, ones, zeros)
+        loss_g = gan_term(stub.forward(ones, ones, zeros), True)
         assert loss_d.item() < 1e-8
         assert loss_g.item() > 10.0
 
@@ -192,7 +216,8 @@ class TestAdversarialLosses:
         stub = AffineStubD(scale=2.5, shift=0.3)
         y_real = rand_image(rng, 1, 5)
         y_fake = rand_image(rng, 1, 5)
-        loss_d, loss_g = adversarial_losses(stub, y_real, y_real, y_real, y_fake)
+        loss_d = discriminator_loss(stub, y_real, y_real, y_real, y_fake)
+        loss_g = gan_term(stub.forward(y_real, y_real, y_fake), True)
         r = 2.5 * y_real.data + 0.3
         f = 2.5 * y_fake.data + 0.3
         sp = np.logaddexp(0.0, -r).mean() + np.logaddexp(0.0, f).mean()
@@ -204,8 +229,10 @@ class TestAdversarialLosses:
         rng = np.random.default_rng(12)
         x = rand_image(rng, 3, 32)
         m = rand_saliency(rng, 32)
-        loss_d, loss_g = adversarial_losses(
-            d, x, m, rand_image(rng, 3, 32), rand_image(rng, 3, 32), mode="lsgan")
+        y_fake = rand_image(rng, 3, 32)
+        loss_d = discriminator_loss(d, x, m, rand_image(rng, 3, 32), y_fake, mode="lsgan")
+        loss_g = objective(y_fake, d, make_target(rng, 3, 32), LossWeights(),
+                           mode="lsgan")["l_gan_g"]
         assert abs(loss_d.item() - 1.0) < 1e-12
         assert abs(loss_g.item() - 1.0) < 1e-12
 
@@ -214,8 +241,8 @@ class TestAdversarialLosses:
         stub = AffineStubD(scale=1.5, shift=-0.2)
         y_real = rand_image(rng, 1, 4)
         y_fake = rand_image(rng, 1, 4)
-        loss_d, loss_g = adversarial_losses(
-            stub, y_real, y_real, y_real, y_fake, mode="lsgan")
+        loss_d = discriminator_loss(stub, y_real, y_real, y_real, y_fake, mode="lsgan")
+        loss_g = gan_term(stub.forward(y_real, y_real, y_fake), True, mode="lsgan")
         r = 1.5 * y_real.data - 0.2
         f = 1.5 * y_fake.data - 0.2
         assert abs(loss_d.item() - (((r - 1) ** 2).mean() + (f ** 2).mean())) < 1e-12
@@ -223,9 +250,12 @@ class TestAdversarialLosses:
 
     def test_unknown_mode_rejected(self):
         d = AffineStubD()
-        t = Tensor(np.zeros((1, 4, 4)))
+        t = Tensor(np.zeros((1, 8, 8)))
         with pytest.raises(ValueError, match="hinge"):
-            adversarial_losses(d, t, t, t, t, mode="hinge")
+            discriminator_loss(d, t, t, t, t, mode="hinge")
+        target = make_target(np.random.default_rng(17))
+        with pytest.raises(ValueError, match="hinge"):
+            objective(t, d, target, LossWeights(), mode="hinge")
 
     def test_fake_detached_in_discriminator_loss(self):
         """loss_d must not push gradient into the fake image."""
@@ -233,30 +263,27 @@ class TestAdversarialLosses:
         rng = np.random.default_rng(14)
         y_real = Tensor(rng.uniform(size=(1, 4, 4)))
         y_fake = Tensor(rng.uniform(size=(1, 4, 4)), requires_grad=True)
-        loss_d, _ = adversarial_losses(stub, y_real, y_real, y_real, y_fake)
-        loss_d.backward()
+        discriminator_loss(stub, y_real, y_real, y_real, y_fake).backward()
         assert y_fake.grad is None or not np.any(y_fake.grad)
 
     def test_generator_loss_reaches_fake(self):
         stub = AffineStubD()
         rng = np.random.default_rng(15)
-        y_real = Tensor(rng.uniform(size=(1, 4, 4)))
-        y_fake = Tensor(rng.uniform(size=(1, 4, 4)), requires_grad=True)
-        _, loss_g = adversarial_losses(stub, y_real, y_real, y_real, y_fake)
-        loss_g.backward()
+        target = make_target(rng)
+        y_fake = Tensor(rng.uniform(size=(1, 8, 8)), requires_grad=True)
+        objective(y_fake, stub, target, LossWeights())["l_gan_g"].backward()
         assert y_fake.grad is not None and np.all(np.isfinite(y_fake.grad))
         assert np.any(y_fake.grad)
 
     def test_generator_loss_gradient_fd(self):
         """d loss_g / d y_fake matches central finite differences."""
         stub = AffineStubD(scale=2.0, shift=0.1)
-        anchor = Tensor(np.full((1, 4, 4), 0.5))
+        target = make_target(np.random.default_rng(18))
 
         def build(leaf):
-            _, loss_g = adversarial_losses(stub, anchor, anchor, anchor, leaf)
-            return loss_g
+            return objective(leaf, stub, target, LossWeights())["l_gan_g"]
 
-        rel = gradcheck(build, np.random.default_rng(16).uniform(size=(1, 4, 4)))
+        rel = gradcheck(build, np.random.default_rng(16).uniform(size=(1, 8, 8)))
         assert rel < 1e-4
 
 
@@ -338,18 +365,23 @@ class TestTapDistances:
         assert np.any(fake["a"].grad)
 
 
+def perc(fake, target):
+    return objective(fake, AffineStubD(), target, LossWeights())["l_perc"]
+
+
 class TestPerceptualLoss:
     def test_identical_is_zero(self):
-        ext = FeatureExtractor(3, seed=30)
-        img = rand_image(np.random.default_rng(31), 3, 8)
-        assert perceptual_loss(ext, img, Tensor(img.data.copy())).item() == 0.0
+        rng = np.random.default_rng(31)
+        img = rand_image(rng, 3, 8)
+        target = make_target(rng, 3, image=img, seed=30)
+        assert perc(Tensor(img.data.copy()), target).item() == 0.0
 
     def test_symmetric(self):
-        ext = FeatureExtractor(1, seed=32)
         rng = np.random.default_rng(33)
         a, b = rand_image(rng, 1, 8), rand_image(rng, 1, 8)
-        assert abs(perceptual_loss(ext, a, b).item()
-                   - perceptual_loss(ext, b, a).item()) < 1e-15
+        ab = perc(b, make_target(rng, image=a, seed=32)).item()
+        ba = perc(a, make_target(rng, image=b, seed=32)).item()
+        assert abs(ab - ba) < 1e-15
 
     def test_matches_two_tap_reduction(self):
         """The loss is the sum over both taps of mean squared differences."""
@@ -359,23 +391,17 @@ class TestPerceptualLoss:
         ta = ext.features(a)
         tb = ext.features(b)
         want = sum(((x.data - y.data) ** 2).mean() for x, y in zip(ta, tb))
-        assert abs(perceptual_loss(ext, a, b).item() - want) < 1e-12
+        got = perc(b, make_target(rng, 3, image=a, seed=34)).item()
+        assert abs(got - want) < 1e-12
 
     def test_positive_when_different(self):
-        ext = FeatureExtractor(1, seed=36)
         rng = np.random.default_rng(37)
-        assert perceptual_loss(ext, rand_image(rng, 1, 8),
-                               rand_image(rng, 1, 8)).item() > 0
+        assert perc(rand_image(rng, 1, 8), make_target(rng, seed=36)).item() > 0
 
     def test_gradient_fd(self):
-        ext = FeatureExtractor(1, seed=38)
-        target = rand_image(np.random.default_rng(39), 1, 8)
-
-        def build(leaf):
-            return perceptual_loss(ext, target, leaf)
-
+        target = make_target(np.random.default_rng(39), seed=38)
         x0 = np.random.default_rng(40).uniform(size=(1, 8, 8))
-        assert gradcheck(build, x0) < 1e-4
+        assert gradcheck(lambda leaf: perc(leaf, target), x0) < 1e-4
 
 
 class TestBinaryCrossEntropy:
@@ -434,89 +460,113 @@ class TestBinaryCrossEntropy:
         assert gradcheck(build, x0) < 1e-4
 
 
+def parsing(fake, target):
+    return objective(fake, AffineStubD(), target, LossWeights())["l_bce"]
+
+
 class TestParsingLoss:
     def test_self_equals_parser_entropy(self):
         oracle = ParsingOracle(3, seed=60)
-        img = rand_image(np.random.default_rng(61), 3, 8)
+        rng = np.random.default_rng(61)
+        img = rand_image(rng, 3, 8)
         p = oracle.probs(img).data
         want = -(p * np.log(p) + (1 - p) * np.log(np.clip(1 - p, PROB_EPS, 1.0))).mean()
-        got = parsing_loss(oracle, img, Tensor(img.data.copy())).item()
+        got = parsing(Tensor(img.data.copy()), make_target(rng, 3, image=img, seed=60)).item()
         assert abs(got - want) < 1e-10
 
     def test_self_not_larger_than_random_fakes(self):
-        oracle = ParsingOracle(1, seed=62)
         rng = np.random.default_rng(63)
         img = rand_image(rng, 1, 8)
-        base = parsing_loss(oracle, img, Tensor(img.data.copy())).item()
+        target = make_target(rng, image=img, seed=62)
+        base = parsing(Tensor(img.data.copy()), target).item()
         for k in range(4):
             other = rand_image(rng, 1, 8)
-            assert base <= parsing_loss(oracle, img, other).item() + 1e-12
+            assert base <= parsing(other, target).item() + 1e-12
 
     def test_gradient_reaches_fake_only(self):
-        oracle = ParsingOracle(1, seed=64)
         rng = np.random.default_rng(65)
         y = Tensor(rng.uniform(size=(1, 8, 8)), requires_grad=True)
         y_fake = Tensor(rng.uniform(size=(1, 8, 8)), requires_grad=True)
-        parsing_loss(oracle, y, y_fake).backward()
+        parsing(y_fake, make_target(rng, image=y, seed=64)).backward()
         assert y.grad is None or not np.any(y.grad)
         assert np.any(y_fake.grad)
 
     def test_gradient_fd(self):
-        oracle = ParsingOracle(1, seed=66)
-        target = rand_image(np.random.default_rng(67), 1, 8)
-
-        def build(leaf):
-            return parsing_loss(oracle, target, leaf)
-
+        target = make_target(np.random.default_rng(67), seed=66)
         x0 = np.random.default_rng(68).uniform(size=(1, 8, 8))
-        assert gradcheck(build, x0) < 1e-4
+        assert gradcheck(lambda leaf: parsing(leaf, target), x0) < 1e-4
+
+
+PARTS = ("l_gan_g", "l_content", "l_perc", "l_bce", "l_iag", "l_itg", "l_ict")
+WEIGHT_OF = {"l_content": "content", "l_perc": "perceptual", "l_bce": "parsing",
+             "l_iag": "intra_graph", "l_itg": "inter_graph", "l_ict": "cycle"}
 
 
 class TestTotalObjective:
     @staticmethod
-    def scalars(values):
-        return [Tensor(np.asarray(v)) for v in values]
+    def scored(weights, seed=70, mode="bce", stub=None, same=False):
+        """objective() of one fake against a target with a cycle teacher."""
+        rng = np.random.default_rng(seed)
+        target = make_target(rng, teacher=frozen_teacher())
+        fake = target.views[3] if same else rand_image(rng, 1, 8)
+        fake = Tensor(fake.data.copy(), requires_grad=True)
+        return objective(fake, stub or AffineStubD(), target, weights, mode=mode)
+
+    @staticmethod
+    def weighted_sum(terms, w):
+        v = {k: terms[k].item() for k in PARTS}
+        return (v["l_gan_g"] + w.content * v["l_content"] + w.perceptual * v["l_perc"]
+                + w.parsing * v["l_bce"] + w.intra_graph * v["l_iag"]
+                + w.inter_graph * v["l_itg"] + w.cycle * v["l_ict"])
+
+    def test_keys_are_loss_csv_columns(self):
+        terms = self.scored(LossWeights())
+        assert ("l_gan_d",) + tuple(terms) == LOSS_CSV_COLUMNS[1:]
 
     def test_all_zero_parts(self):
-        parts = self.scalars([0.0] * 7)
-        assert total_objective(*parts, LossWeights()).item() == 0.0
+        """A fake equal to its target, logits pinned at the lsgan real label
+        and the parsing weight at zero (BCE of p against itself is p's
+        entropy, not 0) give a total of exactly zero."""
+        terms = self.scored(LossWeights(parsing=0.0), mode="lsgan",
+                            stub=AffineStubD(scale=0.0, shift=1.0), same=True)
+        assert all(terms[k].item() == 0.0 for k in PARTS if k != "l_bce")
+        assert terms["l_total"].item() == 0.0
 
     def test_unit_parts_unit_weights(self):
-        parts = self.scalars([1.0] * 7)
+        """With unit weights the total is the plain sum of the seven parts."""
         w = LossWeights(content=1, perceptual=1, parsing=1,
                         intra_graph=1, inter_graph=1, cycle=1)
-        assert total_objective(*parts, w).item() == 7.0
+        terms = self.scored(w)
+        want = sum(terms[k].item() for k in PARTS)
+        assert abs(terms["l_total"].item() - want) < 1e-12
 
     def test_default_weighted_sum(self):
-        vals = [0.5, 0.25, 0.125, 2.0, 1.5, 0.75, 3.0]
-        want = (vals[0] + 100 * vals[1] + 10 * vals[2] + 15 * vals[3]
-                + 100 * vals[4] + 100 * vals[5] + 5 * vals[6])
-        got = total_objective(*self.scalars(vals), LossWeights()).item()
-        assert abs(got - want) < 1e-12
+        terms = self.scored(LossWeights())
+        v = {k: terms[k].item() for k in PARTS}
+        assert v["l_ict"] > 0
+        want = (v["l_gan_g"] + 100 * v["l_content"] + 10 * v["l_perc"]
+                + 15 * v["l_bce"] + 100 * v["l_iag"] + 100 * v["l_itg"]
+                + 5 * v["l_ict"])
+        assert abs(terms["l_total"].item() - want) < 1e-12
+        assert terms["l_total"].item() == self.weighted_sum(terms, LossWeights())
 
     def test_linear_in_each_component(self):
-        """Doubling one part moves the total by exactly weight * part."""
-        rng = np.random.default_rng(70)
-        vals = rng.uniform(0.1, 1.0, size=7)
+        """Doubling one weight moves the total by exactly weight * part."""
         w = LossWeights()
-        weight_of = [1.0, w.content, w.perceptual, w.parsing,
-                     w.intra_graph, w.inter_graph, w.cycle]
-        base = total_objective(*self.scalars(vals), w).item()
-        for i in range(7):
-            bumped = vals.copy()
-            bumped[i] *= 2.0
-            got = total_objective(*self.scalars(bumped), w).item()
-            assert abs((got - base) - weight_of[i] * vals[i]) < 1e-9
+        base = self.scored(w)
+        for key, name in WEIGHT_OF.items():
+            bumped = self.scored(LossWeights(**{name: 2.0 * getattr(w, name)}))
+            moved = bumped["l_total"].item() - base["l_total"].item()
+            assert abs(moved - getattr(w, name) * base[key].item()) < 1e-9
 
     def test_invalid_weights_rejected(self):
-        parts = self.scalars([0.0] * 7)
         with pytest.raises(ValueError):
-            total_objective(*parts, LossWeights(content=-1.0))
+            self.scored(LossWeights(content=-1.0))
 
     def test_gradient_flows_to_parts(self):
-        parts = [Tensor(np.asarray(0.5), requires_grad=True) for _ in range(7)]
-        total_objective(*parts, LossWeights()).backward()
-        grads = [float(p.grad) for p in parts]
+        terms = self.scored(LossWeights())
+        terms["l_total"].backward()
+        grads = [float(terms[k].grad) for k in PARTS]
         assert grads == [1.0, 100.0, 10.0, 15.0, 100.0, 100.0, 5.0]
 
 

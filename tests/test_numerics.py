@@ -18,11 +18,11 @@ from sgs.numerics import (
     l2_norm,
     leaky_relu,
     load_checkpoint,
-    load_params,
     log,
     lr_at_epoch,
     normalize,
     relu,
+    restore_params,
     save_checkpoint,
     save_params,
     sigmoid,
@@ -490,7 +490,7 @@ class TestCheckpointContainer:
         save_params(str(path), [("w", p)])
 
         q = Parameter(np.zeros(3))
-        load_params(str(path), [("w", q)])
+        restore_params(load_checkpoint(str(path)), [("w", q)], str(path))
         assert np.array_equal(q.data, p.data)
         assert np.array_equal(q.m1, p.m1)
         assert np.array_equal(q.m2, p.m2)
@@ -501,11 +501,13 @@ class TestCheckpointContainer:
         path = tmp_path / "p.bin"
         save_params(str(path), [("w", p)])
         with pytest.raises(ShapeError):
-            load_params(str(path), [("w", Parameter(np.ones(4)))])
+            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(4)))],
+                           str(path))
 
     def test_load_params_missing_name(self, tmp_path):
         p = Parameter(np.ones(3))
         path = tmp_path / "p.bin"
         save_params(str(path), [("w", p)])
         with pytest.raises(KeyError):
-            load_params(str(path), [("other", Parameter(np.ones(3)))])
+            restore_params(load_checkpoint(str(path)), [("other", Parameter(np.ones(3)))],
+                           str(path))
