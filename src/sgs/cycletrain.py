@@ -207,10 +207,20 @@ def load_generator(model_dir, stats="instance"):
         if not os.path.exists(p):
             raise DataError(f"missing checkpoint file {p}")
     with open(json_path, "r", encoding="utf-8") as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)
+        except ValueError as err:
+            raise DataError(f"{json_path}: not valid JSON: {err}") from err
+    if not isinstance(cfg, dict):
+        raise DataError(f"{json_path}: expected a JSON object, got {type(cfg).__name__}")
     missing = [k for k in MODEL_JSON_KEYS if k not in cfg]
     if missing:
         raise ConfigError(f"{model_dir}/model.json missing keys {missing}")
+    # The seed (an int or a seed list) is checked by the generator's rng.
+    mistyped = [k for k in MODEL_JSON_KEYS if k != "seed"
+                and type(cfg[k]) is not (bool if k == "use_saliency" else int)]
+    if mistyped:
+        raise DataError(f"{json_path}: wrong value type for {mistyped}")
     try:
         blob = load_checkpoint(bin_path)
         gen = Generator(
@@ -225,7 +235,7 @@ def load_generator(model_dir, stats="instance"):
             stats=stats,
         )
         restore_params(blob, gen.named_params(), bin_path)
-    except (KeyError, IndexError, ValueError) as err:
+    except (KeyError, IndexError, TypeError, ValueError) as err:
         raise DataError(f"corrupt checkpoint in {model_dir}: {err}") from err
     return gen
 

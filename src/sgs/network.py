@@ -23,6 +23,7 @@ from .numerics import (
     leaky_relu,
     normalize,
     relu,
+    split,
     tanh,
     upsample_nearest,
 )
@@ -79,7 +80,9 @@ class SIModule(Module):
     A shared 3x3 convolution over the one-hot layout feeds two 3x3
     heads producing gamma and beta; the output is
     ``gamma * normalize(x) + beta`` (the modulation is applied exactly
-    in this form, with no residual 1+gamma variant).
+    in this form, with no residual 1+gamma variant).  The two heads run
+    as one convolution whose kernel and bias are the heads' own,
+    concatenated at call time, so the parameters stay separate.
     """
 
     def __init__(self, channels, rng, hidden=32, eps=1e-5, stats="instance"):
@@ -100,8 +103,9 @@ class SIModule(Module):
                 f"activation {x.data.shape[-2:]}"
             )
         h = relu(conv2d(layout_planes, self.shared_w, self.shared_b, stride=1, padding=1))
-        gamma = conv2d(h, self.gamma_w, self.gamma_b, stride=1, padding=1)
-        beta = conv2d(h, self.beta_w, self.beta_b, stride=1, padding=1)
+        heads = conv2d(h, concat([self.gamma_w, self.beta_w], 0),
+                       concat([self.gamma_b, self.beta_b], 0), stride=1, padding=1)
+        gamma, beta = split(heads, [self.channels, self.channels], axis=1)
         return gamma * normalize(x, eps=self.eps, stats=self.stats) + beta
 
 

@@ -413,12 +413,39 @@ def concat(tensors, axis=0):
     return _result(data, tuple(ts), bw)
 
 
+def split(x, sizes, axis=0):
+    """Cut ``x`` along ``axis`` into pieces of the given ``sizes``; the
+    inverse of :func:`concat`."""
+    ax = _normalize_axes(axis, x.data.ndim)[0]
+    sizes = [int(s) for s in sizes]
+    if any(s < 1 for s in sizes) or sum(sizes) != x.data.shape[ax]:
+        raise ShapeError(f"split sizes {sizes} do not cover axis {ax} of {x.data.shape}")
+    pieces = []
+    start = 0
+    for size in sizes:
+        idx = (slice(None),) * ax + (slice(start, start + size),)
+
+        def bw(g, idx=idx):
+            full = np.zeros(x.data.shape)
+            full[idx] = g
+            _accumulate(x, full)
+
+        pieces.append(_result(x.data[idx], (x,), bw))
+        start += size
+    return pieces
+
+
 def conv2d(x, kernel, bias=None, stride=1, padding=0):
     """2-D cross-correlation over [N, C, H, W] with square stride/padding.
 
     Implemented as patch extraction plus one matrix product so that the
-    heavy lifting stays inside BLAS; the backward pass scatters column
-    gradients back with the mirror-image slice assignments.
+    heavy lifting stays inside BLAS.  The columns are channel-major,
+    ``[Cin*kh*kw, N*Ho*Wo]``, cut from the channel-first view of the
+    padded input, so forward is ``kmat @ cols`` and neither direction
+    copies a transposed column buffer.  The backward closure keeps the
+    kernel matrix and the shapes, plus the columns only when the kernel
+    records a gradient (a frozen kernel needs just the input gradient);
+    it never keeps the padded input.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(
@@ -443,39 +470,40 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
+    hp, wp = xp.shape[2:]
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    he = stride * (ho - 1) + 1
+    we = stride * (wo - 1) + 1
 
-    cols = np.empty((n, cin, kh, kw, ho, wo))
+    xt = xp.transpose(1, 0, 2, 3)
+    cols = np.empty((cin, kh, kw, n, ho, wo))
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[
-                :, :, i : i + stride * (ho - 1) + 1 : stride,
-                j : j + stride * (wo - 1) + 1 : stride,
-            ]
-    cols2 = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo, cin * kh * kw)
+            cols[:, i, j] = xt[:, :, i : i + he : stride, j : j + we : stride]
+    cols = cols.reshape(cin * kh * kw, n * ho * wo)
     kmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = (cols2 @ kmat.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    res = kmat @ cols
     if bias is not None:
-        out = out + bias.data.reshape(1, cout, 1, 1)
+        res += bias.data.reshape(cout, 1)
+    out = res.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
+    kcols = cols if kernel.requires_grad else None
 
     def bw(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-        if kernel.requires_grad:
-            _accumulate(kernel, (g2.T @ cols2).reshape(kernel.data.shape))
+        g2 = g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
+        if kcols is not None:
+            _accumulate(kernel, (g2 @ kcols.T).reshape(kernel.data.shape))
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            gcols = (g2 @ kmat).reshape(n, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-            gxp = np.zeros_like(xp)
+            gcols = (kmat.T @ g2).reshape(cin, kh, kw, n, ho, wo)
+            gxp = np.zeros((n, cin, hp, wp))
+            gxt = gxp.transpose(1, 0, 2, 3)
             for i in range(kh):
                 for j in range(kw):
-                    gxp[
-                        :, :, i : i + stride * (ho - 1) + 1 : stride,
-                        j : j + stride * (wo - 1) + 1 : stride,
-                    ] += gcols[:, :, i, j]
+                    gxt[:, :, i : i + he : stride, j : j + we : stride] += gcols[:, i, j]
             if padding:
                 gxp = gxp[:, :, padding : padding + h, padding : padding + w]
             _accumulate(x, gxp)
@@ -663,17 +691,25 @@ def save_params(path, named_params):
 
 def restore_params(blob, named_params, path):
     """Restore parameters saved by :func:`save_params`, by name, from the
-    dict :func:`load_checkpoint` read; ``path`` names it in errors."""
+    dict :func:`load_checkpoint` read; ``path`` names it in errors.
+
+    A missing entry raises ``KeyError``; a value or Adam moment of the
+    wrong shape ``ShapeError``; a non-finite one ``ValueError``.
+    """
     for name, p in named_params:
         if name not in blob:
             raise KeyError(f"{path}: checkpoint missing parameter {name!r}")
-        arr = blob[name]
-        if arr.shape != p.data.shape:
-            raise ShapeError(
-                f"{path}: parameter {name!r} has shape {arr.shape}, expected {p.data.shape}"
-            )
+        arr, m1, m2 = blob[name], blob[name + ".m1"], blob[name + ".m2"]
+        for key, a in ((name, arr), (name + ".m1", m1), (name + ".m2", m2)):
+            if a.shape != p.data.shape:
+                raise ShapeError(
+                    f"{path}: checkpoint entry {key!r} has shape {a.shape}, "
+                    f"expected {p.data.shape}"
+                )
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{path}: checkpoint entry {key!r} holds non-finite values")
         p.data = arr.copy()
-        p.m1 = blob[name + ".m1"].copy()
-        p.m2 = blob[name + ".m2"].copy()
+        p.m1 = m1.copy()
+        p.m2 = m2.copy()
         p.step = int(blob[name + ".step"].reshape(())) if name + ".step" in blob else 0
         p.grad = None

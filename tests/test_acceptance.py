@@ -65,6 +65,7 @@ from sgs.numerics import (
     sigmoid,
     softmax,
     softplus,
+    split,
     square,
     tanh,
     upsample_nearest,
@@ -186,6 +187,17 @@ def _case_conv_even_kernel(seed):
     return gradcheck(lambda x: (conv2d(x, k, None, stride=2, padding=1) * w).sum(), x0)
 
 
+def _case_split(seed):
+    w = const((seed, 23), 1, 2, 3, 3)
+    x0 = np.random.default_rng(seed).normal(size=(1, 5, 3, 3))
+
+    def build(x):
+        a, b = split(x, [2, 3], axis=1)
+        return (a * w).sum() + (b * b).sum()
+
+    return gradcheck(build, x0)
+
+
 def _case_upsample(seed):
     w = const((seed, 11), 1, 2, 6, 6)
     x0 = np.random.default_rng(seed).normal(size=(1, 2, 3, 3))
@@ -237,7 +249,7 @@ def _case_si_module_params(seed):
     mod.zero_grad()
     (mod.forward(x, planes) * w).sum().backward()
     rels = [spot_check_param(loss_fn, p, seed=seed)
-            for p in (mod.shared_w, mod.gamma_w, mod.beta_w, mod.gamma_b)]
+            for p in (mod.shared_w, mod.gamma_w, mod.beta_w, mod.gamma_b, mod.beta_b)]
     return max(rels)
 
 
@@ -380,6 +392,7 @@ GRADIENT_CASES = (
     ("conv2d-kernel", _case_conv_kernel),
     ("conv2d-bias", _case_conv_bias),
     ("conv2d-even-k4", _case_conv_even_kernel),
+    ("split", _case_split),
     ("upsample", _case_upsample),
     ("avg-pool", _case_avg_pool),
     ("normalize-instance", _case_normalize_instance),

@@ -17,6 +17,7 @@ import pytest
 from sgs.cli import build_parser, build_train_config, main, read_config_file
 from sgs.cycletrain import ConfigError
 from sgs.layout import read_manifest, read_pnm
+from sgs.numerics import load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--epochs", "2", "--depth", "4", "--base-channels", "4",
                "--si-hidden", "4", "--val-count", "2", "--image-size", "32",
@@ -315,6 +316,44 @@ class TestEvalCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: data: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text,key,value", [
+        ('{"depth": 5,', None, None),
+        ("[1, 2]", None, None),
+        (None, "depth", "x"),
+        (None, "image_size", 32.0),
+        (None, "use_saliency", "no"),
+        (None, "seed", "x"),
+    ], ids=["invalid-json", "not-an-object", "depth-str", "size-float",
+            "saliency-str", "seed-str"])
+    def test_malformed_model_json_is_data_error(self, cli_corpus, trained_run,
+                                                tmp_path, capsys, text, key, value):
+        model = tmp_path / "model"
+        shutil.copytree(trained_run["model"], model)
+        if text is None:
+            cfg = json.loads((model / "model.json").read_text())
+            cfg[key] = value
+            text = json.dumps(cfg)
+        (model / "model.json").write_text(text)
+        rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
+                   "--out", str(tmp_path / "e")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+
+    def test_non_finite_weight_is_data_error(self, cli_corpus, trained_run,
+                                             tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained_run["model"], model)
+        blob = load_checkpoint(str(model / "model.bin"))
+        blob["out_w"].flat[0] = np.nan
+        save_checkpoint(str(model / "model.bin"), list(blob.items()))
+        rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
+                   "--out", str(tmp_path / "e")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "non-finite" in err
+        assert err.count("\n") == 1
 
     def test_thread_pool_matches_serial(self, cli_corpus, trained_run, tmp_path,
                                         monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from sgs.layout import N_CLASSES, SaliencyMap, SemanticLayout
 from sgs.network import Generator, Module, PatchDiscriminator, SIModule, SIResBlock
-from sgs.numerics import Parameter, ShapeError, Tensor, normalize
+from sgs.numerics import Parameter, ShapeError, Tensor, conv2d, normalize, relu
 
 from conftest import relative_error, spot_check_param
 
@@ -105,6 +105,49 @@ class TestSIModule:
 
         spot_check_param(loss_fn, si.gamma_w, n_probe=4)
         spot_check_param(loss_fn, si.shared_w, n_probe=4)
+
+
+    def test_fused_heads_match_separate_convs(self):
+        """One conv over the joined heads equals running gamma and beta
+        as two convs, in value and in every gradient."""
+        si = SIModule(3, np.random.default_rng(8), hidden=4)
+        rng = np.random.default_rng(9)
+        for p in si.params():
+            p.data = rng.normal(size=p.data.shape)
+        planes = layout_planes(rand_layout(6, seed=4))
+        x0 = rng.random((1, 3, 6, 6))
+        w = Tensor(rng.normal(size=(1, 3, 6, 6)))
+
+        def separate(x):
+            h = relu(conv2d(planes, si.shared_w, si.shared_b, 1, 1))
+            gamma = conv2d(h, si.gamma_w, si.gamma_b, 1, 1)
+            beta = conv2d(h, si.beta_w, si.beta_b, 1, 1)
+            return gamma * normalize(x) + beta
+
+        results = []
+        for fn in (lambda x: si.forward(x, planes), separate):
+            si.zero_grad()
+            x = Tensor(x0, requires_grad=True)
+            out = fn(x)
+            (out * w).sum().backward()
+            results.append([out.data, x.grad] + [p.grad for p in si.params()])
+        for fused, ref in zip(*results):
+            assert np.allclose(fused, ref, rtol=0.0, atol=1e-12)
+
+    def test_param_names_and_order_unchanged(self):
+        """Checkpoints are keyed by these names, in this order."""
+        si_names = ["shared_w", "shared_b", "gamma_w", "gamma_b", "beta_w", "beta_b"]
+        si = SIModule(2, np.random.default_rng(0), hidden=3)
+        assert [n for n, _ in si.named_params()] == si_names
+        gen = Generator(in_channels=3, out_channels=1, depth=1, base_channels=4,
+                        si_hidden=3, image_size=32)
+        assert [n for n, _ in gen.named_params()] == (
+            ["enc_ws.0", "enc_bs.0"]
+            + [f"blocks.0.si1.{n}" for n in si_names]
+            + ["blocks.0.conv1_w", "blocks.0.conv1_b"]
+            + [f"blocks.0.si2.{n}" for n in si_names]
+            + ["blocks.0.conv2_w", "blocks.0.conv2_b", "out_w", "out_b"]
+        )
 
 
 class TestSIResBlock:

@@ -28,6 +28,7 @@ from sgs.numerics import (
     sigmoid,
     softmax,
     softplus,
+    split,
     square,
     tanh,
     upsample_nearest,
@@ -211,6 +212,39 @@ class TestGradients:
         x0 = rng.normal(size=(2, 2))
         gradcheck(lambda t: (concat([t, b], axis=1) ** 2).sum(), x0)
 
+    def test_split_values_and_concat_round_trip(self):
+        x = Tensor(np.arange(24.0).reshape(2, 6, 2))
+        a, b, c = split(x, [1, 3, 2], axis=1)
+        assert np.array_equal(a.data, x.data[:, :1])
+        assert np.array_equal(b.data, x.data[:, 1:4])
+        assert np.array_equal(c.data, x.data[:, 4:])
+        assert np.array_equal(concat([a, b, c], axis=1).data, x.data)
+        parts = [Tensor(np.ones((2, 2))), Tensor(np.zeros((3, 2)))]
+        back = split(concat(parts, axis=0), [2, 3], axis=0)
+        assert all(np.array_equal(p.data, q.data) for p, q in zip(parts, back))
+
+    def test_split_gradient(self):
+        rng = np.random.default_rng(14)
+        w = Tensor(rng.normal(size=(3, 2)))
+        x0 = rng.normal(size=(3, 5))
+
+        def build(t):
+            head, tail = split(t, [2, 3], axis=-1)
+            return (head * w).sum() + (tail ** 2).sum()
+
+        gradcheck(build, x0)
+
+    def test_split_gradient_of_unused_piece_is_zero(self):
+        t = Tensor(np.ones((4, 2)), requires_grad=True)
+        split(t, [1, 3], axis=0)[1].sum().backward()
+        assert np.array_equal(t.grad, np.array([[0.0, 0.0]] + [[1.0, 1.0]] * 3))
+
+    def test_split_sizes_must_cover_axis(self):
+        with pytest.raises(ShapeError):
+            split(Tensor(np.ones((2, 5))), [2, 2], axis=1)
+        with pytest.raises(ShapeError):
+            split(Tensor(np.ones((2, 5))), [5, 0], axis=1)
+
     def test_clip_interior_gradient(self):
         x0 = np.random.default_rng(11).uniform(0.2, 0.8, size=(7,))
         gradcheck(lambda t: (clip(t, 0.0, 1.0) ** 2).sum(), x0)
@@ -310,6 +344,34 @@ class TestConv2d:
         x0 = rng.normal(size=(1, 1, 6, 6))
         k0 = rng.normal(size=(1, 1, 4, 4))
         gradcheck(lambda t: (conv2d(Tensor(x0), t, stride=2, padding=1) ** 3).sum(), k0)
+
+    def test_batched_gradients_vs_finite_differences(self):
+        """N > 1, stride 2, no padding and a non-square kernel exercise the
+        batch axis of the channel-major columns in both directions."""
+        rng = np.random.default_rng(5)
+        x0 = rng.normal(size=(2, 3, 7, 6))
+        k0 = rng.normal(size=(4, 3, 3, 2))
+        b0 = rng.normal(size=(4,))
+        w = Tensor(rng.normal(size=(2, 4, 3, 3)))
+
+        gradcheck(lambda t: (conv2d(t, Tensor(k0), Tensor(b0), 2, 0) * w).sum(), x0)
+        gradcheck(lambda t: (conv2d(Tensor(x0), t, Tensor(b0), 2, 0) * w).sum(), k0)
+        gradcheck(lambda t: (conv2d(Tensor(x0), Tensor(k0), t, 2, 0) * w).sum(), b0)
+
+    def test_frozen_kernel_gives_same_input_gradient(self):
+        rng = np.random.default_rng(6)
+        x0 = rng.normal(size=(2, 2, 6, 6))
+        k0 = rng.normal(size=(3, 2, 3, 3))
+        w = rng.normal(size=(2, 3, 6, 6))
+        grads = []
+        for trainable in (True, False):
+            x = Tensor(x0, requires_grad=True)
+            k = Tensor(k0, requires_grad=trainable)
+            (conv2d(x, k, None, 1, 1) * Tensor(w)).sum().backward()
+            grads.append((x.grad, k.grad))
+        assert grads[0][1] is not None
+        assert grads[1][1] is None
+        assert np.array_equal(grads[0][0], grads[1][0])
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -502,6 +564,24 @@ class TestCheckpointContainer:
         save_params(str(path), [("w", p)])
         with pytest.raises(ShapeError):
             restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(4)))],
+                           str(path))
+
+    def test_load_params_moment_shape_mismatch(self, tmp_path):
+        """A wrong-shaped Adam moment would broadcast the parameter on the
+        next step; it is rejected at load."""
+        path = tmp_path / "p.bin"
+        save_checkpoint(str(path), [("w", np.ones(3)), ("w.m1", np.ones(1)),
+                                    ("w.m2", np.ones(3))])
+        with pytest.raises(ShapeError, match="w.m1"):
+            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
+                           str(path))
+
+    def test_load_params_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "p.bin"
+        save_checkpoint(str(path), [("w", np.array([1.0, np.nan])), ("w.m1", np.zeros(2)),
+                                    ("w.m2", np.zeros(2))])
+        with pytest.raises(ValueError, match="non-finite"):
+            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(2)))],
                            str(path))
 
     def test_load_params_missing_name(self, tmp_path):
