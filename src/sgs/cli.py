@@ -34,6 +34,7 @@ from .datagen import corpus_stats, generate_corpus
 from .graphs import graph_dump
 from .layout import DataError, load_corpus, write_gray, write_photo, write_pnm
 from .losses import LossWeights
+from .numerics import atomic_open
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
@@ -288,9 +289,9 @@ def cmd_eval(args):
             pool.shutdown()
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "val_metrics.json"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(args.out, "val_metrics.json")) as f:
         f.write(json.dumps(report.summary(), sort_keys=True) + "\n")
-    with open(os.path.join(args.out, "per_sample.csv"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(args.out, "per_sample.csv")) as f:
         f.write("id,ssim,fsim\n")
         for s, s_v, f_v in zip(samples, report.ssim_values, report.fsim_values):
             f.write(f"{s.id},{s_v!r},{f_v!r}\n")

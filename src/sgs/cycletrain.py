@@ -32,7 +32,14 @@ from .losses import (
 )
 from .metrics import evaluate_pairs
 from .network import Generator, PatchDiscriminator
-from .numerics import adam_step, load_checkpoint, lr_at_epoch, restore_params, save_params
+from .numerics import (
+    adam_step,
+    atomic_open,
+    load_checkpoint,
+    lr_at_epoch,
+    restore_params,
+    save_params,
+)
 
 DIRECTIONS = ("k", "o")  # k: photo -> sketch, o: sketch -> photo
 DEFAULT_ICT_TAPS = (
@@ -190,7 +197,7 @@ def save_generator(gen, out_dir):
         "image_size": gen.image_size,
         "seed": gen.seed if isinstance(gen.seed, int) else list(gen.seed),
     }
-    with open(os.path.join(out_dir, "model.json"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(out_dir, "model.json")) as f:
         f.write(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
     return bin_path
 
@@ -360,7 +367,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
 
     save_generator(gen, out_dir)
     val = evaluate_direction(gen, val_samples, direction, extractor)
-    with open(os.path.join(out_dir, "val_metrics.json"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(out_dir, "val_metrics.json")) as f:
         f.write(json.dumps(val, sort_keys=True) + "\n")
     ckpt = Checkpoint(stage=stage, direction=direction, path=out_dir, val=val,
                       digest=_sha256(os.path.join(out_dir, "model.bin")))
@@ -375,7 +382,7 @@ def write_manifest(out_root, cfg, checkpoints):
         "config": asdict(cfg),
         "checkpoints": {d: [asdict(c) for c in ckpts] for d, ckpts in checkpoints.items()},
     }
-    with open(os.path.join(out_root, "manifest.json"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(out_root, "manifest.json")) as f:
         f.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 

@@ -11,6 +11,8 @@ storage between steps is the one sanctioned exception).
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -435,17 +437,40 @@ def split(x, sizes, axis=0):
     return pieces
 
 
+# Byte budget of one tile of im2col columns, ``[Cin*kh*kw, rows*Wo]``.
+# Sized from a sweep of the paper-scale (256 px, depth 7) and desk
+# (64 px, depth 5) conv shapes on a 2 MiB-L2 core; see CHANGES.md.
+_TILE_BYTES = 512 * 1024
+
+
+def _windows(xp, kh, kw, stride, ho, wo):
+    """Read-only ``[N, Cin, kh, kw, Ho, Wo]`` view of every kernel window
+    of the padded input ``xp``: the im2col columns, not yet copied."""
+    sn, sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, xp.shape[:2] + (kh, kw, ho, wo),
+        (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+
+
 def conv2d(x, kernel, bias=None, stride=1, padding=0):
     """2-D cross-correlation over [N, C, H, W] with square stride/padding.
 
-    Implemented as patch extraction plus one matrix product so that the
-    heavy lifting stays inside BLAS.  The columns are channel-major,
-    ``[Cin*kh*kw, N*Ho*Wo]``, cut from the channel-first view of the
-    padded input, so forward is ``kmat @ cols`` and neither direction
-    copies a transposed column buffer.  The backward closure keeps the
-    kernel matrix and the shapes, plus the columns only when the kernel
-    records a gradient (a frozen kernel needs just the input gradient);
-    it never keeps the padded input.
+    Implemented as row-tiled im2col plus matrix products so that the
+    heavy lifting stays inside BLAS while the column buffer stays small.
+    The input is padded once into a zero-filled buffer.  Each sample's
+    output rows are cut into tiles whose channel-major columns,
+    ``[Cin*kh*kw, rows*Wo]``, fit ``_TILE_BYTES`` (at least one row a
+    tile); each tile is built into one reused scratch buffer and
+    ``kmat @ cols`` is written straight into the ``[N, Cout, Ho, Wo]``
+    output.
+
+    The backward closure keeps the kernel matrix and the shapes.  When
+    the kernel records a gradient it also keeps either the columns, if
+    the whole column matrix is one tile, or else only the padded input
+    (kh*kw times smaller), from which backward rebuilds each tile to add
+    up the kernel gradient tile by tile.  A frozen kernel keeps neither:
+    the input gradient needs only ``kmat.T @ g``, scattered tile by tile
+    into the zero-filled padded gradient.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(
@@ -466,44 +491,66 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
     if bias is not None and bias.data.shape != (cout,):
         raise ShapeError(f"bias shape {bias.data.shape} != ({cout},)")
 
+    hp, wp = h + 2 * padding, w + 2 * padding
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, cin, hp, wp))
+        xp[:, :, padding : padding + h, padding : padding + w] = x.data
     else:
         xp = x.data
-    hp, wp = xp.shape[2:]
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    he = stride * (ho - 1) + 1
-    we = stride * (wo - 1) + 1
+    kdim = cin * kh * kw
+    rows = max(1, min(ho, _TILE_BYTES // (8 * kdim * wo)))
+    tiles = [(b, r0, min(rows, ho - r0)) for b in range(n) for r0 in range(0, ho, rows)]
+    scratch = np.empty(kdim * rows * wo)
 
-    xt = xp.transpose(1, 0, 2, 3)
-    cols = np.empty((cin, kh, kw, n, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xt[:, :, i : i + he : stride, j : j + we : stride]
-    cols = cols.reshape(cin * kh * kw, n * ho * wo)
-    kmat = kernel.data.reshape(cout, cin * kh * kw)
-    res = kmat @ cols
+    kmat = kernel.data.reshape(cout, kdim)
+    win = _windows(xp, kh, kw, stride, ho, wo)
+    out = np.empty((n, cout, ho, wo))
+    out3 = out.reshape(n, cout, ho * wo)
+    for b, r0, r in tiles:
+        cols = scratch[: kdim * r * wo].reshape(kdim, r * wo)
+        cols.reshape(cin, kh, kw, r, wo)[...] = win[b, :, :, :, r0 : r0 + r]
+        np.matmul(kmat, cols, out=out3[b, :, r0 * wo : (r0 + r) * wo])
     if bias is not None:
-        res += bias.data.reshape(cout, 1)
-    out = res.reshape(cout, n, ho, wo).transpose(1, 0, 2, 3)
+        out += bias.data.reshape(1, cout, 1, 1)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    kcols = cols if kernel.requires_grad else None
+    one_tile = len(tiles) == 1
+    kcols = cols if kernel.requires_grad and one_tile else None
+    kwin = win if kernel.requires_grad and not one_tile else None
 
     def bw(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
-        if kcols is not None:
-            _accumulate(kernel, (g2 @ kcols.T).reshape(kernel.data.shape))
+        g3 = np.ascontiguousarray(g).reshape(n, cout, ho * wo)
+        buf = np.empty(kdim * rows * wo)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        if kcols is not None:
+            _accumulate(kernel, (g3[0] @ kcols.T).reshape(kernel.data.shape))
+        elif kwin is not None:
+            gk = None
+            for b, r0, r in tiles:
+                cols = buf[: kdim * r * wo].reshape(kdim, r * wo)
+                cols.reshape(cin, kh, kw, r, wo)[...] = kwin[b, :, :, :, r0 : r0 + r]
+                part = g3[b, :, r0 * wo : (r0 + r) * wo] @ cols.T
+                if gk is None:
+                    gk = part
+                else:
+                    gk += part
+            _accumulate(kernel, gk.reshape(kernel.data.shape))
         if x.requires_grad:
-            gcols = (kmat.T @ g2).reshape(cin, kh, kw, n, ho, wo)
             gxp = np.zeros((n, cin, hp, wp))
-            gxt = gxp.transpose(1, 0, 2, 3)
-            for i in range(kh):
-                for j in range(kw):
-                    gxt[:, :, i : i + he : stride, j : j + we : stride] += gcols[:, i, j]
+            for b, r0, r in tiles:
+                gcols = buf[: kdim * r * wo].reshape(kdim, r * wo)
+                np.matmul(kmat.T, g3[b, :, r0 * wo : (r0 + r) * wo], out=gcols)
+                g6 = gcols.reshape(cin, kh, kw, r, wo)
+                gxs = gxp[b]
+                top = r0 * stride
+                he = stride * (r - 1) + 1
+                we = stride * (wo - 1) + 1
+                for i in range(kh):
+                    for j in range(kw):
+                        gxs[:, top + i : top + i + he : stride, j : j + we : stride] += g6[:, i, j]
             if padding:
                 gxp = gxp[:, :, padding : padding + h, padding : padding + w]
             _accumulate(x, gxp)
@@ -625,13 +672,31 @@ def lr_at_epoch(base_lr, epoch, total_epochs):
 CHECKPOINT_MAGIC = b"SGS1"
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Write ``path`` through a temp file beside it: on a clean exit the
+    temp file replaces ``path`` in one ``os.replace``; if the body raises
+    it is removed and ``path`` keeps its previous bytes.  Text modes
+    write UTF-8."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, entries):
     """Write named float64 arrays to the flat binary container format.
 
     Layout: magic ``SGS1`` then, per entry, u32-LE name length, UTF-8
     name, u32-LE rank, u32-LE dims, raw little-endian float64 data.
+    Written atomically, through :func:`atomic_open`.
     """
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         for name, arr in entries:
             # tobytes() below always emits C order; no need to copy first.

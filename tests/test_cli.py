@@ -420,3 +420,20 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: data: ")
+
+    def test_desk_experiment_script(self, tmp_path):
+        """The README's end-to-end script, at the smallest size it takes."""
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                              "run_desk_experiment.py")
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, script, "--out", str(out), "--samples", "4", "--size", "32",
+             "--stages", "1", "--epochs", "2", "--depth", "4", "--base-channels", "4",
+             "--si-hidden", "4"],
+            capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert sorted(report) == ["k", "o"]
+        for direction in ("k", "o"):
+            assert report[direction]["stage"] in (0, 1)
+            assert os.path.isfile(os.path.join(report[direction]["path"], "model.bin"))

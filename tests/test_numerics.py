@@ -1,15 +1,20 @@
 """Autodiff engine tests: value oracles, gradient checks, persistence."""
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sgs import numerics
 from sgs.numerics import (
     Parameter,
     ShapeError,
     Tensor,
     adam_step,
+    atomic_open,
     avg_pool2d,
     clip,
     concat,
@@ -289,6 +294,15 @@ def test_sum_gradient_is_ones(x):
     assert np.array_equal(t.grad, np.ones_like(x))
 
 
+LOOP_ORACLE_CASES = [
+    ((1, 1, 5, 5), (1, 1, 3, 3), 1, 0),
+    ((2, 3, 6, 6), (4, 3, 3, 3), 1, 1),
+    ((1, 2, 8, 8), (3, 2, 4, 4), 2, 1),
+    ((2, 2, 9, 7), (1, 2, 3, 5), 2, 2),
+    ((1, 4, 8, 8), (2, 4, 4, 4), 2, 1),
+]
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         x = Tensor(np.random.default_rng(0).normal(size=(1, 1, 3, 3)))
@@ -305,13 +319,7 @@ class TestConv2d:
         assert out[0, 0] == 4.0 and out[3, 3] == 4.0
         assert out[0, 1] == 6.0
 
-    @pytest.mark.parametrize("shape,kshape,stride,padding", [
-        ((1, 1, 5, 5), (1, 1, 3, 3), 1, 0),
-        ((2, 3, 6, 6), (4, 3, 3, 3), 1, 1),
-        ((1, 2, 8, 8), (3, 2, 4, 4), 2, 1),
-        ((2, 2, 9, 7), (1, 2, 3, 5), 2, 2),
-        ((1, 4, 8, 8), (2, 4, 4, 4), 2, 1),
-    ])
+    @pytest.mark.parametrize("shape,kshape,stride,padding", LOOP_ORACLE_CASES)
     def test_against_loop_oracle(self, shape, kshape, stride, padding):
         rng = np.random.default_rng(hash((shape, kshape)) % 2**32)
         x = rng.normal(size=shape)
@@ -373,6 +381,25 @@ class TestConv2d:
         assert grads[1][1] is None
         assert np.array_equal(grads[0][0], grads[1][0])
 
+    def test_closure_holds_at_most_the_padded_input(self):
+        """Beyond its output, a trainable-kernel conv keeps no more than its
+        padded input alive for backward, and a frozen-kernel conv nothing."""
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(1, 16, 256, 256)), requires_grad=True)
+        padded = 1 * 16 * 258 * 258 * 8
+        slack = 64 * 1024
+        for trainable, limit in ((True, padded + slack), (False, slack)):
+            k = Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=trainable)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = conv2d(x, k, None, 1, 1)
+                held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+            finally:
+                tracemalloc.stop()
+            assert held <= limit, f"trainable={trainable}: {held} bytes held"
+            del out
+
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
@@ -385,6 +412,74 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3))),
                    stride=0)
+
+
+class TestTiledConv2d(TestConv2d):
+    """Every conv test again, and the cases below, with the column budget
+    cut to one output row (two where stated), so that each conv spans at
+    least three tiles."""
+
+    @pytest.fixture(autouse=True)
+    def one_row_tiles(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_TILE_BYTES", 1)
+
+    @pytest.mark.parametrize("shape,kshape,stride,padding", LOOP_ORACLE_CASES)
+    def test_cases_span_three_tiles(self, shape, kshape, stride, padding):
+        ho = (shape[2] + 2 * padding - kshape[2]) // stride + 1
+        assert shape[0] * ho >= 3
+
+    def test_padded_batched_gradients_vs_finite_differences(self):
+        """N=2, stride 2, padding 2, a 9x7 input and a 3x5 kernel."""
+        rng = np.random.default_rng(5)
+        x0 = rng.normal(size=(2, 2, 9, 7))
+        k0 = rng.normal(size=(3, 2, 3, 5))
+        b0 = rng.normal(size=(3,))
+        w = Tensor(rng.normal(size=(2, 3, 6, 4)))
+
+        gradcheck(lambda t: (conv2d(t, Tensor(k0), Tensor(b0), 2, 2) * w).sum(), x0)
+        gradcheck(lambda t: (conv2d(Tensor(x0), t, Tensor(b0), 2, 2) * w).sum(), k0)
+        gradcheck(lambda t: (conv2d(Tensor(x0), Tensor(k0), t, 2, 2) * w).sum(), b0)
+
+    def test_ragged_last_tile(self, monkeypatch):
+        """Nine output rows in tiles of two: the last tile has one row."""
+        rng = np.random.default_rng(9)
+        x0 = rng.normal(size=(1, 2, 9, 7))
+        k0 = rng.normal(size=(3, 2, 3, 5))
+        b0 = rng.normal(size=(3,))
+        # Two output rows of [Cin*kh*kw, Wo] = [30, 5] float64 columns.
+        monkeypatch.setattr(numerics, "_TILE_BYTES", 8 * 30 * 5 * 2)
+        out = conv2d(Tensor(x0), Tensor(k0), Tensor(b0), 1, 1)
+        assert out.data.shape == (1, 3, 9, 5)
+        assert np.allclose(out.data, conv2d_reference(x0, k0, b0, 1, 1), atol=1e-12)
+        w = Tensor(rng.normal(size=out.data.shape))
+
+        gradcheck(lambda t: (conv2d(t, Tensor(k0), Tensor(b0), 1, 1) * w).sum(), x0)
+        gradcheck(lambda t: (conv2d(Tensor(x0), t, Tensor(b0), 1, 1) * w).sum(), k0)
+        gradcheck(lambda t: (conv2d(Tensor(x0), Tensor(k0), t, 1, 1) * w).sum(), b0)
+
+    @staticmethod
+    def _grads(x_grad, k_grad):
+        """Input and kernel gradients of a weighted sum of an N=2, stride 2,
+        padding 2 conv of a 9x7 input with a 3x5 kernel."""
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(2, 2, 9, 7)), requires_grad=x_grad)
+        k = Tensor(rng.normal(size=(3, 2, 3, 5)), requires_grad=k_grad)
+        w = Tensor(rng.normal(size=(2, 3, 6, 4)))
+        (conv2d(x, k, None, 2, 2) * w).sum().backward()
+        return x.grad, k.grad
+
+    def test_frozen_kernel_gets_input_gradient_only(self, monkeypatch):
+        gx_tiled, gk_tiled = self._grads(True, False)
+        assert gk_tiled is None
+        assert np.array_equal(gx_tiled, self._grads(True, True)[0])
+        monkeypatch.setattr(numerics, "_TILE_BYTES", 1 << 30)
+        assert np.allclose(gx_tiled, self._grads(True, False)[0], rtol=0, atol=1e-12)
+
+    def test_input_without_gradient_gets_kernel_gradient_only(self, monkeypatch):
+        gx_tiled, gk_tiled = self._grads(False, True)
+        assert gx_tiled is None
+        monkeypatch.setattr(numerics, "_TILE_BYTES", 1 << 30)
+        assert np.allclose(gk_tiled, self._grads(False, True)[1], rtol=0, atol=1e-12)
 
 
 class TestUpsampleAndPooling:
@@ -536,6 +631,30 @@ class TestCheckpointContainer:
         for name, arr in entries:
             assert back[name].shape == np.asarray(arr).shape
             assert np.array_equal(back[name], arr)
+
+    def test_save_that_raises_partway_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(str(path), [("w", np.arange(3.0))])
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint(str(path), [("w", np.ones(4)), ("bad", "not a number")])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.bin"]
+
+    def test_text_write_that_raises_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"old": 1}\n', encoding="utf-8")
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with atomic_open(str(path)) as f:
+                f.write('{"new": ')
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["manifest.json"]
+        with atomic_open(str(path)) as f:
+            f.write('{"new": 2}\n')
+        assert path.read_text(encoding="utf-8") == '{"new": 2}\n'
+        assert os.listdir(tmp_path) == ["manifest.json"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
