@@ -465,12 +465,11 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
     output.
 
     The backward closure keeps the kernel matrix and the shapes.  When
-    the kernel records a gradient it also keeps either the columns, if
-    the whole column matrix is one tile, or else only the padded input
-    (kh*kw times smaller), from which backward rebuilds each tile to add
-    up the kernel gradient tile by tile.  A frozen kernel keeps neither:
-    the input gradient needs only ``kmat.T @ g``, scattered tile by tile
-    into the zero-filled padded gradient.
+    the kernel records a gradient it also keeps the padded input (kh*kw
+    times smaller than the columns), from which backward rebuilds each
+    tile to add up the kernel gradient tile by tile.  A frozen kernel
+    keeps nothing more: the input gradient needs only ``kmat.T @ g``,
+    scattered tile by tile into the zero-filled padded gradient.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(
@@ -516,18 +515,14 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
         out += bias.data.reshape(1, cout, 1, 1)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    one_tile = len(tiles) == 1
-    kcols = cols if kernel.requires_grad and one_tile else None
-    kwin = win if kernel.requires_grad and not one_tile else None
+    kwin = win if kernel.requires_grad else None
 
     def bw(g):
         g3 = np.ascontiguousarray(g).reshape(n, cout, ho * wo)
         buf = np.empty(kdim * rows * wo)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if kcols is not None:
-            _accumulate(kernel, (g3[0] @ kcols.T).reshape(kernel.data.shape))
-        elif kwin is not None:
+        if kwin is not None:
             gk = None
             for b, r0, r in tiles:
                 cols = buf[: kdim * r * wo].reshape(kdim, r * wo)
@@ -675,13 +670,15 @@ CHECKPOINT_MAGIC = b"SGS1"
 @contextlib.contextmanager
 def atomic_open(path, mode="w"):
     """Write ``path`` through a temp file beside it: on a clean exit the
-    temp file replaces ``path`` in one ``os.replace``; if the body raises
-    it is removed and ``path`` keeps its previous bytes.  Text modes
-    write UTF-8."""
+    temp file is flushed to disk and replaces ``path`` in one
+    ``os.replace``; if the body raises it is removed and ``path`` keeps
+    its previous bytes.  Text modes write UTF-8."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
             yield f
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -424,9 +424,19 @@ class TestTiledConv2d(TestConv2d):
         monkeypatch.setattr(numerics, "_TILE_BYTES", 1)
 
     @pytest.mark.parametrize("shape,kshape,stride,padding", LOOP_ORACLE_CASES)
-    def test_cases_span_three_tiles(self, shape, kshape, stride, padding):
+    def test_against_loop_oracle(self, shape, kshape, stride, padding, monkeypatch):
+        """Forward runs one ``np.matmul`` per tile, here one per output
+        row of each sample: at least three per case."""
+        matmul, tiles = np.matmul, []
+
+        def counting_matmul(*args, **kwargs):
+            tiles.append(None)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        super().test_against_loop_oracle(shape, kshape, stride, padding)
         ho = (shape[2] + 2 * padding - kshape[2]) // stride + 1
-        assert shape[0] * ho >= 3
+        assert len(tiles) == shape[0] * ho >= 3
 
     def test_padded_batched_gradients_vs_finite_differences(self):
         """N=2, stride 2, padding 2, a 9x7 input and a 3x5 kernel."""
