@@ -311,7 +311,7 @@ def cmd_graph_dump(args):
         dump = graph_dump(s.sketch, s.layout_sketch)
     text = json.dumps(dump, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_open(args.out) as f:
             f.write(text + "\n")
     else:
         print(text)

@@ -452,24 +452,122 @@ def _windows(xp, kh, kw, stride, ho, wo):
         (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
 
 
+def _tiles(win):
+    """Yield ``(b, span, cols)`` for each tile of the window view ``win``.
+
+    Each sample's output rows are cut into tiles whose channel-major
+    columns, ``cols`` ``[Cin*kh*kw, rows*Wo]``, fit ``_TILE_BYTES`` (at
+    least one row a tile); every tile is built into one reused scratch
+    buffer.  ``span`` slices the tile's rows out of a flat ``Ho*Wo`` axis.
+    """
+    n, cin, kh, kw, ho, wo = win.shape
+    kdim = cin * kh * kw
+    rows = max(1, min(ho, _TILE_BYTES // (8 * kdim * wo)))
+    scratch = np.empty(kdim * rows * wo)
+    for b in range(n):
+        for r0 in range(0, ho, rows):
+            r = min(rows, ho - r0)
+            cols = scratch[: kdim * r * wo].reshape(kdim, r * wo)
+            cols.reshape(cin, kh, kw, r, wo)[...] = win[b, :, :, :, r0 : r0 + r]
+            yield b, slice(r0 * wo, (r0 + r) * wo), cols
+
+
+def _correlate(xp, kmat, kh, kw, stride, out):
+    """Write the correlation of the padded input ``xp`` with ``kmat``,
+    ``[Cout, Cin*kh*kw]``, into ``out``, ``[N, Cout, Ho, Wo]``: one
+    ``kmat @ cols`` per tile, straight into its rows of ``out``."""
+    n, cout, ho, wo = out.shape
+    out3 = out.reshape(n, cout, ho * wo)
+    for b, span, cols in _tiles(_windows(xp, kh, kw, stride, ho, wo)):
+        np.matmul(kmat, cols, out=out3[b, :, span])
+
+
+def _phase_spans(size, padding, taps, stride):
+    """One axis of the input gradient's sub-pixel phases.
+
+    Padded position ``q*stride + r`` is in phase ``r``.  Returns, per
+    phase, the first ``q`` inside the unpadded input and how many there
+    are, and the range ``(lo, hi)`` of output positions those need: a
+    phase's ``q`` reads outputs ``q - taps + 1`` to ``q``.
+    """
+    spans = []
+    for r in range(stride):
+        q0 = (padding - r + stride - 1) // stride
+        spans.append((q0, (padding + size - 1 - r) // stride + 1 - q0))
+    lo = min(q0 for q0, _ in spans) - taps + 1
+    hi = max(q0 + count for q0, count in spans) - 1
+    return spans, lo, hi
+
+
+def _conv_input_grad(g, kernel, stride, padding, h, w):
+    """Gradient of a conv with respect to its unpadded input, ``[N, Cin,
+    H, W]``, from the output gradient ``g``, ``[N, Cout, Ho, Wo]``.
+
+    Computed as a gather.  Along one axis, padded row ``q*stride + r``
+    gets ``sum_t kernel[r + t*stride] * g[q - t]``: for each of the
+    stride x stride phases ``(r_h, r_w)`` a stride-1 correlation of the
+    zero-padded ``g`` with that phase's taps flipped and transposed to
+    ``[Cin, Cout*th*tw]``.  The kernel is laid out once, its taps
+    zero-padded to a multiple of the stride, so that each phase's matrix
+    is one contiguous block.  A phase with no taps gets zeros.
+    """
+    n, cout, ho, wo = g.shape
+    cin, kh, kw = kernel.shape[1:]
+    s = stride
+    th, tw = -(-kh // s), -(-kw // s)
+    kp = kernel
+    if (th * s, tw * s) != (kh, kw):
+        kp = np.zeros((cout, cin, th * s, tw * s))
+        kp[:, :, :kh, :kw] = kernel
+    # [s, s, Cout*th*tw, Cin]: one block per phase, its taps flipped.  Cin
+    # innermost makes this copy fast; BLAS reads each block transposed.
+    km = kp.reshape(cout, cin, th, s, tw, s)[:, :, ::-1, :, ::-1].transpose(3, 5, 0, 2, 4, 1)
+    km = np.ascontiguousarray(km).reshape(s, s, cout * th * tw, cin)
+
+    rspans, rlo, rhi = _phase_spans(h, padding, th, s)
+    cspans, clo, chi = _phase_spans(w, padding, tw, s)
+    gp = np.zeros((n, cout, rhi - rlo + 1, chi - clo + 1))
+    r0, r1 = max(rlo, 0), min(rhi + 1, ho)
+    c0, c1 = max(clo, 0), min(chi + 1, wo)
+    gp[:, :, r0 - rlo : r1 - rlo, c0 - clo : c1 - clo] = g[:, :, r0:r1, c0:c1]
+
+    gx = np.empty((n, cin, h, w))
+    for rh, (qh, nh) in enumerate(rspans):
+        for rw, (qw, nw) in enumerate(cspans):
+            if nh <= 0 or nw <= 0:
+                continue
+            dst = gx[:, :, qh * s + rh - padding :: s, qw * s + rw - padding :: s]
+            if rh >= kh or rw >= kw:
+                dst[...] = 0.0
+                continue
+            src = gp[:, :, qh - th + 1 - rlo : qh + nh - rlo, qw - tw + 1 - clo : qw + nw - clo]
+            out = gx if s == 1 else np.empty((n, cin, nh, nw))
+            _correlate(src, km[rh, rw].T, th, tw, 1, out)
+            if s > 1:
+                dst[...] = out
+    return gx
+
+
 def conv2d(x, kernel, bias=None, stride=1, padding=0):
     """2-D cross-correlation over [N, C, H, W] with square stride/padding.
 
     Implemented as row-tiled im2col plus matrix products so that the
     heavy lifting stays inside BLAS while the column buffer stays small.
-    The input is padded once into a zero-filled buffer.  Each sample's
-    output rows are cut into tiles whose channel-major columns,
-    ``[Cin*kh*kw, rows*Wo]``, fit ``_TILE_BYTES`` (at least one row a
-    tile); each tile is built into one reused scratch buffer and
-    ``kmat @ cols`` is written straight into the ``[N, Cout, Ho, Wo]``
-    output.
+    The input is padded once into a zero-filled buffer, and
+    :func:`_correlate` builds one tile of channel-major columns at a time
+    into a reused scratch buffer and writes ``kmat @ cols`` straight into
+    the ``[N, Cout, Ho, Wo]`` output.
 
-    The backward closure keeps the kernel matrix and the shapes.  When
-    the kernel records a gradient it also keeps the padded input (kh*kw
+    The backward closure keeps the kernel and the shapes.  When the
+    kernel records a gradient it also keeps the padded input (kh*kw
     times smaller than the columns), from which backward rebuilds each
-    tile to add up the kernel gradient tile by tile.  A frozen kernel
-    keeps nothing more: the input gradient needs only ``kmat.T @ g``,
-    scattered tile by tile into the zero-filled padded gradient.
+    tile to add up the kernel gradient tile by tile; a frozen kernel
+    keeps nothing more.  The input gradient is a gather, not a
+    scatter-add: :func:`_conv_input_grad` correlates the zero-padded
+    output gradient with the flipped, transposed kernel, one sub-pixel
+    phase per stride x stride offset, through the same tiled
+    :func:`_correlate`, and returns only the unpadded ``[N, Cin, H, W]``
+    region as one C-contiguous array.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(
@@ -498,57 +596,30 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
         xp = x.data
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    kdim = cin * kh * kw
-    rows = max(1, min(ho, _TILE_BYTES // (8 * kdim * wo)))
-    tiles = [(b, r0, min(rows, ho - r0)) for b in range(n) for r0 in range(0, ho, rows)]
-    scratch = np.empty(kdim * rows * wo)
-
-    kmat = kernel.data.reshape(cout, kdim)
-    win = _windows(xp, kh, kw, stride, ho, wo)
+    kdata = kernel.data
     out = np.empty((n, cout, ho, wo))
-    out3 = out.reshape(n, cout, ho * wo)
-    for b, r0, r in tiles:
-        cols = scratch[: kdim * r * wo].reshape(kdim, r * wo)
-        cols.reshape(cin, kh, kw, r, wo)[...] = win[b, :, :, :, r0 : r0 + r]
-        np.matmul(kmat, cols, out=out3[b, :, r0 * wo : (r0 + r) * wo])
+    _correlate(xp, kdata.reshape(cout, cin * kh * kw), kh, kw, stride, out)
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    kwin = win if kernel.requires_grad else None
+    kxp = xp if kernel.requires_grad else None
 
     def bw(g):
-        g3 = np.ascontiguousarray(g).reshape(n, cout, ho * wo)
-        buf = np.empty(kdim * rows * wo)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if kwin is not None:
+        if kxp is not None:
+            g3 = np.ascontiguousarray(g).reshape(n, cout, ho * wo)
             gk = None
-            for b, r0, r in tiles:
-                cols = buf[: kdim * r * wo].reshape(kdim, r * wo)
-                cols.reshape(cin, kh, kw, r, wo)[...] = kwin[b, :, :, :, r0 : r0 + r]
-                part = g3[b, :, r0 * wo : (r0 + r) * wo] @ cols.T
+            for b, span, cols in _tiles(_windows(kxp, kh, kw, stride, ho, wo)):
+                part = g3[b, :, span] @ cols.T
                 if gk is None:
                     gk = part
                 else:
                     gk += part
-            _accumulate(kernel, gk.reshape(kernel.data.shape))
+            _accumulate(kernel, gk.reshape(kdata.shape))
         if x.requires_grad:
-            gxp = np.zeros((n, cin, hp, wp))
-            for b, r0, r in tiles:
-                gcols = buf[: kdim * r * wo].reshape(kdim, r * wo)
-                np.matmul(kmat.T, g3[b, :, r0 * wo : (r0 + r) * wo], out=gcols)
-                g6 = gcols.reshape(cin, kh, kw, r, wo)
-                gxs = gxp[b]
-                top = r0 * stride
-                he = stride * (r - 1) + 1
-                we = stride * (wo - 1) + 1
-                for i in range(kh):
-                    for j in range(kw):
-                        gxs[:, top + i : top + i + he : stride, j : j + we : stride] += g6[:, i, j]
-            if padding:
-                gxp = gxp[:, :, padding : padding + h, padding : padding + w]
-            _accumulate(x, gxp)
+            _accumulate(x, _conv_input_grad(g, kdata, stride, padding, h, w))
 
     return _result(out, parents, bw)
 
@@ -755,8 +826,10 @@ def restore_params(blob, named_params, path):
     """Restore parameters saved by :func:`save_params`, by name, from the
     dict :func:`load_checkpoint` read; ``path`` names it in errors.
 
-    A missing entry raises ``KeyError``; a value or Adam moment of the
-    wrong shape ``ShapeError``; a non-finite one ``ValueError``.
+    A missing entry, the ``.step`` counter included, raises ``KeyError``;
+    a value or Adam moment of the wrong shape ``ShapeError``; a
+    non-finite one, or a step that is not a non-negative integer scalar,
+    ``ValueError``.
     """
     for name, p in named_params:
         if name not in blob:
@@ -770,8 +843,17 @@ def restore_params(blob, named_params, path):
                 )
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{path}: checkpoint entry {key!r} holds non-finite values")
+        key = name + ".step"
+        if key not in blob:
+            raise KeyError(f"{path}: checkpoint missing entry {key!r}")
+        step = blob[key]
+        if step.shape != () or not np.isfinite(step) or step < 0 or step % 1:
+            raise ValueError(
+                f"{path}: checkpoint entry {key!r} is {step.tolist()!r}, "
+                "not a non-negative integer"
+            )
         p.data = arr.copy()
         p.m1 = m1.copy()
         p.m2 = m2.copy()
-        p.step = int(blob[name + ".step"].reshape(())) if name + ".step" in blob else 0
+        p.step = int(step)
         p.grad = None

@@ -400,6 +400,25 @@ class TestGraphDumpCommand:
         dump = json.loads(path.read_text())
         assert len(dump["present"]) == 12
 
+    def test_failed_write_keeps_previous_file(self, cli_corpus, tmp_path, monkeypatch,
+                                              capsys):
+        """A write that fails partway (here the flush to disk) leaves the
+        previous file byte for byte and no temp file behind."""
+        path = tmp_path / "dump.json"
+        path.write_text('{"old": 1}\n', encoding="utf-8")
+        before = path.read_bytes()
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        rc = main(["graph-dump", "--data", cli_corpus["manifest"],
+                   "--id", "0001", "--side", "sketch", "--out", str(path)])
+        assert rc == 3
+        assert "No space left" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["dump.json"]
+
     def test_unknown_id_is_data_error(self, cli_corpus, capsys):
         rc = main(["graph-dump", "--data", cli_corpus["manifest"], "--id", "zz"])
         assert rc == 3

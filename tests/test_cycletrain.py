@@ -6,9 +6,12 @@ determinism and frozen-weight checks.
 import dataclasses
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgs.cycletrain import (
     DEFAULT_ICT_TAPS,
@@ -29,7 +32,7 @@ from sgs.cycletrain import (
 from sgs.layout import DataError, SaliencyMap, SemanticLayout
 from sgs.losses import FeatureExtractor, LossWeights, ParsingOracle, objective, target_record
 from sgs.network import Generator, PatchDiscriminator
-from sgs.numerics import Tensor
+from sgs.numerics import Tensor, load_checkpoint
 
 TINY = dict(epochs=2, image_size=32, depth=4, base_channels=4, si_hidden=4,
             stages=1, val_count=2, seed=3)
@@ -241,6 +244,48 @@ class TestCheckpointRoundTrip:
         lay = rand_layout(rng, 32)
         assert np.array_equal(gen.forward(x, m, lay).data,
                               loaded.forward(x, m, lay).data)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """The model.json and model.bin bytes of a depth-1 generator."""
+    out = tmp_path_factory.mktemp("small_checkpoint")
+    save_generator(Generator(3, 1, depth=1, base_channels=2, si_hidden=2,
+                             image_size=8, seed=5), str(out))
+    return {name: (out / name).read_bytes() for name in ("model.json", "model.bin")}
+
+
+def load_with_model_bin(files, model_bin):
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "model.json"), "wb") as f:
+            f.write(files["model.json"])
+        with open(os.path.join(d, "model.bin"), "wb") as f:
+            f.write(model_bin)
+        return load_generator(d)
+
+
+class TestTruncatedCheckpoint:
+    def test_intact_checkpoint_loads(self, small_checkpoint):
+        load_with_model_bin(small_checkpoint, small_checkpoint["model.bin"])
+
+    def test_cut_before_last_step_entry_is_data_error(self, small_checkpoint, tmp_path):
+        """The last entry is the last parameter's rank-0 ``.step``: u32 name
+        length, the name, u32 rank 0, one float64."""
+        blob = small_checkpoint["model.bin"]
+        (tmp_path / "model.bin").write_bytes(blob)
+        last = list(load_checkpoint(str(tmp_path / "model.bin")))[-1]
+        assert last.endswith(".step")
+        cut = len(blob) - (4 + len(last.encode("utf-8")) + 4 + 8)
+        with pytest.raises(DataError, match="step"):
+            load_with_model_bin(small_checkpoint, blob[:cut])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_truncation_is_data_error(self, small_checkpoint, data):
+        blob = small_checkpoint["model.bin"]
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        with pytest.raises(DataError):
+            load_with_model_bin(small_checkpoint, blob[:cut])
 
 
 class TestSynthesizeAndEvaluate:

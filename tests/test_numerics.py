@@ -60,6 +60,21 @@ def conv2d_reference(x, k, b, stride, padding):
     return out
 
 
+def conv2d_input_grad_reference(shape, k, g, stride, padding):
+    """Loop oracle for the input gradient: each output gradient value is
+    scattered back over the window it read, then the padding is cut."""
+    n, cin, h, w = shape
+    cout, _, kh, kw = k.shape
+    gxp = np.zeros((n, cin, h + 2 * padding, w + 2 * padding))
+    for ni in range(n):
+        for co in range(cout):
+            for oi in range(g.shape[2]):
+                for oj in range(g.shape[3]):
+                    gxp[ni, :, oi * stride : oi * stride + kh,
+                        oj * stride : oj * stride + kw] += g[ni, co, oi, oj] * k[co]
+    return gxp[:, :, padding : padding + h, padding : padding + w]
+
+
 class TestTensorBasics:
     def test_constructor_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -300,6 +315,12 @@ LOOP_ORACLE_CASES = [
     ((1, 2, 8, 8), (3, 2, 4, 4), 2, 1),
     ((2, 2, 9, 7), (1, 2, 3, 5), 2, 2),
     ((1, 4, 8, 8), (2, 4, 4, 4), 2, 1),
+    # 1x1 kernel at stride 2: the odd padded rows and columns have no taps.
+    ((1, 3, 7, 6), (2, 3, 1, 1), 2, 1),
+    # H + 2p - kh odd: the last input row is read by no window.
+    ((1, 2, 8, 7), (3, 2, 3, 3), 2, 0),
+    # An input one row high, smaller than the stride.
+    ((3, 2, 1, 9), (2, 2, 3, 3), 2, 1),
 ]
 
 
@@ -328,6 +349,20 @@ class TestConv2d:
         out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride, padding)
         ref = conv2d_reference(x, k, b, stride, padding)
         assert np.allclose(out.data, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,kshape,stride,padding", LOOP_ORACLE_CASES)
+    def test_input_gradient_against_loop_oracle(self, shape, kshape, stride, padding):
+        """The input gradient is one C-contiguous [N, Cin, H, W] array, not
+        a view into a padded buffer."""
+        rng = np.random.default_rng(hash((kshape, shape)) % 2**32)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        k = rng.normal(size=kshape)
+        out = conv2d(x, Tensor(k), None, stride, padding)
+        g = rng.normal(size=out.data.shape)
+        (out * Tensor(g)).sum().backward()
+        assert x.grad.shape == shape and x.grad.flags.c_contiguous
+        ref = conv2d_input_grad_reference(shape, k, g, stride, padding)
+        assert np.allclose(x.grad, ref, atol=1e-12)
 
     def test_stride2_k4_halves_resolution_seven_times(self):
         t = Tensor(np.random.default_rng(1).normal(size=(1, 1, 256, 256)))
@@ -711,6 +746,23 @@ class TestCheckpointContainer:
                                     ("w.m2", np.zeros(2))])
         with pytest.raises(ValueError, match="non-finite"):
             restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(2)))],
+                           str(path))
+
+    def test_load_params_missing_step_rejected(self, tmp_path):
+        path = tmp_path / "p.bin"
+        save_checkpoint(str(path), [("w", np.ones(3)), ("w.m1", np.zeros(3)),
+                                    ("w.m2", np.zeros(3))])
+        with pytest.raises(KeyError, match="w.step"):
+            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
+                           str(path))
+
+    @pytest.mark.parametrize("step", [np.inf, np.nan, -1.0, 2.5, np.array([1.0, 2.0])])
+    def test_load_params_bad_step_rejected(self, tmp_path, step):
+        path = tmp_path / "p.bin"
+        save_checkpoint(str(path), [("w", np.ones(3)), ("w.m1", np.zeros(3)),
+                                    ("w.m2", np.zeros(3)), ("w.step", step)])
+        with pytest.raises(ValueError, match="w.step"):
+            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
                            str(path))
 
     def test_load_params_missing_name(self, tmp_path):
