@@ -54,7 +54,6 @@ _TRAIN_KEYS = {
     "use_saliency": (bool, "concatenate the saliency channel"),
     "stages": (int, "iterative cycle stages after stage 0"),
     "gan_mode": (str, "adversarial loss form: bce or lsgan"),
-    "stats": (str, "normalization statistics: instance or batch"),
     "variance_mode": (str, "variance node form: literal or masked"),
     "val_count": (int, "samples held out for validation"),
     "ict_taps": (tuple, "comma-separated tap names for the cycle term"),

@@ -78,7 +78,6 @@ class TrainConfig:
     use_saliency: bool = True
     stages: int = 4
     gan_mode: str = "bce"
-    stats: str = "instance"
     variance_mode: str = "literal"
     val_count: int = 8
     ict_taps: tuple = DEFAULT_ICT_TAPS
@@ -92,7 +91,13 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0 or not np.isfinite(self.lr):
             raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.depth < 1 or self.image_size % (1 << self.depth):
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:  # also rejects NaN
+                raise ConfigError(f"{name} must be in [0, 1), got {beta}")
+        if self.depth < 1:
+            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        if self.image_size % (1 << self.depth):
             raise ConfigError(
                 f"image_size {self.image_size} must divide by 2**depth = {1 << self.depth}"
             )
@@ -100,10 +105,12 @@ class TrainConfig:
             # The patch discriminator's five k=4 convolutions shrink the
             # map below 1x1 for anything smaller.
             raise ConfigError(f"image_size must be >= 32, got {self.image_size}")
+        if self.base_channels < 1:
+            raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
+        if self.si_hidden < 1:
+            raise ConfigError(f"si_hidden must be >= 1, got {self.si_hidden}")
         if self.gan_mode not in ("bce", "lsgan"):
             raise ConfigError(f"unknown gan_mode {self.gan_mode!r}")
-        if self.stats not in ("instance", "batch"):
-            raise ConfigError(f"unknown stats mode {self.stats!r}")
         if self.variance_mode not in ("literal", "masked"):
             raise ConfigError(f"unknown variance mode {self.variance_mode!r}")
         try:
@@ -141,7 +148,6 @@ class Checkpoint:
 @dataclass
 class StageResult:
     generator: Generator
-    discriminator: PatchDiscriminator
     checkpoint: Checkpoint
     epoch_total: list
     epoch_ict: list
@@ -202,7 +208,7 @@ def save_generator(gen, out_dir):
     return bin_path
 
 
-def load_generator(model_dir, stats="instance"):
+def load_generator(model_dir):
     """Rebuild a generator from model.json + model.bin.
 
     The SI hidden width is not part of the config file; it is inferred
@@ -239,7 +245,6 @@ def load_generator(model_dir, stats="instance"):
             use_saliency=cfg["use_saliency"],
             image_size=cfg["image_size"],
             seed=cfg["seed"],
-            stats=stats,
         )
         restore_params(blob, gen.named_params(), bin_path)
     except (KeyError, IndexError, TypeError, ValueError) as err:
@@ -294,11 +299,10 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
 
     gen = Generator(in_ch, out_ch, depth=cfg.depth, base_channels=cfg.base_channels,
                     si_hidden=cfg.si_hidden, use_saliency=cfg.use_saliency,
-                    image_size=cfg.image_size, seed=[cfg.seed, stage, didx, 0],
-                    stats=cfg.stats)
+                    image_size=cfg.image_size, seed=[cfg.seed, stage, didx, 0])
     disc = PatchDiscriminator(in_ch, out_ch, base_channels=cfg.base_channels,
                               use_saliency=cfg.use_saliency,
-                              seed=[cfg.seed, stage, didx, 1], stats=cfg.stats)
+                              seed=[cfg.seed, stage, didx, 1])
     extractor = feature_extractor(cfg.seed, direction)
     oracle = ParsingOracle(out_ch, seed=[cfg.seed, 92, didx])
     shuffle_rng = np.random.default_rng([cfg.seed, stage, didx, 4])
@@ -371,7 +375,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
         f.write(json.dumps(val, sort_keys=True) + "\n")
     ckpt = Checkpoint(stage=stage, direction=direction, path=out_dir, val=val,
                       digest=_sha256(os.path.join(out_dir, "model.bin")))
-    return StageResult(generator=gen, discriminator=disc, checkpoint=ckpt,
+    return StageResult(generator=gen, checkpoint=ckpt,
                        epoch_total=epoch_total, epoch_ict=epoch_ict)
 
 

@@ -342,6 +342,8 @@ def generate_corpus(out_dir, n, size, seed, mode="aligned", glasses_frac=0.5):
         raise DataError(f"corpus size must be >= 1, got {n}")
     if size not in (32, 64, 128, 256):
         raise DataError(f"image size must be one of 32, 64, 128, 256, got {size}")
+    if not 0.0 <= glasses_frac <= 1.0:  # also rejects NaN
+        raise DataError(f"glasses fraction must be in [0, 1], got {glasses_frac}")
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for i in range(n):

@@ -159,10 +159,11 @@ def inter_graph_loss(target, fake):
     return (d1 * d1).sum() + (d2 * d2).sum()
 
 
-def graph_dump(f, layout, variance="literal"):
-    """JSON-ready dict of nodes and graphs for one image and layout."""
+def graph_dump(f, layout):
+    """JSON-ready dict of nodes (literal variance) and graphs for one
+    image and layout."""
     fc = f if isinstance(f, Tensor) else Tensor(f)
-    nodes = compute_nodes(fc, layout, variance=variance)
+    nodes = compute_nodes(fc, layout)
     intra = intra_graph(fc, nodes)
     inter = inter_graph(nodes)
     return {

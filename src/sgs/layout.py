@@ -87,14 +87,6 @@ class SemanticLayout:
         return np.bincount(self.classes.ravel(), minlength=N_CLASSES)
 
 
-def layout_from_one_hot(planes):
-    """Invert :meth:`SemanticLayout.one_hot` via per-pixel argmax."""
-    planes = np.asarray(planes)
-    if planes.ndim != 3 or planes.shape[0] != N_CLASSES:
-        raise DataError(f"one-hot planes must be [12, H, W], got {planes.shape}")
-    return SemanticLayout(np.argmax(planes, axis=0))
-
-
 def downsample_layout(layout, factor):
     """Pick the top-left corner of each factor x factor block.
 
@@ -119,9 +111,6 @@ class SaliencyMap:
         if not np.all(np.isfinite(arr)):
             raise DataError("saliency contains non-finite values")
         self.values = np.clip(arr, 0.0, 1.0)
-
-    def tensor(self):
-        return Tensor(self.values[None, :, :])
 
 
 @dataclass

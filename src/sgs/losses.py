@@ -70,12 +70,12 @@ class FeatureExtractor:
     global average pooling).
     """
 
-    def __init__(self, in_channels, seed, widths=(8, 16)):
+    def __init__(self, in_channels, seed):
         rng = np.random.default_rng(seed)
         self.in_channels = in_channels
         self.seed = seed
-        self.w1, self.b1 = _he_conv(rng, widths[0], in_channels, 3)
-        self.w2, self.b2 = _he_conv(rng, widths[1], widths[0], 3)
+        self.w1, self.b1 = _he_conv(rng, 8, in_channels, 3)
+        self.w2, self.b2 = _he_conv(rng, 16, 8, 3)
 
     def features(self, img):
         """Taps of ``img`` ([C, H, W], H and W divisible by 4)."""
@@ -100,12 +100,12 @@ class FeatureExtractor:
 class ParsingOracle:
     """Fixed seeded conv stack ending in a per-pixel 12-class softmax."""
 
-    def __init__(self, in_channels, seed, hidden=16):
+    def __init__(self, in_channels, seed):
         rng = np.random.default_rng(seed)
         self.in_channels = in_channels
         self.seed = seed
-        self.w1, self.b1 = _he_conv(rng, hidden, in_channels, 3)
-        self.w2, self.b2 = _he_conv(rng, N_CLASSES, hidden, 3)
+        self.w1, self.b1 = _he_conv(rng, 16, in_channels, 3)
+        self.w2, self.b2 = _he_conv(rng, N_CLASSES, 16, 3)
 
     def probs(self, img):
         """Soft class assignment [1, 12, H, W]; sums to one per pixel."""

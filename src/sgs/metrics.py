@@ -297,7 +297,6 @@ class MetricReport:
     fsim_values: list = field(default_factory=list)
     frechet_proxy: float = float("nan")
     n: int = 0
-    config: dict = field(default_factory=dict)
 
     @property
     def ssim_mean(self):
@@ -326,10 +325,7 @@ def evaluate_pairs(real_images, fake_images, embed=None, map_fn=map):
     """
     if len(real_images) != len(fake_images):
         raise ValueError("real/fake lists differ in length")
-    report = MetricReport(n=len(real_images), config={
-        "ssim_window": SSIM_WINDOW, "ssim_sigma": SSIM_SIGMA,
-        "fsim_t1": FSIM_T1, "fsim_t2": FSIM_T2,
-    })
+    report = MetricReport(n=len(real_images))
 
     def score(pair):
         r, f = pair

@@ -85,10 +85,8 @@ class SIModule(Module):
     concatenated at call time, so the parameters stay separate.
     """
 
-    def __init__(self, channels, rng, hidden=32, eps=1e-5, stats="instance"):
+    def __init__(self, channels, rng, hidden=32):
         self.channels = channels
-        self.eps = eps
-        self.stats = stats
         self.shared_w, self.shared_b = _conv_params(rng, hidden, N_CLASSES, 3)
         self.gamma_w, self.gamma_b = _conv_params(rng, channels, hidden, 3)
         self.beta_w, self.beta_b = _conv_params(rng, channels, hidden, 3)
@@ -106,7 +104,7 @@ class SIModule(Module):
         heads = conv2d(h, concat([self.gamma_w, self.beta_w], 0),
                        concat([self.gamma_b, self.beta_b], 0), stride=1, padding=1)
         gamma, beta = split(heads, [self.channels, self.channels], axis=1)
-        return gamma * normalize(x, eps=self.eps, stats=self.stats) + beta
+        return gamma * normalize(x) + beta
 
 
 class SIResBlock(Module):
@@ -116,11 +114,11 @@ class SIResBlock(Module):
     convolution otherwise.
     """
 
-    def __init__(self, cin, cout, rng, hidden=32, eps=1e-5, stats="instance"):
+    def __init__(self, cin, cout, rng, hidden=32):
         cmid = min(cin, cout)
-        self.si1 = SIModule(cin, rng, hidden=hidden, eps=eps, stats=stats)
+        self.si1 = SIModule(cin, rng, hidden=hidden)
         self.conv1_w, self.conv1_b = _conv_params(rng, cmid, cin, 3)
-        self.si2 = SIModule(cmid, rng, hidden=hidden, eps=eps, stats=stats)
+        self.si2 = SIModule(cmid, rng, hidden=hidden)
         self.conv2_w, self.conv2_b = _conv_params(rng, cout, cmid, 3)
         if cin != cout:
             self.skip_w, self.skip_b = _conv_params(rng, cout, cin, 1)
@@ -157,8 +155,7 @@ class Generator(Module):
     """
 
     def __init__(self, in_channels, out_channels, depth=5, base_channels=16,
-                 si_hidden=32, use_saliency=True, image_size=64, seed=0,
-                 stats="instance", channel_cap=8):
+                 si_hidden=32, use_saliency=True, image_size=64, seed=0):
         if depth < 1:
             raise ShapeError(f"depth must be >= 1, got {depth}")
         if image_size % (1 << depth):
@@ -174,7 +171,7 @@ class Generator(Module):
         self.image_size = image_size
         self.seed = seed
 
-        enc_ch = [min(base_channels << i, base_channels * channel_cap) for i in range(depth)]
+        enc_ch = [min(base_channels << i, base_channels * 8) for i in range(depth)]
         self.enc_ws = []
         self.enc_bs = []
         prev = in_channels + 1
@@ -188,7 +185,7 @@ class Generator(Module):
         for j in range(depth):
             cout = enc_ch[depth - 2 - j] if j < depth - 1 else base_channels
             self.blocks.append(
-                SIResBlock(prev, cout, rng, hidden=si_hidden, stats=stats)
+                SIResBlock(prev, cout, rng, hidden=si_hidden)
             )
             prev = cout
         self.out_w, self.out_b = _conv_params(rng, out_channels, prev, 3)
@@ -246,12 +243,11 @@ class PatchDiscriminator(Module):
     """
 
     def __init__(self, source_channels, candidate_channels, base_channels=16,
-                 use_saliency=True, seed=0, stats="instance"):
+                 use_saliency=True, seed=0):
         rng = np.random.default_rng(seed)
         self.source_channels = source_channels
         self.candidate_channels = candidate_channels
         self.use_saliency = use_saliency
-        self.stats = stats
         cin = source_channels + 1 + candidate_channels
         chans = [base_channels, base_channels * 2, base_channels * 4, base_channels * 8]
         self.ws = []
@@ -292,6 +288,6 @@ class PatchDiscriminator(Module):
             stride = 2 if i < 3 else 1
             z = conv2d(z, w_, b_, stride=stride, padding=1)
             if i > 0:
-                z = normalize(z, stats=self.stats)
+                z = normalize(z)
             z = leaky_relu(z, 0.2)
         return conv2d(z, self.final_w, self.final_b, stride=1, padding=1)

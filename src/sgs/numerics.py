@@ -313,15 +313,6 @@ def _sigmoid_stable(d):
     return out
 
 
-def sigmoid(x):
-    s = _sigmoid_stable(x.data)
-
-    def bw(g):
-        _accumulate(x, g * s * (1.0 - s))
-
-    return _result(s, (x,), bw)
-
-
 def tanh(x):
     t = np.tanh(x.data)
 
@@ -343,24 +334,11 @@ def softplus(x):
     return _result(out, (x,), bw)
 
 
-def exp(x):
-    e = np.exp(x.data)
-
-    def bw(g):
-        _accumulate(x, g * e)
-
-    return _result(e, (x,), bw)
-
-
 def log(x):
     def bw(g):
         _accumulate(x, g / x.data)
 
     return _result(np.log(x.data), (x,), bw)
-
-
-def square(x):
-    return x * x
 
 
 def clip(x, lo, hi):
@@ -657,30 +635,19 @@ def avg_pool2d(x, factor):
     return _result(out, (x,), bw)
 
 
-def normalize(x, eps=1e-5, stats="instance"):
-    """Zero-mean unit-variance normalization over spatial extents.
+def normalize(x, eps=1e-5):
+    """Zero-mean unit-variance instance normalization over spatial extents.
 
-    ``stats="instance"`` normalizes each (sample, channel) slice on its
-    own; ``stats="batch"`` pools the batch axis as well (the two coincide
-    at batch size one).  Constant slices map to exactly zero.
+    Each (sample, channel) slice is normalized with its own statistics.
+    Constant slices map to exactly zero.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"normalize wants 4-D input, got {x.data.shape}")
-    if stats == "instance":
-        axes = (2, 3)
-    elif stats == "batch":
-        axes = (0, 2, 3)
-    else:
-        raise ValueError(f"unknown stats mode {stats!r}")
+    axes = (2, 3)
     m = x.mean(axis=axes, keepdims=True)
     centered = x - m
     v = (centered * centered).mean(axis=axes, keepdims=True)
     return centered / ((v + eps) ** 0.5)
-
-
-def l2_norm(x):
-    """Euclidean norm of the flattened tensor as a scalar Tensor."""
-    return (x * x).sum() ** 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -56,17 +56,13 @@ from sgs.numerics import (
     avg_pool2d,
     clip,
     conv2d,
-    exp,
-    l2_norm,
     leaky_relu,
     log,
     normalize,
     relu,
-    sigmoid,
     softmax,
     softplus,
     split,
-    square,
     tanh,
     upsample_nearest,
 )
@@ -119,20 +115,20 @@ def _case_abs(seed):
     return gradcheck(lambda x: x.abs().sum(), x0)
 
 
-def _case_sigmoid_tanh(seed):
+def _case_tanh(seed):
     x0 = np.random.default_rng(seed).normal(size=(2, 5))
-    return gradcheck(lambda x: (sigmoid(x) * tanh(x)).sum(), x0)
+    return gradcheck(lambda x: tanh(x).sum(), x0)
 
 
-def _case_exp_log_softplus(seed):
+def _case_log_softplus(seed):
     x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, 4))
-    return gradcheck(lambda x: (exp(x * 0.3) + log(x + 2.0) + softplus(x)).sum(), x0)
+    return gradcheck(lambda x: (log(x + 2.0) + softplus(x)).sum(), x0)
 
 
-def _case_square_relu_leaky(seed):
+def _case_relu_leaky(seed):
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.2, 1.0, size=(6,)) * rng.choice([-1.0, 1.0], size=6)
-    return gradcheck(lambda x: (square(x) + relu(x) + leaky_relu(x, 0.2)).sum(), x0)
+    return gradcheck(lambda x: (relu(x) + leaky_relu(x, 0.2)).sum(), x0)
 
 
 def _case_softmax_ce(seed):
@@ -151,11 +147,6 @@ def _case_reductions(seed):
 def _case_clip(seed):
     x0 = np.random.default_rng(seed).uniform(0.2, 0.8, size=(4, 3))
     return gradcheck(lambda x: (clip(x, 0.0, 1.0) * clip(x, 0.0, 1.0)).sum(), x0)
-
-
-def _case_l2_norm(seed):
-    x0 = np.random.default_rng(seed).normal(size=(7,)) + 2.0
-    return gradcheck(lambda x: l2_norm(x) * 3.0, x0)
 
 
 def _case_conv_input(seed):
@@ -177,7 +168,12 @@ def _case_conv_bias(seed):
     x = const((seed, 7), 1, 2, 4, 4)
     k = const((seed, 8), 3, 2, 3, 3)
     x0 = np.random.default_rng(seed).normal(size=(3,))
-    return gradcheck(lambda b: square(conv2d(x, k, b, stride=1, padding=1)).sum(), x0)
+
+    def build(b):
+        y = conv2d(x, k, b, stride=1, padding=1)
+        return (y * y).sum()
+
+    return gradcheck(build, x0)
 
 
 def _case_conv_even_kernel(seed):
@@ -214,12 +210,6 @@ def _case_normalize_instance(seed):
     w = const((seed, 13), 1, 3, 4, 4)
     x0 = np.random.default_rng(seed).normal(size=(1, 3, 4, 4))
     return gradcheck(lambda x: (normalize(x) * w).sum(), x0)
-
-
-def _case_normalize_batch(seed):
-    w = const((seed, 14), 2, 3, 3, 3)
-    x0 = np.random.default_rng(seed).normal(size=(2, 3, 3, 3))
-    return gradcheck(lambda x: (normalize(x, stats="batch") * w).sum(), x0)
 
 
 def _si_planes(seed, size):
@@ -381,13 +371,12 @@ def _case_inter_path(seed, variance="literal"):
 GRADIENT_CASES = (
     ("polynomial", _case_polynomial),
     ("abs", _case_abs),
-    ("sigmoid*tanh", _case_sigmoid_tanh),
-    ("exp/log/softplus", _case_exp_log_softplus),
-    ("square/relu/leaky", _case_square_relu_leaky),
+    ("tanh", _case_tanh),
+    ("log/softplus", _case_log_softplus),
+    ("relu/leaky", _case_relu_leaky),
     ("softmax-ce", _case_softmax_ce),
     ("reductions", _case_reductions),
     ("clip", _case_clip),
-    ("l2_norm", _case_l2_norm),
     ("conv2d-input", _case_conv_input),
     ("conv2d-kernel", _case_conv_kernel),
     ("conv2d-bias", _case_conv_bias),
@@ -396,7 +385,6 @@ GRADIENT_CASES = (
     ("upsample", _case_upsample),
     ("avg-pool", _case_avg_pool),
     ("normalize-instance", _case_normalize_instance),
-    ("normalize-batch", _case_normalize_batch),
     ("si-module-input", _case_si_module_input),
     ("si-module-params", _case_si_module_params),
     ("si-resblock-input", _case_si_resblock_input),

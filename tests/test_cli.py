@@ -4,8 +4,10 @@ Each subcommand is driven through ``main(argv)`` in-process; exit codes
 and the one-line machine-parsable stderr format are asserted alongside
 the artifacts each command writes.
 """
+import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,9 +16,10 @@ import warnings
 import numpy as np
 import pytest
 
-from sgs.cli import build_parser, build_train_config, main, read_config_file
-from sgs.cycletrain import ConfigError
+from sgs.cli import _TRAIN_KEYS, build_parser, build_train_config, main, read_config_file
+from sgs.cycletrain import ConfigError, TrainConfig
 from sgs.layout import read_manifest, read_pnm
+from sgs.losses import LossWeights
 from sgs.numerics import load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--epochs", "2", "--depth", "4", "--base-channels", "4",
@@ -56,8 +59,30 @@ class TestParser:
         out = capsys.readouterr().out
         for flag in ("--epochs", "--lr", "--image-size", "--gan-mode",
                      "--weight-content", "--weight-cycle", "--ict-taps",
-                     "--config", "--stats", "--variance-mode"):
+                     "--config", "--variance-mode"):
             assert flag in out
+
+    @pytest.mark.parametrize("command", ["train", "train-iterative"])
+    def test_config_surface_matches_train_config(self, capsys, command):
+        """Every TrainConfig field but ``weights``, and every LossWeights
+        field as ``weight_<name>``, is one config key and one flag; no key
+        or flag names anything else."""
+        fields = {f.name for f in dataclasses.fields(TrainConfig)} - {"weights"}
+        fields |= {f"weight_{f.name}" for f in dataclasses.fields(LossWeights)}
+        assert set(_TRAIN_KEYS) == fields
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE)
+        assert len(flags) == len(set(flags))
+        expected = {"--" + k.replace("_", "-") for k in fields}
+        assert set(flags) - {"--data", "--out", "--direction", "--config"} == expected
+
+    def test_stats_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(tmp_path / "absent.jsonl"),
+                  "--out", str(tmp_path / "r"), "--stats", "batch"])
+        assert exc.value.code == 2
 
     def test_unknown_flag_fails(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -101,6 +126,14 @@ class TestConfigFile:
         cfg.write_text("momentum = 0.9\n")
         with pytest.raises(ConfigError, match="'momentum'"):
             read_config_file(str(cfg))
+
+    def test_stats_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stats = batch\n")
+        rc = main(["train", "--data", str(tmp_path / "absent.jsonl"),
+                   "--out", str(tmp_path / "r"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: config: unknown config key 'stats'\n"
 
     def test_bad_value_names_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -157,6 +190,15 @@ class TestDatagenCommand:
     def test_bad_count_is_data_error(self, tmp_path, capsys):
         assert main(["datagen", "--out", str(tmp_path / "x"), "--n", "0"]) == 3
 
+    @pytest.mark.parametrize("frac", ["inf", "nan", "2", "-0.5"])
+    def test_bad_glasses_frac_is_data_error(self, tmp_path, capsys, frac):
+        rc = main(["datagen", "--out", str(tmp_path / "x"), "--n", "2",
+                   "--size", "32", "--glasses-frac", frac])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "glasses" in err
+        assert err.count("\n") == 1
+
     def test_unwritable_out_is_data_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -206,6 +248,14 @@ class TestTrainCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: ") and "epochs" in err
+
+    def test_zero_base_channels_is_config_error(self, cli_corpus, tmp_path, capsys):
+        rc = main(["train", "--data", cli_corpus["manifest"], "--out",
+                   str(tmp_path / "r")] + TRAIN_FLAGS + ["--base-channels", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and "base_channels" in err
+        assert err.count("\n") == 1
 
     def test_val_count_too_large_is_config_error(self, cli_corpus, tmp_path, capsys):
         rc = main(["train", "--data", cli_corpus["manifest"], "--out",

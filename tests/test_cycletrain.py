@@ -61,9 +61,16 @@ class TestTrainConfig:
         ("batch_size", 0, "batch_size"),
         ("lr", 0.0, "lr"),
         ("lr", float("nan"), "lr"),
+        ("beta1", -1.0, "beta1"),
+        ("beta1", 1.5, "beta1"),
+        ("beta1", float("nan"), "beta1"),
+        ("beta2", 1.0, "beta2"),
+        ("beta2", float("inf"), "beta2"),
+        ("depth", 0, "depth must be >= 1"),
         ("image_size", 40, "2\\*\\*depth"),
+        ("base_channels", 0, "base_channels"),
+        ("si_hidden", 0, "si_hidden"),
         ("gan_mode", "wasserstein", "gan_mode"),
-        ("stats", "layer", "stats"),
         ("variance_mode", "robust", "variance"),
     ])
     def test_rejections(self, field, value, hint):

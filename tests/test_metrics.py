@@ -403,9 +403,3 @@ class TestEvaluatePairs:
         real, fake = self.make_pairs()
         with pytest.raises(ValueError):
             evaluate_pairs(real, fake[:2])
-
-    def test_config_echo(self):
-        real, fake = self.make_pairs(n=2)
-        rep = evaluate_pairs(real, fake)
-        assert rep.config["ssim_window"] == SSIM_WINDOW
-        assert rep.config["fsim_t2"] == 160.0
