@@ -344,6 +344,8 @@ def generate_corpus(out_dir, n, size, seed, mode="aligned", glasses_frac=0.5):
         raise DataError(f"image size must be one of 32, 64, 128, 256, got {size}")
     if not 0.0 <= glasses_frac <= 1.0:  # also rejects NaN
         raise DataError(f"glasses fraction must be in [0, 1], got {glasses_frac}")
+    if seed < 0:
+        raise DataError(f"corpus seed must be >= 0, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for i in range(n):

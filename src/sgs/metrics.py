@@ -94,8 +94,7 @@ def _lowpass(shape, cutoff=0.45, order=15):
     return 1.0 / (1.0 + (radius / cutoff) ** (2 * order))
 
 
-def phase_congruency(img, nscale=4, norient=4, min_wavelength=6, mult=2.0,
-                     sigma_on_f=0.55, d_theta_on_sigma=1.2, k=2.0, eps=1e-4):
+def phase_congruency(img):
     """Phase congruency map from a log-Gabor filter bank.
 
     Over each orientation, responses across scales are combined into a
@@ -103,8 +102,10 @@ def phase_congruency(img, nscale=4, norient=4, min_wavelength=6, mult=2.0,
     amplitude, weighted by how widely the spectrum is spread, and
     normalized by the total amplitude sum.  The per-orientation maps are
     summed.  Values peak where Fourier components align in phase (step
-    edges, line features).
+    edges, line features).  The bank has 4 scales (wavelengths 6, 12,
+    24, 48 px) and 4 orientations.
     """
+    nscale, norient, mult, eps = 4, 4, 2.0, 1e-4
     img = np.asarray(img, dtype=np.float64)
     rows, cols = img.shape
     fy = np.fft.fftfreq(rows)[:, None]
@@ -118,14 +119,14 @@ def phase_congruency(img, nscale=4, norient=4, min_wavelength=6, mult=2.0,
 
     log_gabor = []
     for s in range(nscale):
-        wavelength = min_wavelength * mult ** s
+        wavelength = 6 * mult ** s
         f0 = 1.0 / wavelength
-        lg = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * np.log(sigma_on_f) ** 2))
+        lg = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * np.log(0.55) ** 2))
         lg = lg * lp
         lg[0, 0] = 0.0
         log_gabor.append(lg)
 
-    theta_sigma = np.pi / norient / d_theta_on_sigma
+    theta_sigma = np.pi / norient / 1.2
     img_fft = np.fft.fft2(img)
     total_pc = np.zeros((rows, cols))
 
@@ -168,7 +169,7 @@ def phase_congruency(img, nscale=4, norient=4, min_wavelength=6, mult=2.0,
         total_tau = tau * (1.0 - (1.0 / mult) ** nscale) / (1.0 - 1.0 / mult)
         noise_mean = total_tau * np.sqrt(np.pi / 2.0)
         noise_sigma = total_tau * np.sqrt((4.0 - np.pi) / 2.0)
-        t = (noise_mean + k * noise_sigma) / 1.7
+        t = (noise_mean + 2.0 * noise_sigma) / 1.7
         energy = np.maximum(energy - t, 0.0)
 
         width = (sum_an / (max_an + eps) - 1.0) / (nscale - 1)

@@ -4,10 +4,13 @@ Every value the synthesis pipeline touches -- activations, losses, graph
 nodes -- lives in the :class:`Tensor` type below.  Operations record
 parent links as they execute; ``backward()`` replays the implicit tape in
 reverse topological order and accumulates gradients additively into every
-leaf that asked for them.  Desk scale keeps the design deliberately
-small: 64-bit floats, a single thread, no in-place mutation of anything
-that participates in a recorded graph (the optimizer update on parameter
-storage between steps is the one sanctioned exception).
+leaf that asked for them.  Backward consumes the tape it walks: a walked
+node drops its closure and parent links, so the graph is freed during the
+walk and only tensors the caller still holds keep their ``.grad``.  Desk
+scale keeps the design deliberately small: 64-bit floats, a single
+thread, no in-place mutation of anything that participates in a recorded
+graph (the optimizer update on parameter storage between steps is the
+one sanctioned exception).
 """
 from __future__ import annotations
 
@@ -139,8 +142,12 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(leaf) into every requires_grad leaf.
 
-        Only scalar roots are accepted; running twice on fresh graphs is
-        the caller's concern (grads add, they are never reset here).
+        Only scalar roots are accepted.  Backward consumes the graph it
+        walks: once a node's closure has run, its closure and parent links
+        are dropped, so every node the caller does not hold is freed with
+        its activation, the arrays its closure saved and its ``.grad``.  A
+        held tensor keeps its ``.grad``; a second ``backward()`` on a walked
+        root propagates nothing.  Grads add, they are never reset here.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar root, got shape {self.data.shape}")
@@ -148,9 +155,12 @@ class Tensor:
             return
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
 
     def detach(self):
         """A view of the same values severed from the recorded graph."""
@@ -635,7 +645,7 @@ def avg_pool2d(x, factor):
     return _result(out, (x,), bw)
 
 
-def normalize(x, eps=1e-5):
+def normalize(x):
     """Zero-mean unit-variance instance normalization over spatial extents.
 
     Each (sample, channel) slice is normalized with its own statistics.
@@ -647,7 +657,7 @@ def normalize(x, eps=1e-5):
     m = x.mean(axis=axes, keepdims=True)
     centered = x - m
     v = (centered * centered).mean(axis=axes, keepdims=True)
-    return centered / ((v + eps) ** 0.5)
+    return centered / ((v + 1e-5) ** 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +677,14 @@ class Parameter(Tensor):
         self.step = 0
 
 
-def adam_step(params, lr, beta1=0.5, beta2=0.999, eps=1e-8):
+def adam_step(params, lr, beta1=0.5, beta2=0.999):
     """One bias-corrected Adam update over ``params`` (in place).
+
+    The moments are updated in their own buffers, in the operation order
+    of ``m1 = beta1*m1 + (1-beta1)*g``, ``m2 = beta2*m2 + (1-beta2)*(g*g)``
+    and ``data - lr*mhat / (sqrt(vhat) + 1e-8)``, so the bytes match that
+    formula.  ``p.data`` is rebound, never written: a graph recorded
+    before the step may still read it.
 
     Parameters with no accumulated gradient are rejected: that always
     means a bookkeeping bug, never a legitimate no-op.
@@ -679,11 +695,20 @@ def adam_step(params, lr, beta1=0.5, beta2=0.999, eps=1e-8):
     for p in params:
         g = p.grad
         p.step += 1
-        p.m1 = beta1 * p.m1 + (1.0 - beta1) * g
-        p.m2 = beta2 * p.m2 + (1.0 - beta2) * (g * g)
-        mhat = p.m1 / (1.0 - beta1 ** p.step)
+        tmp = np.multiply(1.0 - beta1, g)
+        p.m1 *= beta1
+        p.m1 += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        p.m2 *= beta2
+        p.m2 += tmp
+        mhat = np.divide(p.m1, 1.0 - beta1 ** p.step, out=tmp)
         vhat = p.m2 / (1.0 - beta2 ** p.step)
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
+        np.sqrt(vhat, out=vhat)
+        vhat += 1e-8
+        mhat *= lr
+        mhat /= vhat
+        p.data = p.data - mhat
 
 
 def lr_at_epoch(base_lr, epoch, total_epochs):

@@ -199,6 +199,14 @@ class TestDatagenCommand:
         assert err.startswith("error: data: ") and "glasses" in err
         assert err.count("\n") == 1
 
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        rc = main(["datagen", "--out", str(tmp_path / "x"), "--n", "2",
+                   "--size", "32", "--seed", "-1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and "seed" in err and "-1" in err
+        assert err.count("\n") == 1
+
     def test_unwritable_out_is_data_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")

@@ -109,6 +109,48 @@ class TestTensorBasics:
         assert np.allclose(t.grad, [5.0])
 
 
+class TestBackwardConsumesGraph:
+    """Backward frees the graph it walks; held tensors keep their grads."""
+
+    def test_second_backward_propagates_nothing(self):
+        t = Tensor([2.0, -1.0], requires_grad=True)
+        root = relu(t * 3.0).sum()
+        root.backward()
+        first = t.grad.copy()
+        root.backward()
+        assert np.array_equal(t.grad, first)
+
+    def test_walked_nodes_drop_links_and_keep_grads(self):
+        t = Tensor([2.0, -1.0], requires_grad=True)
+        mid = t * 3.0
+        root = (mid * mid).sum()
+        root.backward()
+        for node in (root, mid):
+            assert node._parents == ()
+            assert node._backward is None
+        assert np.array_equal(root.grad, 1.0)
+        assert np.array_equal(mid.grad, 2.0 * mid.data)
+        assert np.array_equal(t.grad, 18.0 * t.data)
+
+    def test_walked_graph_is_freed(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(1, 8, 96, 96)), requires_grad=True)
+        k = Tensor(rng.normal(size=(16, 8, 3, 3)), requires_grad=True)
+        slack = 64 * 1024
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            root = relu(normalize(conv2d(x, k, None, 1, 1))).mean()
+            built = tracemalloc.get_traced_memory()[0] - before
+            root.backward()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert built > 4 * 2**20
+        kept = x.grad.nbytes + k.grad.nbytes + root.data.nbytes + root.grad.nbytes
+        assert held <= kept + slack, f"{held} bytes held, {kept} in grads"
+
+
 class TestElementwiseValues:
     def test_relu_values(self):
         out = relu(Tensor([-1.0, 0.0, 2.0]))
@@ -547,7 +589,7 @@ class TestNormalize:
 
     def test_matches_two_pass_oracle(self):
         x = np.random.default_rng(0).normal(size=(1, 2, 4, 4))
-        out = normalize(Tensor(x), eps=1e-5).data
+        out = normalize(Tensor(x)).data
         for c in range(2):
             sl = x[0, c]
             ref = (sl - sl.mean()) / np.sqrt(sl.var() + 1e-5)
@@ -571,7 +613,7 @@ class TestAdam:
         p = Parameter(np.array([1.0, -2.0]))
         g = np.array([0.5, -0.25])
         p.grad = g.copy()
-        adam_step([p], lr=0.1, beta1=0.5, beta2=0.999, eps=1e-8)
+        adam_step([p], lr=0.1, beta1=0.5, beta2=0.999)
         # After one bias-corrected step, mhat == g and vhat == g*g.
         expected = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         assert np.allclose(p.data, expected, atol=1e-12)
@@ -593,6 +635,24 @@ class TestAdam:
             vhat = v / (1 - 0.999 ** step)
             ref = ref - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
             assert np.allclose(p.data, ref, atol=1e-12)
+
+    def test_bytes_match_out_of_place_formula(self):
+        rng = np.random.default_rng(7)
+        p = Parameter(rng.normal(size=(3, 5)))
+        data, m1, m2 = p.data.copy(), np.zeros((3, 5)), np.zeros((3, 5))
+        lr, beta1, beta2 = 2e-4, 0.5, 0.999
+        for step in range(1, 8):
+            g = rng.normal(size=(3, 5)) * 10.0 ** rng.integers(-6, 2)
+            p.grad = g.copy()
+            adam_step([p], lr, beta1, beta2)
+            m1 = beta1 * m1 + (1.0 - beta1) * g
+            m2 = beta2 * m2 + (1.0 - beta2) * (g * g)
+            mhat = m1 / (1.0 - beta1 ** step)
+            vhat = m2 / (1.0 - beta2 ** step)
+            data = data - lr * mhat / (np.sqrt(vhat) + 1e-8)
+            assert np.array_equal(p.m1, m1)
+            assert np.array_equal(p.m2, m2)
+            assert np.array_equal(p.data, data)
 
     def test_missing_gradient_rejected(self):
         p = Parameter(np.ones(2))
