@@ -92,6 +92,9 @@ def _coerce(key, value):
             return _parse_bool(value, key)
         if typ is tuple:
             return _parse_taps(value, key)
+        if typ is int and (isinstance(value, bool)
+                           or isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
         return typ(value)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{key}: cannot parse {value!r} as {typ.__name__}") from err

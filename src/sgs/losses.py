@@ -23,10 +23,10 @@ from .layout import N_CLASSES
 from .numerics import (
     ShapeError,
     Tensor,
+    _accumulate,
+    _result,
     avg_pool2d,
-    clip,
     conv2d,
-    log,
     relu,
     softmax,
     softplus,
@@ -183,16 +183,24 @@ def binary_cross_entropy(target_probs, probs):
     """Elementwise-mean BCE of ``probs`` against (constant) target probs.
 
     Probabilities are clamped away from {0, 1} before the logs, so exact
-    one-hot inputs evaluate to exactly zero loss against themselves.
+    one-hot inputs evaluate to exactly zero loss against themselves.  One
+    graph node whose backward is the gradient of the clipped logs: zero
+    for a term whose bound clips.  No gradient reaches the target.
     """
     if target_probs.data.shape != probs.data.shape:
         raise ShapeError(
             f"BCE shapes differ: {target_probs.data.shape} vs {probs.data.shape}"
         )
-    p = target_probs.detach()
-    pos = p * log(clip(probs, PROB_EPS, 1.0))
-    neg = (1.0 - p) * log(clip(1.0 - probs, PROB_EPS, 1.0))
-    return -(pos + neg).mean()
+    p, q = target_probs.data, probs.data
+    qc = np.clip(q, PROB_EPS, 1.0)
+    rc = np.clip(1.0 - q, PROB_EPS, 1.0)
+    loss = -(p * np.log(qc) + (1.0 - p) * np.log(rc)).mean()
+
+    def bw(g):
+        d = (1.0 - p) / rc * (rc == 1.0 - q) - p / qc * (qc == q)
+        _accumulate(probs, d * (g / q.size))
+
+    return _result(loss, (probs,), bw)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from .numerics import (
     concat,
     conv2d,
     leaky_relu,
+    modulate,
     normalize,
     relu,
-    split,
     tanh,
     upsample_nearest,
 )
@@ -82,7 +82,8 @@ class SIModule(Module):
     ``gamma * normalize(x) + beta`` (the modulation is applied exactly
     in this form, with no residual 1+gamma variant).  The two heads run
     as one convolution whose kernel and bias are the heads' own,
-    concatenated at call time, so the parameters stay separate.
+    concatenated at call time, so the parameters stay separate, and
+    :func:`~sgs.numerics.modulate` applies the joined heads as one op.
     """
 
     def __init__(self, channels, rng, hidden=32):
@@ -103,8 +104,7 @@ class SIModule(Module):
         h = relu(conv2d(layout_planes, self.shared_w, self.shared_b, stride=1, padding=1))
         heads = conv2d(h, concat([self.gamma_w, self.beta_w], 0),
                        concat([self.gamma_b, self.beta_b], 0), stride=1, padding=1)
-        gamma, beta = split(heads, [self.channels, self.channels], axis=1)
-        return gamma * normalize(x) + beta
+        return modulate(x, heads)
 
 
 class SIResBlock(Module):

@@ -6,8 +6,17 @@ parent links as they execute; ``backward()`` replays the implicit tape in
 reverse topological order and accumulates gradients additively into every
 leaf that asked for them.  Backward consumes the tape it walks: a walked
 node drops its closure and parent links, so the graph is freed during the
-walk and only tensors the caller still holds keep their ``.grad``.  Desk
-scale keeps the design deliberately small: 64-bit floats, a single
+walk and only tensors the caller still holds keep their ``.grad``.
+
+Some compositions are fused into single ops with a closed-form
+backward, so each records one node and saves one set of arrays:
+subtraction (``a - b`` and ``2.0 - a``), :func:`normalize` (instance
+normalization) and :func:`modulate` (``gamma * normalize(x) + beta``
+from one ``[gamma, beta]`` heads array), the last two sharing one
+instance-norm forward and backward.  ``sgs.losses.binary_cross_entropy``
+is one node built the same way.
+
+Desk scale keeps the design deliberately small: 64-bit floats, a single
 thread, no in-place mutation of anything that participates in a recorded
 graph (the optimizer update on parameter storage between steps is the
 one sanctioned exception).
@@ -194,10 +203,17 @@ class Tensor:
         return _result(-a.data, (a,), bw)
 
     def __sub__(self, other):
-        return self + (-_promote(other))
+        a, b = self, _promote(other)
+
+        def bw(g):
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+            if b.requires_grad:
+                _accumulate(b, -_unbroadcast(g, b.data.shape))
+
+        return _result(a.data - b.data, (a, b), bw)
 
     def __rsub__(self, other):
-        return _promote(other) + (-self)
+        return _promote(other) - self
 
     def __mul__(self, other):
         a, b = self, _promote(other)
@@ -344,23 +360,6 @@ def softplus(x):
     return _result(out, (x,), bw)
 
 
-def log(x):
-    def bw(g):
-        _accumulate(x, g / x.data)
-
-    return _result(np.log(x.data), (x,), bw)
-
-
-def clip(x, lo, hi):
-    """Clamp to [lo, hi]; gradient passes only where the input is inside."""
-    mask = (x.data >= lo) & (x.data <= hi)
-
-    def bw(g):
-        _accumulate(x, g * mask)
-
-    return _result(np.clip(x.data, lo, hi), (x,), bw)
-
-
 def softmax(x, axis):
     _normalize_axes(axis, x.data.ndim)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -401,28 +400,6 @@ def concat(tensors, axis=0):
             _accumulate(t, piece)
 
     return _result(data, tuple(ts), bw)
-
-
-def split(x, sizes, axis=0):
-    """Cut ``x`` along ``axis`` into pieces of the given ``sizes``; the
-    inverse of :func:`concat`."""
-    ax = _normalize_axes(axis, x.data.ndim)[0]
-    sizes = [int(s) for s in sizes]
-    if any(s < 1 for s in sizes) or sum(sizes) != x.data.shape[ax]:
-        raise ShapeError(f"split sizes {sizes} do not cover axis {ax} of {x.data.shape}")
-    pieces = []
-    start = 0
-    for size in sizes:
-        idx = (slice(None),) * ax + (slice(start, start + size),)
-
-        def bw(g, idx=idx):
-            full = np.zeros(x.data.shape)
-            full[idx] = g
-            _accumulate(x, full)
-
-        pieces.append(_result(x.data[idx], (x,), bw))
-        start += size
-    return pieces
 
 
 # Byte budget of one tile of im2col columns, ``[Cin*kh*kw, rows*Wo]``.
@@ -645,19 +622,69 @@ def avg_pool2d(x, factor):
     return _result(out, (x,), bw)
 
 
+def _instance_norm(x):
+    """``(y, s)``: ``y = (x - mean) / s`` with ``s = sqrt(var + 1e-5)``,
+    both statistics taken per (sample, channel) over axes (2, 3)."""
+    if x.ndim != 4:
+        raise ShapeError(f"normalize wants 4-D input, got {x.shape}")
+    centered = x - x.mean(axis=(2, 3), keepdims=True)
+    v = (centered * centered).mean(axis=(2, 3), keepdims=True)
+    s = (v + 1e-5) ** 0.5
+    centered /= s
+    return centered, s
+
+
+def _instance_norm_grad(g, y, s):
+    """Input gradient of :func:`_instance_norm` from the output gradient
+    ``g``: ``(g - mean(g) - y*mean(g*y)) / s`` over axes (2, 3)."""
+    gy = g * y
+    out = g - g.mean(axis=(2, 3), keepdims=True)
+    out -= np.multiply(y, gy.mean(axis=(2, 3), keepdims=True), out=gy)
+    out /= s
+    return out
+
+
 def normalize(x):
     """Zero-mean unit-variance instance normalization over spatial extents.
 
     Each (sample, channel) slice is normalized with its own statistics.
-    Constant slices map to exactly zero.
+    Constant slices map to exactly zero.  One graph node, whose backward
+    is the closed-form instance-norm gradient.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"normalize wants 4-D input, got {x.data.shape}")
-    axes = (2, 3)
-    m = x.mean(axis=axes, keepdims=True)
-    centered = x - m
-    v = (centered * centered).mean(axis=axes, keepdims=True)
-    return centered / ((v + 1e-5) ** 0.5)
+    y, s = _instance_norm(x.data)
+
+    def bw(g):
+        _accumulate(x, _instance_norm_grad(g, y, s))
+
+    return _result(y, (x,), bw)
+
+
+def modulate(x, heads):
+    """Spatially-adaptive instance normalization, ``gamma * normalize(x)
+    + beta``, as one graph node.
+
+    ``x`` is ``[N, C, h, w]``; ``heads`` is ``[N, 2C, h, w]``, gamma's C
+    channels first, then beta's.  Backward writes the heads gradient as
+    one ``[g*y, g]`` array and the input gradient through the
+    instance-norm gradient of ``g*gamma``.
+    """
+    y, s = _instance_norm(x.data)
+    n, c, h, w = x.data.shape
+    if heads.data.shape != (n, 2 * c, h, w):
+        raise ShapeError(f"modulate wants heads of shape {(n, 2 * c, h, w)}, "
+                         f"got {heads.data.shape}")
+    gamma, beta = heads.data[:, :c], heads.data[:, c:]
+
+    def bw(g):
+        if heads.requires_grad:
+            gh = np.empty(heads.data.shape)
+            np.multiply(g, y, out=gh[:, :c])
+            gh[:, c:] = g
+            _accumulate(heads, gh)
+        if x.requires_grad:
+            _accumulate(x, _instance_norm_grad(g * gamma, y, s))
+
+    return _result(gamma * y + beta, (x, heads), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -54,15 +54,13 @@ from sgs.network import Generator, PatchDiscriminator, SIModule, SIResBlock
 from sgs.numerics import (
     Tensor,
     avg_pool2d,
-    clip,
     conv2d,
     leaky_relu,
-    log,
+    modulate,
     normalize,
     relu,
     softmax,
     softplus,
-    split,
     tanh,
     upsample_nearest,
 )
@@ -120,9 +118,9 @@ def _case_tanh(seed):
     return gradcheck(lambda x: tanh(x).sum(), x0)
 
 
-def _case_log_softplus(seed):
+def _case_softplus(seed):
     x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(2, 4))
-    return gradcheck(lambda x: (log(x + 2.0) + softplus(x)).sum(), x0)
+    return gradcheck(lambda x: softplus(x).sum(), x0)
 
 
 def _case_relu_leaky(seed):
@@ -134,7 +132,7 @@ def _case_relu_leaky(seed):
 def _case_softmax_ce(seed):
     x0 = np.random.default_rng(seed).normal(size=(3, 4))
     w = const((seed, 1), 3, 4)
-    return gradcheck(lambda x: (log(softmax(x, axis=1)) * w).sum(), x0)
+    return gradcheck(lambda x: (softmax(x, axis=1) * w).sum(), x0)
 
 
 def _case_reductions(seed):
@@ -144,9 +142,16 @@ def _case_reductions(seed):
         + (x * x).mean(), x0)
 
 
-def _case_clip(seed):
-    x0 = np.random.default_rng(seed).uniform(0.2, 0.8, size=(4, 3))
-    return gradcheck(lambda x: (clip(x, 0.0, 1.0) * clip(x, 0.0, 1.0)).sum(), x0)
+def _case_sub_broadcast(seed):
+    w = const((seed, 32), 3, 4)
+    x0 = np.random.default_rng(seed).normal(size=(3, 4))
+
+    def build(x):
+        col = x.mean(axis=1, keepdims=True)
+        row = (x * x).sum(axis=0, keepdims=True)
+        return ((col - row) * w).sum() + ((2.0 - x) * x).sum()
+
+    return gradcheck(build, x0)
 
 
 def _case_conv_input(seed):
@@ -183,17 +188,6 @@ def _case_conv_even_kernel(seed):
     return gradcheck(lambda x: (conv2d(x, k, None, stride=2, padding=1) * w).sum(), x0)
 
 
-def _case_split(seed):
-    w = const((seed, 23), 1, 2, 3, 3)
-    x0 = np.random.default_rng(seed).normal(size=(1, 5, 3, 3))
-
-    def build(x):
-        a, b = split(x, [2, 3], axis=1)
-        return (a * w).sum() + (b * b).sum()
-
-    return gradcheck(build, x0)
-
-
 def _case_upsample(seed):
     w = const((seed, 11), 1, 2, 6, 6)
     x0 = np.random.default_rng(seed).normal(size=(1, 2, 3, 3))
@@ -210,6 +204,22 @@ def _case_normalize_instance(seed):
     w = const((seed, 13), 1, 3, 4, 4)
     x0 = np.random.default_rng(seed).normal(size=(1, 3, 4, 4))
     return gradcheck(lambda x: (normalize(x) * w).sum(), x0)
+
+
+def _case_modulate(seed):
+    """``modulate`` against both its input and its heads."""
+    x = const((seed, 35), 1, 3, 4, 4)
+    heads = const((seed, 36), 1, 6, 4, 4)
+    w = const((seed, 37), 1, 3, 4, 4)
+    x0 = np.random.default_rng(seed).normal(size=(1, 3, 4, 4))
+    h0 = np.random.default_rng([seed, 38]).normal(size=(1, 6, 4, 4))
+
+    def through_heads(t):
+        y = modulate(x, t)
+        return (y * y * w).sum()
+
+    return max(gradcheck(lambda t: (modulate(t, heads) * w).sum(), x0),
+               gradcheck(through_heads, h0))
 
 
 def _si_planes(seed, size):
@@ -372,19 +382,19 @@ GRADIENT_CASES = (
     ("polynomial", _case_polynomial),
     ("abs", _case_abs),
     ("tanh", _case_tanh),
-    ("log/softplus", _case_log_softplus),
+    ("softplus", _case_softplus),
     ("relu/leaky", _case_relu_leaky),
     ("softmax-ce", _case_softmax_ce),
     ("reductions", _case_reductions),
-    ("clip", _case_clip),
+    ("sub-broadcast", _case_sub_broadcast),
     ("conv2d-input", _case_conv_input),
     ("conv2d-kernel", _case_conv_kernel),
     ("conv2d-bias", _case_conv_bias),
     ("conv2d-even-k4", _case_conv_even_kernel),
-    ("split", _case_split),
     ("upsample", _case_upsample),
     ("avg-pool", _case_avg_pool),
     ("normalize-instance", _case_normalize_instance),
+    ("modulate", _case_modulate),
     ("si-module-input", _case_si_module_input),
     ("si-module-params", _case_si_module_params),
     ("si-resblock-input", _case_si_resblock_input),

@@ -135,6 +135,18 @@ class TestConfigFile:
         assert rc == 2
         assert capsys.readouterr().err == "error: config: unknown config key 'stats'\n"
 
+    @pytest.mark.parametrize("line", ["epochs = 2.7", "seed = 3.9", "stages = true"])
+    def test_int_key_rejects_fraction_and_bool(self, tmp_path, capsys, line):
+        """An int key is not truncated from a fraction or a boolean."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["train-iterative", "--data", str(tmp_path / "absent.jsonl"),
+                   "--out", str(tmp_path / "r"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {line.split()[0]}: ")
+        assert err.count("\n") == 1
+
     def test_bad_value_names_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = soon\n")

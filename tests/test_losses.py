@@ -445,6 +445,17 @@ class TestBinaryCrossEntropy:
         assert p.grad is None or not np.any(p.grad)
         assert np.any(q.grad)
 
+    def test_clipped_probs_get_zero_gradient(self):
+        """At probs clipped to 0 or 1 against the opposite one-hot target,
+        each term's log is either clipped or weighted by zero."""
+        p = np.zeros((1, 3, 2, 2))
+        p[0, 0] = 1.0
+        q = Tensor(np.concatenate([np.full((1, 1, 2, 2), 0.1 * PROB_EPS),
+                                   np.ones((1, 2, 2, 2))], axis=1), requires_grad=True)
+        q.data[0, 0, 0, 0] = 0.0
+        binary_cross_entropy(Tensor(p), q).backward()
+        assert np.array_equal(q.grad, np.zeros_like(p))
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             binary_cross_entropy(Tensor(np.full((2, 2), 0.5)),

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from sgs import numerics
 from sgs.layout import N_CLASSES, SaliencyMap, SemanticLayout
 from sgs.network import Generator, Module, PatchDiscriminator, SIModule, SIResBlock
 from sgs.numerics import Parameter, ShapeError, Tensor, conv2d, normalize, relu
@@ -133,6 +134,15 @@ class TestSIModule:
             results.append([out.data, x.grad] + [p.grad for p in si.params()])
         for fused, ref in zip(*results):
             assert np.allclose(fused, ref, rtol=0.0, atol=1e-12)
+
+    def test_one_node_after_head_conv(self):
+        """The modulation records a single node on top of the head conv."""
+        si = SIModule(2, np.random.default_rng(10), hidden=3)
+        x = Tensor(np.random.default_rng(11).random((1, 2, 4, 4)), requires_grad=True)
+        out = si.forward(x, layout_planes(rand_layout(4, seed=5)))
+        assert out._parents[0] is x
+        heads = out._parents[1]
+        assert len(numerics._toposort(out)) == len(numerics._toposort(heads)) + 2
 
     def test_param_names_and_order_unchanged(self):
         """Checkpoints are keyed by these names, in this order."""
