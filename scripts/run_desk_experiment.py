@@ -62,11 +62,10 @@ def main(argv=None):
     for direction in ("k", "o"):
         for ckpt in result["checkpoints"][direction]:
             ict = result["stages"][ckpt.stage][direction].epoch_ict[-1]
-            fre = ckpt.val["frechet_proxy"]
             print(f"{ckpt.stage:>5} {direction:>3} "
                   f"{ckpt.val['ssim_mean']:>8.4f} "
                   f"{ckpt.val['fsim_mean']:>8.4f} "
-                  f"{'n/a' if fre is None else format(fre, '.4f'):>10} "
+                  f"{ckpt.val['frechet_proxy']:>10.4f} "
                   f"{ict:>10.5f}")
 
     report = {}

@@ -92,8 +92,8 @@ def _coerce(key, value):
             return _parse_bool(value, key)
         if typ is tuple:
             return _parse_taps(value, key)
-        if typ is int and (isinstance(value, bool)
-                           or isinstance(value, float) and not value.is_integer()):
+        if typ in (int, float) and isinstance(value, bool) or (
+                typ is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
         return typ(value)
     except (TypeError, ValueError) as err:

@@ -194,15 +194,9 @@ def save_generator(gen, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     bin_path = os.path.join(out_dir, "model.bin")
     save_params(bin_path, gen.named_params())
-    cfg = {
-        "depth": gen.depth,
-        "base_channels": gen.base_channels,
-        "in_channels": gen.in_channels,
-        "out_channels": gen.out_channels,
-        "use_saliency": gen.use_saliency,
-        "image_size": gen.image_size,
-        "seed": gen.seed if isinstance(gen.seed, int) else list(gen.seed),
-    }
+    cfg = {k: getattr(gen, k) for k in MODEL_JSON_KEYS}
+    if not isinstance(gen.seed, int):
+        cfg["seed"] = list(gen.seed)
     with atomic_open(os.path.join(out_dir, "model.json")) as f:
         f.write(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
     return bin_path
@@ -212,7 +206,9 @@ def load_generator(model_dir):
     """Rebuild a generator from model.json + model.bin.
 
     The SI hidden width is not part of the config file; it is inferred
-    from the shared-conv weight shape in the checkpoint.
+    from the shared-conv weight shape in the checkpoint.  A checkpoint
+    without that entry, such as one saved under older parameter names,
+    raises ``DataError`` naming it.
     """
     json_path = os.path.join(model_dir, "model.json")
     bin_path = os.path.join(model_dir, "model.bin")
@@ -236,12 +232,15 @@ def load_generator(model_dir):
         raise DataError(f"{json_path}: wrong value type for {mistyped}")
     try:
         blob = load_checkpoint(bin_path)
+        shared = "blocks.0.si1.shared.w"
+        if shared not in blob:
+            raise DataError(f"{bin_path}: checkpoint missing parameter {shared!r}")
         gen = Generator(
             in_channels=cfg["in_channels"],
             out_channels=cfg["out_channels"],
             depth=cfg["depth"],
             base_channels=cfg["base_channels"],
-            si_hidden=int(blob["blocks.0.si1.shared_w"].shape[0]),
+            si_hidden=int(blob[shared].shape[0]),
             use_saliency=cfg["use_saliency"],
             image_size=cfg["image_size"],
             seed=cfg["seed"],

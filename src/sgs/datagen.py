@@ -92,7 +92,6 @@ class Annulus:
 class SceneSpec:
     """Resolved per-sample geometry, palette, and photo rendering knobs."""
 
-    seed_key: tuple
     parts: dict = field(default_factory=dict)  # class index -> list of primitives
     palette: np.ndarray = None  # [12, 3] RGB in [0, 1]
     light_angle: float = 0.0
@@ -195,7 +194,6 @@ def sample_scene(rng, with_glasses):
     palette = np.clip(palette, 0.0, 1.0)
 
     return SceneSpec(
-        seed_key=(),
         parts=parts,
         palette=palette,
         light_angle=rng.uniform(0.0, 2.0 * np.pi),

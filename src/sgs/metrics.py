@@ -184,11 +184,8 @@ _SCHARR_Y = _SCHARR_X.T
 
 
 def _conv_same(img, kernel):
-    k = kernel.shape[0]
-    pad = k // 2
-    padded = np.pad(img, pad)
-    view = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
-    return np.tensordot(view, kernel[::-1, ::-1], axes=((2, 3), (0, 1)))
+    """Same-size convolution (flipped-kernel correlation, zero padded)."""
+    return _window_filter(np.pad(img, kernel.shape[0] // 2), kernel[::-1, ::-1])
 
 
 def _gradient_magnitude(img):

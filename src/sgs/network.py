@@ -8,6 +8,11 @@ the block's working resolution, is mapped by a small conv stack to a
 gamma and beta field that multiply and shift the instance-normalized
 activation.  The discriminator is a standard patch classifier over the
 channel-concatenated (source, saliency, candidate) stack.
+
+Every convolution is a :class:`Conv` layer that owns its kernel, bias,
+stride and padding.  A parameter's name, and so its checkpoint entry,
+is its dotted attribute path: ``enc.0.w``, ``blocks.0.si1.heads.w``,
+``out.b``.
 """
 from __future__ import annotations
 
@@ -35,6 +40,8 @@ class Module:
     """Tiny container base: parameter discovery, freezing, grad reset."""
 
     def named_params(self, prefix=""):
+        """(dotted path, Parameter) pairs in attribute order; a list of
+        modules contributes ``<attr>.<index>.`` paths."""
         out = []
         for attr, val in vars(self).items():
             path = f"{prefix}{attr}"
@@ -44,9 +51,7 @@ class Module:
                 out.extend(val.named_params(path + "."))
             elif isinstance(val, (list, tuple)):
                 for i, item in enumerate(val):
-                    if isinstance(item, Parameter):
-                        out.append((f"{path}.{i}", item))
-                    elif isinstance(item, Module):
+                    if isinstance(item, Module):
                         out.extend(item.named_params(f"{path}.{i}."))
         return out
 
@@ -68,29 +73,36 @@ class Module:
             p.requires_grad = False
 
 
-def _conv_params(rng, cout, cin, k):
-    w = Parameter(rng.normal(0.0, WEIGHT_STD, size=(cout, cin, k, k)))
-    b = Parameter(np.zeros(cout))
-    return w, b
+class Conv(Module):
+    """One ``k x k`` convolution: its kernel ``w`` ([cout, cin, k, k],
+    drawn from N(0, WEIGHT_STD^2)), its zero-initialized bias ``b``, and
+    the stride and padding it always runs with."""
+
+    def __init__(self, rng, cout, cin, k, stride=1, padding=1):
+        self.w = Parameter(rng.normal(0.0, WEIGHT_STD, size=(cout, cin, k, k)))
+        self.b = Parameter(np.zeros(cout))
+        self.stride = stride
+        self.padding = padding
+
+    def forward(self, x):
+        return conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
 
 class SIModule(Module):
     """Layout-conditioned modulation of a normalized activation.
 
-    A shared 3x3 convolution over the one-hot layout feeds two 3x3
-    heads producing gamma and beta; the output is
-    ``gamma * normalize(x) + beta`` (the modulation is applied exactly
-    in this form, with no residual 1+gamma variant).  The two heads run
-    as one convolution whose kernel and bias are the heads' own,
-    concatenated at call time, so the parameters stay separate, and
-    :func:`~sgs.numerics.modulate` applies the joined heads as one op.
+    A shared 3x3 convolution over the one-hot layout feeds the 3x3
+    gamma and beta heads; the output is ``gamma * normalize(x) + beta``
+    (the modulation is applied exactly in this form, with no residual
+    1+gamma variant).  The two heads are stored and run as one ``heads``
+    convolution of ``2C`` output channels, gamma first, whose output
+    :func:`~sgs.numerics.modulate` applies as one op.
     """
 
     def __init__(self, channels, rng, hidden=32):
         self.channels = channels
-        self.shared_w, self.shared_b = _conv_params(rng, hidden, N_CLASSES, 3)
-        self.gamma_w, self.gamma_b = _conv_params(rng, channels, hidden, 3)
-        self.beta_w, self.beta_b = _conv_params(rng, channels, hidden, 3)
+        self.shared = Conv(rng, hidden, N_CLASSES, 3)
+        self.heads = Conv(rng, 2 * channels, hidden, 3)
 
     def forward(self, x, layout_planes):
         """``x`` is [N, C, h, w]; ``layout_planes`` is [N, 12, h, w]."""
@@ -101,10 +113,7 @@ class SIModule(Module):
                 f"layout resolution {layout_planes.data.shape[-2:]} does not match "
                 f"activation {x.data.shape[-2:]}"
             )
-        h = relu(conv2d(layout_planes, self.shared_w, self.shared_b, stride=1, padding=1))
-        heads = conv2d(h, concat([self.gamma_w, self.beta_w], 0),
-                       concat([self.gamma_b, self.beta_b], 0), stride=1, padding=1)
-        return modulate(x, heads)
+        return modulate(x, self.heads.forward(relu(self.shared.forward(layout_planes))))
 
 
 class SIResBlock(Module):
@@ -117,22 +126,16 @@ class SIResBlock(Module):
     def __init__(self, cin, cout, rng, hidden=32):
         cmid = min(cin, cout)
         self.si1 = SIModule(cin, rng, hidden=hidden)
-        self.conv1_w, self.conv1_b = _conv_params(rng, cmid, cin, 3)
+        self.conv1 = Conv(rng, cmid, cin, 3)
         self.si2 = SIModule(cmid, rng, hidden=hidden)
-        self.conv2_w, self.conv2_b = _conv_params(rng, cout, cmid, 3)
-        if cin != cout:
-            self.skip_w, self.skip_b = _conv_params(rng, cout, cin, 1)
-        else:
-            self.skip_w = None
-            self.skip_b = None
+        self.conv2 = Conv(rng, cout, cmid, 3)
+        self.skip = Conv(rng, cout, cin, 1, padding=0) if cin != cout else None
 
     def forward(self, x, layout_planes):
-        h = conv2d(relu(self.si1.forward(x, layout_planes)), self.conv1_w, self.conv1_b,
-                   stride=1, padding=1)
-        h = conv2d(relu(self.si2.forward(h, layout_planes)), self.conv2_w, self.conv2_b,
-                   stride=1, padding=1)
-        if self.skip_w is not None:
-            return h + conv2d(x, self.skip_w, self.skip_b, stride=1, padding=0)
+        h = self.conv1.forward(relu(self.si1.forward(x, layout_planes)))
+        h = self.conv2.forward(relu(self.si2.forward(h, layout_planes)))
+        if self.skip is not None:
+            return h + self.skip.forward(x)
         return h + x
 
 
@@ -172,13 +175,10 @@ class Generator(Module):
         self.seed = seed
 
         enc_ch = [min(base_channels << i, base_channels * 8) for i in range(depth)]
-        self.enc_ws = []
-        self.enc_bs = []
+        self.enc = []
         prev = in_channels + 1
         for c in enc_ch:
-            w, b = _conv_params(rng, c, prev, 4)
-            self.enc_ws.append(w)
-            self.enc_bs.append(b)
+            self.enc.append(Conv(rng, c, prev, 4, stride=2))
             prev = c
 
         self.blocks = []
@@ -188,7 +188,7 @@ class Generator(Module):
                 SIResBlock(prev, cout, rng, hidden=si_hidden)
             )
             prev = cout
-        self.out_w, self.out_b = _conv_params(rng, out_channels, prev, 3)
+        self.out = Conv(rng, out_channels, prev, 3)
 
     def forward(self, x, m, layout, want_taps=False):
         """Run ``x`` ([Cin, H, W]) through the network.
@@ -215,8 +215,8 @@ class Generator(Module):
 
         sal = _saliency_channel(m if self.use_saliency else None, h, w)
         z = concat([x.reshape((1,) + x.data.shape), sal], axis=1)
-        for w_, b_ in zip(self.enc_ws, self.enc_bs):
-            z = leaky_relu(conv2d(z, w_, b_, stride=2, padding=1), 0.2)
+        for conv in self.enc:
+            z = leaky_relu(conv.forward(z), 0.2)
         taps = {"enc_bottleneck": z}
 
         for j, block in enumerate(self.blocks, start=1):
@@ -227,7 +227,7 @@ class Generator(Module):
             taps[f"dec_block{j}"] = z
             taps[f"dec_block{j}_layout_hw"] = res
 
-        out = tanh(conv2d(z, self.out_w, self.out_b, stride=1, padding=1))
+        out = tanh(self.out.forward(z))
         out = ((out + 1.0) * 0.5).reshape((self.out_channels, h, w))
         if want_taps:
             return out, taps
@@ -250,15 +250,12 @@ class PatchDiscriminator(Module):
         self.use_saliency = use_saliency
         cin = source_channels + 1 + candidate_channels
         chans = [base_channels, base_channels * 2, base_channels * 4, base_channels * 8]
-        self.ws = []
-        self.bs = []
+        self.convs = []
         prev = cin
-        for c in chans:
-            w, b = _conv_params(rng, c, prev, 4)
-            self.ws.append(w)
-            self.bs.append(b)
+        for i, c in enumerate(chans):
+            self.convs.append(Conv(rng, c, prev, 4, stride=2 if i < 3 else 1))
             prev = c
-        self.final_w, self.final_b = _conv_params(rng, 1, prev, 4)
+        self.final = Conv(rng, 1, prev, 4)
 
     def forward(self, source, m, candidate):
         """All images are [C, H, W]; returns the [1, 1, h', w'] logit map."""
@@ -284,10 +281,9 @@ class PatchDiscriminator(Module):
              candidate.reshape((1,) + candidate.data.shape)],
             axis=1,
         )
-        for i, (w_, b_) in enumerate(zip(self.ws, self.bs)):
-            stride = 2 if i < 3 else 1
-            z = conv2d(z, w_, b_, stride=stride, padding=1)
+        for i, conv in enumerate(self.convs):
+            z = conv.forward(z)
             if i > 0:
                 z = normalize(z)
             z = leaky_relu(z, 0.2)
-        return conv2d(z, self.final_w, self.final_b, stride=1, padding=1)
+        return self.final.forward(z)

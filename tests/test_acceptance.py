@@ -248,8 +248,10 @@ def _case_si_module_params(seed):
 
     mod.zero_grad()
     (mod.forward(x, planes) * w).sum().backward()
-    rels = [spot_check_param(loss_fn, p, seed=seed)
-            for p in (mod.shared_w, mod.gamma_w, mod.beta_w, mod.gamma_b, mod.beta_b)]
+    # Every entry of the heads kernel and bias: the gamma and beta halves.
+    rels = [spot_check_param(loss_fn, mod.shared.w, seed=seed)]
+    rels += [spot_check_param(loss_fn, p, n_probe=p.data.size, seed=seed)
+             for p in (mod.heads.w, mod.heads.b)]
     return max(rels)
 
 
@@ -276,8 +278,8 @@ def _case_generator_params(seed):
 
     gen.zero_grad()
     (gen.forward(x, m, lay) * w).sum().backward()
-    params = (gen.enc_ws[0], gen.out_w, gen.blocks[0].si1.gamma_w,
-              gen.blocks[1].conv1_w)
+    params = (gen.enc[0].w, gen.out.w, gen.blocks[0].si1.heads.w,
+              gen.blocks[1].conv1.w)
     # h balances FD truncation against roundoff: the loss passes through
     # a deep composition, so tiny steps drown small gradients in noise.
     return max(spot_check_param(loss_fn, p, seed=seed, h=1e-4) for p in params)

@@ -147,6 +147,18 @@ class TestConfigFile:
         assert err.startswith(f"error: config: {line.split()[0]}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["lr = true", "weight_cycle = false"])
+    def test_float_key_rejects_bool(self, tmp_path, capsys, line):
+        """A float key does not load a boolean as 1.0 or 0.0."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["train-iterative", "--data", str(tmp_path / "absent.jsonl"),
+                   "--out", str(tmp_path / "r"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {line.split()[0]}: ")
+        assert err.count("\n") == 1
+
     def test_bad_value_names_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = soon\n")
@@ -416,7 +428,7 @@ class TestEvalCommand:
         model = tmp_path / "model"
         shutil.copytree(trained_run["model"], model)
         blob = load_checkpoint(str(model / "model.bin"))
-        blob["out_w"].flat[0] = np.nan
+        blob["out.w"].flat[0] = np.nan
         save_checkpoint(str(model / "model.bin"), list(blob.items()))
         rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
                    "--out", str(tmp_path / "e")])
@@ -424,6 +436,34 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: data: ") and "non-finite" in err
         assert err.count("\n") == 1
+
+    def test_old_parameter_names_are_data_error(self, cli_corpus, trained_run,
+                                                tmp_path, capsys):
+        """A checkpoint saved under the names used before each conv was one
+        layer (``enc_ws.0``, ``shared_w``, separate ``gamma_w``/``beta_w``
+        halves of ``heads.w``, ``out_w``) is not loaded."""
+        model = tmp_path / "model"
+        shutil.copytree(trained_run["model"], model)
+        old = []
+        for name, arr in load_checkpoint(str(model / "model.bin")).items():
+            layer, wb, suffix = re.fullmatch(r"(.*)\.([wb])(\.m1|\.m2|\.step)?", name).groups()
+            suffix = suffix or ""
+            enc = re.fullmatch(r"enc\.(\d+)", layer)
+            if enc:
+                old.append((f"enc_{wb}s.{enc[1]}{suffix}", arr))
+            elif layer.endswith(".heads"):
+                gamma, beta = np.split(arr, 2) if arr.ndim else (arr, arr)
+                old.append((f"{layer[:-5]}gamma_{wb}{suffix}", gamma))
+                old.append((f"{layer[:-5]}beta_{wb}{suffix}", beta))
+            else:
+                old.append((f"{layer}_{wb}{suffix}", arr))
+        save_checkpoint(str(model / "model.bin"), old)
+        rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
+                   "--out", str(tmp_path / "e")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+        assert "missing parameter 'blocks.0.si1.shared.w'" in err
 
     def test_thread_pool_matches_serial(self, cli_corpus, trained_run, tmp_path,
                                         monkeypatch):

@@ -214,7 +214,7 @@ class TestCheckpointRoundTrip:
         gen = self.make_gen(si_hidden=3)
         save_generator(gen, str(tmp_path))
         loaded = load_generator(str(tmp_path))
-        assert loaded.blocks[0].si1.shared_w.data.shape[0] == 3
+        assert loaded.blocks[0].si1.shared.w.data.shape[0] == 3
 
     def test_model_json_keys(self, tmp_path):
         save_generator(self.make_gen(), str(tmp_path))

@@ -22,7 +22,7 @@ class TestModuleBase:
     def test_named_params_use_dotted_paths(self):
         si = SIModule(4, np.random.default_rng(0), hidden=3)
         names = [n for n, _ in si.named_params()]
-        assert "shared_w" in names and "gamma_b" in names
+        assert "shared.w" in names and "heads.b" in names
 
     def test_zero_grad_resets(self):
         si = SIModule(2, np.random.default_rng(0), hidden=2)
@@ -44,22 +44,19 @@ class TestModuleBase:
 class TestSIModule:
     def test_zero_heads_give_zero_output(self):
         si = SIModule(3, np.random.default_rng(0), hidden=4)
-        for name in ("gamma_w", "gamma_b", "beta_w", "beta_b"):
-            p = getattr(si, name)
+        for p in (si.heads.w, si.heads.b):
             p.data = np.zeros_like(p.data)
         x = Tensor(np.random.default_rng(1).random((1, 3, 6, 6)))
         out = si.forward(x, layout_planes(rand_layout(6)))
         assert np.array_equal(out.data, np.zeros((1, 3, 6, 6)))
 
     def test_constant_heads_reproduce_affine_normalization(self):
-        """With zeroed conv weights the module is gamma_b*norm(x)+beta_b."""
+        """With zeroed conv weights the module is gamma_b*norm(x)+beta_b,
+        the heads bias holding gamma first."""
         si = SIModule(2, np.random.default_rng(2), hidden=3)
-        for name in ("shared_w", "gamma_w", "beta_w"):
-            p = getattr(si, name)
+        for p in (si.shared.w, si.shared.b, si.heads.w):
             p.data = np.zeros_like(p.data)
-        si.shared_b.data = np.zeros_like(si.shared_b.data)
-        si.gamma_b.data = np.array([2.0, -1.0])
-        si.beta_b.data = np.array([0.5, 3.0])
+        si.heads.b.data = np.array([2.0, -1.0, 0.5, 3.0])
         x = Tensor(np.random.default_rng(3).random((1, 2, 5, 5)))
         out = si.forward(x, layout_planes(rand_layout(5, seed=1)))
         ref = normalize(x).data * np.array([2.0, -1.0])[None, :, None, None] \
@@ -104,13 +101,13 @@ class TestSIModule:
         def loss_fn():
             return float((si.forward(x.detach(), planes) ** 2).sum().data)
 
-        spot_check_param(loss_fn, si.gamma_w, n_probe=4)
-        spot_check_param(loss_fn, si.shared_w, n_probe=4)
+        spot_check_param(loss_fn, si.heads.w, n_probe=4)
+        spot_check_param(loss_fn, si.shared.w, n_probe=4)
 
 
     def test_fused_heads_match_separate_convs(self):
-        """One conv over the joined heads equals running gamma and beta
-        as two convs, in value and in every gradient."""
+        """The one heads conv equals running its gamma and beta halves as
+        two convs, in value and in every gradient."""
         si = SIModule(3, np.random.default_rng(8), hidden=4)
         rng = np.random.default_rng(9)
         for p in si.params():
@@ -119,60 +116,77 @@ class TestSIModule:
         x0 = rng.random((1, 3, 6, 6))
         w = Tensor(rng.normal(size=(1, 3, 6, 6)))
 
+        hw, hb = si.heads.w.data, si.heads.b.data
+        gamma_w, gamma_b, beta_w, beta_b = (
+            Parameter(a.copy()) for a in (hw[:3], hb[:3], hw[3:], hb[3:]))
+
         def separate(x):
-            h = relu(conv2d(planes, si.shared_w, si.shared_b, 1, 1))
-            gamma = conv2d(h, si.gamma_w, si.gamma_b, 1, 1)
-            beta = conv2d(h, si.beta_w, si.beta_b, 1, 1)
+            h = relu(conv2d(planes, si.shared.w, si.shared.b, 1, 1))
+            gamma = conv2d(h, gamma_w, gamma_b, 1, 1)
+            beta = conv2d(h, beta_w, beta_b, 1, 1)
             return gamma * normalize(x) + beta
 
+        def fused_head_grads():
+            return [si.heads.w.grad, si.heads.b.grad]
+
+        def separate_head_grads():
+            return [np.concatenate([gamma_w.grad, beta_w.grad]),
+                    np.concatenate([gamma_b.grad, beta_b.grad])]
+
         results = []
-        for fn in (lambda x: si.forward(x, planes), separate):
+        for fn, head_grads in ((lambda x: si.forward(x, planes), fused_head_grads),
+                               (separate, separate_head_grads)):
             si.zero_grad()
             x = Tensor(x0, requires_grad=True)
             out = fn(x)
             (out * w).sum().backward()
-            results.append([out.data, x.grad] + [p.grad for p in si.params()])
+            results.append([out.data, x.grad, si.shared.w.grad, si.shared.b.grad]
+                           + head_grads())
         for fused, ref in zip(*results):
             assert np.allclose(fused, ref, rtol=0.0, atol=1e-12)
 
     def test_one_node_after_head_conv(self):
-        """The modulation records a single node on top of the head conv."""
+        """The modulation records a single node on top of the head conv,
+        which reads the ``heads`` kernel itself: no join node."""
         si = SIModule(2, np.random.default_rng(10), hidden=3)
         x = Tensor(np.random.default_rng(11).random((1, 2, 4, 4)), requires_grad=True)
         out = si.forward(x, layout_planes(rand_layout(4, seed=5)))
         assert out._parents[0] is x
         heads = out._parents[1]
         assert len(numerics._toposort(out)) == len(numerics._toposort(heads)) + 2
+        assert heads._parents[1] is si.heads.w and heads._parents[2] is si.heads.b
+        assert all(n._backward is None or "concat" not in n._backward.__qualname__
+                   for n in numerics._toposort(out))
 
     def test_param_names_and_order_unchanged(self):
         """Checkpoints are keyed by these names, in this order."""
-        si_names = ["shared_w", "shared_b", "gamma_w", "gamma_b", "beta_w", "beta_b"]
+        si_names = ["shared.w", "shared.b", "heads.w", "heads.b"]
         si = SIModule(2, np.random.default_rng(0), hidden=3)
         assert [n for n, _ in si.named_params()] == si_names
         gen = Generator(in_channels=3, out_channels=1, depth=1, base_channels=4,
                         si_hidden=3, image_size=32)
         assert [n for n, _ in gen.named_params()] == (
-            ["enc_ws.0", "enc_bs.0"]
+            ["enc.0.w", "enc.0.b"]
             + [f"blocks.0.si1.{n}" for n in si_names]
-            + ["blocks.0.conv1_w", "blocks.0.conv1_b"]
+            + ["blocks.0.conv1.w", "blocks.0.conv1.b"]
             + [f"blocks.0.si2.{n}" for n in si_names]
-            + ["blocks.0.conv2_w", "blocks.0.conv2_b", "out_w", "out_b"]
+            + ["blocks.0.conv2.w", "blocks.0.conv2.b", "out.w", "out.b"]
         )
 
 
 class TestSIResBlock:
     def test_zero_convs_reduce_to_identity_skip(self):
         block = SIResBlock(3, 3, np.random.default_rng(0), hidden=2)
-        assert block.skip_w is None
-        block.conv2_w.data = np.zeros_like(block.conv2_w.data)
-        block.conv2_b.data = np.zeros_like(block.conv2_b.data)
+        assert block.skip is None
+        block.conv2.w.data = np.zeros_like(block.conv2.w.data)
+        block.conv2.b.data = np.zeros_like(block.conv2.b.data)
         x = Tensor(np.random.default_rng(1).random((1, 3, 4, 4)))
         out = block.forward(x, layout_planes(rand_layout(4)))
         assert np.allclose(out.data, x.data, atol=1e-15)
 
     def test_channel_change_uses_projection_skip(self):
         block = SIResBlock(3, 5, np.random.default_rng(2), hidden=2)
-        assert block.skip_w is not None
+        assert block.skip is not None
         x = Tensor(np.random.default_rng(3).random((1, 3, 4, 4)))
         out = block.forward(x, layout_planes(rand_layout(4)))
         assert out.data.shape == (1, 5, 4, 4)
@@ -277,9 +291,9 @@ class TestGenerator:
         def loss_fn():
             return float(compute().data)
 
-        spot_check_param(loss_fn, gen.enc_ws[0], n_probe=3)
-        spot_check_param(loss_fn, gen.blocks[0].si1.gamma_w, n_probe=3)
-        spot_check_param(loss_fn, gen.out_w, n_probe=3)
+        spot_check_param(loss_fn, gen.enc[0].w, n_probe=3)
+        spot_check_param(loss_fn, gen.blocks[0].si1.heads.w, n_probe=3)
+        spot_check_param(loss_fn, gen.out.w, n_probe=3)
 
 
 class TestPatchDiscriminator:
@@ -304,7 +318,7 @@ class TestPatchDiscriminator:
         d = PatchDiscriminator(3, 1, base_channels=4, seed=1)
         src, m, cand = self._inputs(32, seed=2)
         before = d.forward(src, m, cand).data
-        d.final_b.data = d.final_b.data + 1.5
+        d.final.b.data = d.final.b.data + 1.5
         after = d.forward(src, m, cand).data
         assert np.allclose(after - before, 1.5, atol=1e-12)
 
