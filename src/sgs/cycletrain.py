@@ -247,7 +247,9 @@ def load_generator(model_dir):
         )
         restore_params(blob, gen.named_params(), bin_path)
     except (KeyError, IndexError, TypeError, ValueError) as err:
-        raise DataError(f"corrupt checkpoint in {model_dir}: {err}") from err
+        # str() of a KeyError quotes its message; print the message itself.
+        msg = err.args[0] if isinstance(err, KeyError) and err.args else err
+        raise DataError(f"corrupt checkpoint in {model_dir}: {msg}") from err
     return gen
 
 
@@ -341,8 +343,10 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
             adam_step(disc.params(), lr, cfg.beta1, cfg.beta2)
 
             # Generator phase, scored by the discriminator just updated.
+            # D is frozen for it: its convs compute input gradients only.
             gen.zero_grad()
             disc.zero_grad()
+            disc.freeze()
             for s, fake in fakes:
                 if s.id not in targets:
                     targets[s.id] = target_record(
@@ -358,6 +362,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
                 for key, t in terms.items():
                     vals[key] += t.item() * scale
             adam_step(gen.params(), lr, cfg.beta1, cfg.beta2)
+            disc.freeze(False)
 
             step += 1
             steps_this_epoch += 1

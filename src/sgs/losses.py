@@ -179,24 +179,30 @@ def tap_l1(real_taps, fake_taps, names):
     return total
 
 
+def _clipped(q):
+    """``q`` and ``1 - q``, each clipped to ``[PROB_EPS, 1]``."""
+    return np.clip(q, PROB_EPS, 1.0), np.clip(1.0 - q, PROB_EPS, 1.0)
+
+
 def binary_cross_entropy(target_probs, probs):
     """Elementwise-mean BCE of ``probs`` against (constant) target probs.
 
     Probabilities are clamped away from {0, 1} before the logs, so exact
     one-hot inputs evaluate to exactly zero loss against themselves.  One
     graph node whose backward is the gradient of the clipped logs: zero
-    for a term whose bound clips.  No gradient reaches the target.
+    for a term whose bound clips.  Backward clips ``probs`` again rather
+    than keep the clipped copies.  No gradient reaches the target.
     """
     if target_probs.data.shape != probs.data.shape:
         raise ShapeError(
             f"BCE shapes differ: {target_probs.data.shape} vs {probs.data.shape}"
         )
     p, q = target_probs.data, probs.data
-    qc = np.clip(q, PROB_EPS, 1.0)
-    rc = np.clip(1.0 - q, PROB_EPS, 1.0)
+    qc, rc = _clipped(q)
     loss = -(p * np.log(qc) + (1.0 - p) * np.log(rc)).mean()
 
     def bw(g):
+        qc, rc = _clipped(q)
         d = (1.0 - p) / rc * (rc == 1.0 - q) - p / qc * (qc == q)
         _accumulate(probs, d * (g / q.size))
 
@@ -237,7 +243,7 @@ def target_record(views, extractor, oracle, variance="literal", teacher=None,
     nodes = compute_nodes(tgt, lay_src, variance=variance)
     teacher_taps = None
     if teacher is not None:
-        _, real = teacher.forward(tgt, m_tgt, lay_tgt, want_taps=True)
+        real = teacher.forward(tgt, m_tgt, lay_tgt, want_taps=tap_names)
         teacher_taps = {name: real[name].detach() for name in tap_names}
     return Target(views, extractor, oracle, variance,
                   taps=[t.detach() for t in extractor.features(tgt)],
@@ -266,7 +272,7 @@ def objective(fake, d, target, weights, mode="bce"):
     if target.teacher is None:
         terms["l_ict"] = Tensor(0.0)
     else:
-        _, fake_taps = target.teacher.forward(fake, m_tgt, lay_tgt, want_taps=True)
+        fake_taps = target.teacher.forward(fake, m_tgt, lay_tgt, want_taps=target.tap_names)
         terms["l_ict"] = tap_l1(target.teacher_taps, fake_taps, target.tap_names)
     terms["l_total"] = (terms["l_gan_g"] + weights.content * terms["l_content"]
                         + weights.perceptual * terms["l_perc"]

@@ -62,15 +62,17 @@ class Module:
         for p in self.params():
             p.grad = None
 
-    def freeze(self):
-        """Stop recording gradients into these parameters.
+    def freeze(self, frozen=True):
+        """Stop recording gradients into these parameters; ``freeze(False)``
+        records them again.
 
         Gradients still flow *through* frozen modules to their inputs,
         which is exactly what distillation through a fixed opposite
-        generator needs.
+        generator, and the generator phase's pass through the
+        discriminator, need.
         """
         for p in self.params():
-            p.requires_grad = False
+            p.requires_grad = not frozen
 
 
 class Conv(Module):
@@ -197,7 +199,9 @@ class Generator(Module):
         ``want_taps=True`` a ``(image, taps)`` pair where ``taps`` maps
         "enc_bottleneck" and "dec_block<i>" to their activations and
         "dec_block<i>_layout_hw" to the layout resolution each SI block
-        consumed.
+        consumed.  With ``want_taps`` a sequence of tap names, returns
+        only ``taps``, and runs no decoder block past the deepest named
+        tap and no output conv.
         """
         if x.data.ndim != 3 or x.data.shape[0] != self.in_channels:
             raise ShapeError(
@@ -218,14 +222,19 @@ class Generator(Module):
         for conv in self.enc:
             z = leaky_relu(conv.forward(z), 0.2)
         taps = {"enc_bottleneck": z}
+        names = None if isinstance(want_taps, bool) else set(want_taps)
 
         for j, block in enumerate(self.blocks, start=1):
+            if names is not None and names <= taps.keys():
+                break
             z = upsample_nearest(z, 2)
             res = z.data.shape[2:]
             planes = downsample_layout(layout, h // res[0]).one_hot()
             z = block.forward(z, Tensor(planes[None, :, :, :]))
             taps[f"dec_block{j}"] = z
             taps[f"dec_block{j}_layout_hw"] = res
+        if names is not None:
+            return taps
 
         out = tanh(self.out.forward(z))
         out = ((out + 1.0) * 0.5).reshape((self.out_channels, h, w))

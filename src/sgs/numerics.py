@@ -16,6 +16,13 @@ from one ``[gamma, beta]`` heads array), the last two sharing one
 instance-norm forward and backward.  ``sgs.losses.binary_cross_entropy``
 is one node built the same way.
 
+A backward closure keeps only the arrays its formula reads, as
+references taken at forward time, never copies: what it can recompute
+from those in one pass (the masks of :func:`relu` and
+:func:`leaky_relu`, the sign of ``abs``, the clipped probabilities of
+the BCE) it recomputes.  :func:`conv2d` keeps no padded copy of its
+input; see its docstring for which tiles feed its kernel gradient.
+
 Desk scale keeps the design deliberately small: 64-bit floats, a single
 thread, no in-place mutation of anything that participates in a recorded
 graph (the optimizer update on parameter storage between steps is the
@@ -249,13 +256,12 @@ class Tensor:
         return _result(a.data ** e, (a,), bw)
 
     def abs(self):
-        a = self
-        sign = np.sign(a.data)
+        a, ad = self, self.data
 
         def bw(g):
-            _accumulate(a, g * sign)
+            _accumulate(a, g * np.sign(ad))
 
-        return _result(np.abs(a.data), (a,), bw)
+        return _result(np.abs(ad), (a,), bw)
 
     # -- shape ops --------------------------------------------------------
 
@@ -313,21 +319,21 @@ class Tensor:
 
 
 def relu(x):
-    mask = x.data > 0.0
+    xd = x.data
 
     def bw(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (xd > 0.0))
 
-    return _result(x.data * mask, (x,), bw)
+    return _result(xd * (xd > 0.0), (x,), bw)
 
 
 def leaky_relu(x, slope=0.2):
-    factor = np.where(x.data > 0.0, 1.0, slope)
+    xd = x.data
 
     def bw(g):
-        _accumulate(x, g * factor)
+        _accumulate(x, g * np.where(xd > 0.0, 1.0, slope))
 
-    return _result(x.data * factor, (x,), bw)
+    return _result(xd * np.where(xd > 0.0, 1.0, slope), (x,), bw)
 
 
 def _sigmoid_stable(d):
@@ -464,7 +470,34 @@ def _phase_spans(size, padding, taps, stride):
     return spans, lo, hi
 
 
-def _conv_input_grad(g, kernel, stride, padding, h, w):
+def _pad(x, padding):
+    """``x``, ``[N, C, H, W]``, zero-padded by ``padding`` on each side of
+    both spatial axes (``x`` itself when ``padding`` is 0)."""
+    if not padding:
+        return x
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    return xp
+
+
+def _conv_kernel_grad(g, x, kshape, stride, padding):
+    """Kernel gradient of a conv, ``[Cout, Cin, kh, kw]``, from the output
+    gradient ``g`` and the input ``x``: the input is padded here, and each
+    tile of its columns adds ``g_tile @ cols.T``."""
+    n, cout, ho, wo = g.shape
+    g3 = np.ascontiguousarray(g).reshape(n, cout, ho * wo)
+    gk = None
+    for b, span, cols in _tiles(_windows(_pad(x, padding), *kshape[2:], stride, ho, wo)):
+        part = g3[b, :, span] @ cols.T
+        if gk is None:
+            gk = part
+        else:
+            gk += part
+    return gk.reshape(kshape)
+
+
+def _conv_input_grad(g, kernel, stride, padding, h, w, x=None):
     """Gradient of a conv with respect to its unpadded input, ``[N, Cin,
     H, W]``, from the output gradient ``g``, ``[N, Cout, Ho, Wo]``.
 
@@ -475,6 +508,13 @@ def _conv_input_grad(g, kernel, stride, padding, h, w):
     ``[Cin, Cout*th*tw]``.  The kernel is laid out once, its taps
     zero-padded to a multiple of the stride, so that each phase's matrix
     is one contiguous block.  A phase with no taps gets zeros.
+
+    Returns ``(gx, gk)``.  ``gk`` is None unless ``x``, the conv's
+    unpadded input, is given, which only a stride-1 conv may do: then the
+    same tiles of ``g``, ``cols`` ``[Cout*kh*kw, rows*W]``, also give the
+    kernel gradient with its taps flipped, ``cols @ x_rows.T`` summed
+    over the tiles, where ``x_rows`` ``[Cin, rows*W]`` are the input
+    rows the tile's gradient rows land on.
     """
     n, cout, ho, wo = g.shape
     cin, kh, kw = kernel.shape[1:]
@@ -497,6 +537,19 @@ def _conv_input_grad(g, kernel, stride, padding, h, w):
     gp[:, :, r0 - rlo : r1 - rlo, c0 - clo : c1 - clo] = g[:, :, r0:r1, c0:c1]
 
     gx = np.empty((n, cin, h, w))
+    if x is not None:
+        # Stride 1: one phase, whose correlation covers all of gp.
+        gx3, x3 = gx.reshape(n, cin, h * w), x.reshape(n, cin, h * w)
+        kmat, gkf = km[0, 0].T, None
+        for b, span, cols in _tiles(_windows(gp, kh, kw, 1, h, w)):
+            np.matmul(kmat, cols, out=gx3[b, :, span])
+            part = cols @ x3[b, :, span].T
+            if gkf is None:
+                gkf = part
+            else:
+                gkf += part
+        gk = gkf.reshape(cout, kh, kw, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        return gx, np.ascontiguousarray(gk)
     for rh, (qh, nh) in enumerate(rspans):
         for rw, (qw, nw) in enumerate(cspans):
             if nh <= 0 or nw <= 0:
@@ -510,7 +563,7 @@ def _conv_input_grad(g, kernel, stride, padding, h, w):
             _correlate(src, km[rh, rw].T, th, tw, 1, out)
             if s > 1:
                 dst[...] = out
-    return gx
+    return gx, None
 
 
 def conv2d(x, kernel, bias=None, stride=1, padding=0):
@@ -518,21 +571,25 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
 
     Implemented as row-tiled im2col plus matrix products so that the
     heavy lifting stays inside BLAS while the column buffer stays small.
-    The input is padded once into a zero-filled buffer, and
-    :func:`_correlate` builds one tile of channel-major columns at a time
-    into a reused scratch buffer and writes ``kmat @ cols`` straight into
-    the ``[N, Cout, Ho, Wo]`` output.
+    The input is padded into a zero-filled buffer that lives only for
+    the forward call, and :func:`_correlate` builds one tile of
+    channel-major columns at a time into a reused scratch buffer and
+    writes ``kmat @ cols`` straight into the ``[N, Cout, Ho, Wo]`` output.
 
-    The backward closure keeps the kernel and the shapes.  When the
-    kernel records a gradient it also keeps the padded input (kh*kw
-    times smaller than the columns), from which backward rebuilds each
-    tile to add up the kernel gradient tile by tile; a frozen kernel
-    keeps nothing more.  The input gradient is a gather, not a
-    scatter-add: :func:`_conv_input_grad` correlates the zero-padded
-    output gradient with the flipped, transposed kernel, one sub-pixel
-    phase per stride x stride offset, through the same tiled
-    :func:`_correlate`, and returns only the unpadded ``[N, Cin, H, W]``
-    region as one C-contiguous array.
+    The backward closure keeps references, never copies: the kernel's
+    values and, when the kernel records a gradient, the input's values,
+    both taken at forward time (``adam_step`` rebinds ``.data``), plus
+    the shapes.  The input gradient is a gather, not a scatter-add:
+    :func:`_conv_input_grad` correlates the zero-padded output gradient
+    with the flipped, transposed kernel, one sub-pixel phase per stride x
+    stride offset, through the same tiled :func:`_correlate`, and returns
+    only the unpadded ``[N, Cin, H, W]`` region as one C-contiguous array.
+    The kernel gradient is summed tile by tile from one of two tile
+    sources, chosen from the shapes and ``x.requires_grad`` alone: a
+    stride-1 conv with ``Cout <= Cin`` whose input needs a gradient reads
+    it off the output-gradient tiles the input gradient already builds;
+    every other conv pads its input again in backward, for as long as
+    the closure runs, and builds tiles of it.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(
@@ -553,38 +610,32 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
     if bias is not None and bias.data.shape != (cout,):
         raise ShapeError(f"bias shape {bias.data.shape} != ({cout},)")
 
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if padding:
-        xp = np.zeros((n, cin, hp, wp))
-        xp[:, :, padding : padding + h, padding : padding + w] = x.data
-    else:
-        xp = x.data
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
     kdata = kernel.data
     out = np.empty((n, cout, ho, wo))
-    _correlate(xp, kdata.reshape(cout, cin * kh * kw), kh, kw, stride, out)
+    _correlate(_pad(x.data, padding), kdata.reshape(cout, cin * kh * kw), kh, kw, stride, out)
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1)
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    kxp = xp if kernel.requires_grad else None
+    kx = x.data if kernel.requires_grad else None
+    # The output-gradient tiles have Cout*kh*kw rows, the input's Cin*kh*kw;
+    # reuse the former, built anyway for the input gradient, unless larger.
+    from_g = stride == 1 and cout <= cin
 
     def bw(g):
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if kxp is not None:
-            g3 = np.ascontiguousarray(g).reshape(n, cout, ho * wo)
-            gk = None
-            for b, span, cols in _tiles(_windows(kxp, kh, kw, stride, ho, wo)):
-                part = g3[b, :, span] @ cols.T
-                if gk is None:
-                    gk = part
-                else:
-                    gk += part
-            _accumulate(kernel, gk.reshape(kdata.shape))
+        gk = None
         if x.requires_grad:
-            _accumulate(x, _conv_input_grad(g, kdata, stride, padding, h, w))
+            gx, gk = _conv_input_grad(g, kdata, stride, padding, h, w,
+                                      kx if from_g else None)
+            _accumulate(x, gx)
+        if kx is not None:
+            if gk is None:
+                gk = _conv_kernel_grad(g, kx, kdata.shape, stride, padding)
+            _accumulate(kernel, gk)
 
     return _result(out, parents, bw)
 
@@ -845,14 +896,17 @@ def restore_params(blob, named_params, path):
     """Restore parameters saved by :func:`save_params`, by name, from the
     dict :func:`load_checkpoint` read; ``path`` names it in errors.
 
-    A missing entry, the ``.step`` counter included, raises ``KeyError``;
-    a value or Adam moment of the wrong shape ``ShapeError``; a
-    non-finite one, or a step that is not a non-negative integer scalar,
-    ``ValueError``.
+    A missing entry, the Adam moments and the ``.step`` counter included,
+    raises ``KeyError``; a value or Adam moment of the wrong shape
+    ``ShapeError``; a non-finite one, or a step that is not a
+    non-negative integer scalar, ``ValueError``.
     """
     for name, p in named_params:
         if name not in blob:
             raise KeyError(f"{path}: checkpoint missing parameter {name!r}")
+        for key in (name + ".m1", name + ".m2"):
+            if key not in blob:
+                raise KeyError(f"{path}: checkpoint missing entry {key!r}")
         arr, m1, m2 = blob[name], blob[name + ".m1"], blob[name + ".m2"]
         for key, a in ((name, arr), (name + ".m1", m1), (name + ".m2", m2)):
             if a.shape != p.data.shape:

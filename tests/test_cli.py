@@ -437,6 +437,34 @@ class TestEvalCommand:
         assert err.startswith("error: data: ") and "non-finite" in err
         assert err.count("\n") == 1
 
+    def test_missing_adam_moment_is_named_missing(self, cli_corpus, trained_run,
+                                                  tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained_run["model"], model)
+        blob = load_checkpoint(str(model / "model.bin"))
+        del blob["out.w.m1"]
+        save_checkpoint(str(model / "model.bin"), list(blob.items()))
+        rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
+                   "--out", str(tmp_path / "e")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+        assert "checkpoint missing entry 'out.w.m1'" in err
+
+    def test_missing_parameter_message_is_not_quoted(self, cli_corpus, trained_run,
+                                                     tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(trained_run["model"], model)
+        blob = load_checkpoint(str(model / "model.bin"))
+        del blob["enc.0.w"]
+        save_checkpoint(str(model / "model.bin"), list(blob.items()))
+        rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
+                   "--out", str(tmp_path / "e")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: data: corrupt checkpoint in {model}: {model}/model.bin: "
+            "checkpoint missing parameter 'enc.0.w'\n")
+
     def test_old_parameter_names_are_data_error(self, cli_corpus, trained_run,
                                                 tmp_path, capsys):
         """A checkpoint saved under the names used before each conv was one

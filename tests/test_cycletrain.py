@@ -362,6 +362,27 @@ class TestTrainDirection:
         assert np.array_equal(synthesize_sample(res.generator, s, "k"),
                               synthesize_sample(loaded, s, "k"))
 
+    def test_generator_phase_leaves_discriminator_grads_unset(self, tiny_corpus,
+                                                              tmp_path, monkeypatch):
+        """D is frozen for the G phase: at every generator update each D
+        parameter's ``.grad`` is None, and D trains again in the next D
+        phase."""
+        import sgs.cycletrain as cycletrain
+        adam, updates, d_unset = cycletrain.adam_step, [], []
+
+        def recording(params, *args):
+            if len(updates) % 2:  # a generator update, after D's
+                d_unset.append(all(p.grad is None for p in updates[-1]))
+            updates.append(params)
+            adam(params, *args)
+
+        monkeypatch.setattr(cycletrain, "adam_step", recording)
+        cfg = tiny_config()
+        train_direction(tiny_corpus["samples"][:2], tiny_corpus["samples"][2:4], cfg,
+                        "k", 0, None, str(tmp_path / "r"))
+        assert len(d_unset) == cfg.epochs * 2 and all(d_unset)
+        assert all(p.requires_grad for p in updates[0])
+
     def test_frozen_opp_channel_validation(self, tiny_corpus, tmp_path):
         cfg = tiny_config()
         wrong = Generator(3, 1, depth=4, base_channels=2, si_hidden=2,

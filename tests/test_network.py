@@ -236,6 +236,28 @@ class TestGenerator:
             assert f"dec_block{j}" in taps
         assert taps["dec_block3"].data.shape[2:] == (32, 32)
 
+    def test_named_taps_stop_after_the_deepest(self, monkeypatch):
+        """Asked for taps by name, the generator returns them equal to a
+        full forward's and runs no block past the deepest, nor the output
+        conv."""
+        gen = tiny_generator()
+        x, m, layout = gen_inputs(32)
+        _, full = gen.forward(x, m, layout, want_taps=True)
+        ran = []
+        forward = SIResBlock.forward
+
+        def counting(block, *args):
+            ran.append(block)
+            return forward(block, *args)
+
+        monkeypatch.setattr(SIResBlock, "forward", counting)
+        monkeypatch.setattr(gen, "out", None)
+        taps = gen.forward(x, m, layout, want_taps=("dec_block2", "enc_bottleneck"))
+        assert ran == gen.blocks[:2]
+        assert "dec_block3" not in taps
+        for name in ("enc_bottleneck", "dec_block1", "dec_block2"):
+            assert np.array_equal(taps[name].data, full[name].data)
+
     def test_layout_pyramid_resolutions_double(self):
         gen = tiny_generator()
         x, m, layout = gen_inputs(32)

@@ -69,6 +69,22 @@ def conv2d_input_grad_reference(shape, k, g, stride, padding):
     return gxp[:, :, padding : padding + h, padding : padding + w]
 
 
+def conv2d_kernel_grad_reference(x, kshape, g, stride, padding):
+    """Loop oracle for the kernel gradient: each output gradient value
+    times the padded input window it read, summed."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = kshape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gk = np.zeros(kshape)
+    for ni in range(n):
+        for co in range(cout):
+            for oi in range(g.shape[2]):
+                for oj in range(g.shape[3]):
+                    gk[co] += g[ni, co, oi, oj] * xp[ni, :, oi * stride : oi * stride + kh,
+                                                     oj * stride : oj * stride + kw]
+    return gk
+
+
 class TestTensorBasics:
     def test_constructor_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -132,7 +148,7 @@ class TestBackwardConsumesGraph:
 
     def test_walked_graph_is_freed(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 8, 96, 96)), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 8, 128, 128)), requires_grad=True)
         k = Tensor(rng.normal(size=(16, 8, 3, 3)), requires_grad=True)
         slack = 64 * 1024
         tracemalloc.start()
@@ -300,6 +316,13 @@ LOOP_ORACLE_CASES = [
     ((1, 2, 8, 7), (3, 2, 3, 3), 2, 0),
     # An input one row high, smaller than the stride.
     ((3, 2, 1, 9), (2, 2, 3, 3), 2, 1),
+    # Stride 1 with Cout <= Cin: the kernel gradient comes from the output
+    # gradient's tiles when the input needs a gradient.
+    ((2, 4, 6, 5), (2, 4, 3, 3), 1, 1),
+    ((1, 3, 7, 6), (3, 3, 4, 4), 1, 1),
+    ((1, 4, 5, 5), (2, 4, 1, 1), 1, 0),
+    # Padding wider than the kernel: some windows read only zeros.
+    ((1, 2, 4, 4), (1, 2, 3, 3), 1, 3),
 ]
 
 
@@ -342,6 +365,40 @@ class TestConv2d:
         assert x.grad.shape == shape and x.grad.flags.c_contiguous
         ref = conv2d_input_grad_reference(shape, k, g, stride, padding)
         assert np.allclose(x.grad, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-frozen"])
+    @pytest.mark.parametrize("shape,kshape,stride,padding", LOOP_ORACLE_CASES)
+    def test_kernel_gradient_against_loop_oracle(self, shape, kshape, stride, padding,
+                                                 x_grad):
+        rng = np.random.default_rng(hash((shape, kshape, 1)) % 2**32)
+        x = Tensor(rng.normal(size=shape), requires_grad=x_grad)
+        k = Tensor(rng.normal(size=kshape), requires_grad=True)
+        out = conv2d(x, k, None, stride, padding)
+        g = rng.normal(size=out.data.shape)
+        (out * Tensor(g)).sum().backward()
+        assert k.grad.shape == kshape and k.grad.flags.c_contiguous
+        ref = conv2d_kernel_grad_reference(x.data, kshape, g, stride, padding)
+        assert np.allclose(k.grad, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-frozen"])
+    @pytest.mark.parametrize("shape,kshape,stride,padding", LOOP_ORACLE_CASES)
+    def test_kernel_gradient_tile_source(self, shape, kshape, stride, padding, x_grad,
+                                         monkeypatch):
+        """Only a stride-1 conv with Cout <= Cin whose input needs a
+        gradient skips the input's own tiles."""
+        calls = []
+        original = numerics._conv_kernel_grad
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(numerics, "_conv_kernel_grad", counting)
+        x = Tensor(np.ones(shape), requires_grad=x_grad)
+        k = Tensor(np.ones(kshape), requires_grad=True)
+        conv2d(x, k, None, stride, padding).sum().backward()
+        from_g = x_grad and stride == 1 and kshape[0] <= kshape[1]
+        assert len(calls) == (0 if from_g else 1)
 
     def test_stride2_k4_halves_resolution_seven_times(self):
         t = Tensor(np.random.default_rng(1).normal(size=(1, 1, 256, 256)))
@@ -396,23 +453,30 @@ class TestConv2d:
         assert np.array_equal(grads[0][0], grads[1][0])
 
     def test_closure_holds_at_most_the_padded_input(self):
-        """Beyond its output, a trainable-kernel conv keeps no more than its
-        padded input alive for backward, and a frozen-kernel conv nothing."""
+        """Beyond its output, a conv keeps nothing alive for backward, with a
+        trainable kernel or a frozen one, from either kernel-gradient tile
+        source: its closure holds references to arrays, never copies."""
         rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(1, 16, 256, 256)), requires_grad=True)
-        padded = 1 * 16 * 258 * 258 * 8
         slack = 64 * 1024
-        for trainable, limit in ((True, padded + slack), (False, slack)):
-            k = Tensor(rng.normal(size=(16, 16, 3, 3)), requires_grad=trainable)
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                out = conv2d(x, k, None, 1, 1)
-                held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
-            finally:
-                tracemalloc.stop()
-            assert held <= limit, f"trainable={trainable}: {held} bytes held"
-            del out
+        cases = [(True, 16, 1),   # kernel gradient from the g tiles
+                 (False, 16, 1),  # input without gradient: x tiles
+                 (True, 32, 1),   # Cout > Cin: x tiles
+                 (True, 16, 2)]   # stride 2: x tiles
+        for x_grad, cout, stride in cases:
+            x = Tensor(rng.normal(size=(1, 16, 256, 256)), requires_grad=x_grad)
+            for trainable in (True, False):
+                k = Tensor(rng.normal(size=(cout, 16, 3, 3)), requires_grad=trainable)
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    out = conv2d(x, k, None, stride, 1)
+                    held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+                finally:
+                    tracemalloc.stop()
+                assert held <= slack, (
+                    f"x_grad={x_grad} cout={cout} stride={stride} "
+                    f"trainable={trainable}: {held} bytes held")
+                del out
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
