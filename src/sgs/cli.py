@@ -53,7 +53,6 @@ _TRAIN_KEYS = {
     "si_hidden": (int, "hidden width of the SI modulation convs"),
     "use_saliency": (bool, "concatenate the saliency channel"),
     "stages": (int, "iterative cycle stages after stage 0"),
-    "gan_mode": (str, "adversarial loss form: bce or lsgan"),
     "variance_mode": (str, "variance node form: literal or masked"),
     "val_count": (int, "samples held out for validation"),
     "ict_taps": (tuple, "comma-separated tap names for the cycle term"),

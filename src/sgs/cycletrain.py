@@ -77,7 +77,6 @@ class TrainConfig:
     si_hidden: int = 32
     use_saliency: bool = True
     stages: int = 4
-    gan_mode: str = "bce"
     variance_mode: str = "literal"
     val_count: int = 8
     ict_taps: tuple = DEFAULT_ICT_TAPS
@@ -109,8 +108,6 @@ class TrainConfig:
             raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.si_hidden < 1:
             raise ConfigError(f"si_hidden must be >= 1, got {self.si_hidden}")
-        if self.gan_mode not in ("bce", "lsgan"):
-            raise ConfigError(f"unknown gan_mode {self.gan_mode!r}")
         if self.variance_mode not in ("literal", "masked"):
             raise ConfigError(f"unknown variance mode {self.variance_mode!r}")
         try:
@@ -332,7 +329,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
                 src, m_src, lay_src, tgt, _, _ = sample_views(s, direction)
                 fake = gen.forward(src, m_src, lay_src)
                 fakes.append((s, fake))
-                loss_d = discriminator_loss(disc, src, m_src, tgt, fake, cfg.gan_mode)
+                loss_d = discriminator_loss(disc, src, m_src, tgt, fake)
                 if not np.isfinite(loss_d.data):
                     raise NumericalError(
                         f"non-finite discriminator loss at stage {stage} "
@@ -352,7 +349,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
                     targets[s.id] = target_record(
                         sample_views(s, direction), extractor, oracle,
                         cfg.variance_mode, frozen_opp, cfg.ict_taps)
-                terms = objective(fake, disc, targets[s.id], cfg.weights, cfg.gan_mode)
+                terms = objective(fake, disc, targets[s.id], cfg.weights)
                 if not np.isfinite(terms["l_total"].data):
                     raise NumericalError(
                         f"non-finite generator loss at stage {stage} "

@@ -55,10 +55,8 @@ class LossWeights:
 
 
 def _he_conv(rng, cout, cin, k):
-    std = np.sqrt(2.0 / (cin * k * k))
-    w = Tensor(rng.normal(0.0, std, size=(cout, cin, k, k)))
-    b = Tensor(np.zeros(cout))
-    return w, b
+    """A fixed He-initialized kernel; the scorers' convs have no bias."""
+    return Tensor(rng.normal(0.0, np.sqrt(2.0 / (cin * k * k)), size=(cout, cin, k, k)))
 
 
 class FeatureExtractor:
@@ -74,8 +72,8 @@ class FeatureExtractor:
         rng = np.random.default_rng(seed)
         self.in_channels = in_channels
         self.seed = seed
-        self.w1, self.b1 = _he_conv(rng, 8, in_channels, 3)
-        self.w2, self.b2 = _he_conv(rng, 16, 8, 3)
+        self.w1 = _he_conv(rng, 8, in_channels, 3)
+        self.w2 = _he_conv(rng, 16, 8, 3)
 
     def features(self, img):
         """Taps of ``img`` ([C, H, W], H and W divisible by 4)."""
@@ -83,10 +81,9 @@ class FeatureExtractor:
             raise ShapeError(
                 f"extractor expects [{self.in_channels}, H, W], got {img.data.shape}"
             )
-        h = relu(conv2d(img.reshape((1,) + img.data.shape), self.w1, self.b1,
-                        stride=1, padding=1))
+        h = relu(conv2d(img.reshape((1,) + img.data.shape), self.w1, padding=1))
         t1 = avg_pool2d(h, 2)
-        h = relu(conv2d(t1, self.w2, self.b2, stride=1, padding=1))
+        h = relu(conv2d(t1, self.w2, padding=1))
         t2 = avg_pool2d(h, 2)
         return t1, t2
 
@@ -104,8 +101,8 @@ class ParsingOracle:
         rng = np.random.default_rng(seed)
         self.in_channels = in_channels
         self.seed = seed
-        self.w1, self.b1 = _he_conv(rng, 16, in_channels, 3)
-        self.w2, self.b2 = _he_conv(rng, N_CLASSES, 16, 3)
+        self.w1 = _he_conv(rng, 16, in_channels, 3)
+        self.w2 = _he_conv(rng, N_CLASSES, 16, 3)
 
     def probs(self, img):
         """Soft class assignment [1, 12, H, W]; sums to one per pixel."""
@@ -113,32 +110,23 @@ class ParsingOracle:
             raise ShapeError(
                 f"parser expects [{self.in_channels}, H, W], got {img.data.shape}"
             )
-        h = relu(conv2d(img.reshape((1,) + img.data.shape), self.w1, self.b1,
-                        stride=1, padding=1))
-        logits = conv2d(h, self.w2, self.b2, stride=1, padding=1)
+        h = relu(conv2d(img.reshape((1,) + img.data.shape), self.w1, padding=1))
+        logits = conv2d(h, self.w2, padding=1)
         return softmax(logits, axis=1)
 
 
-def gan_term(logits, real, mode="bce"):
-    """Mean adversarial loss of patch ``logits`` against the real (True)
-    or fake (False) label.
-
-    ``mode="bce"`` is sigmoid cross-entropy; ``mode="lsgan"`` swaps in
-    least-squares targets (1 for real, 0 for fake) on the raw logits.
-    """
-    if mode == "bce":
-        return softplus(-logits if real else logits).mean()
-    if mode == "lsgan":
-        d = logits - 1.0 if real else logits
-        return (d * d).mean()
-    raise ValueError(f"unknown adversarial mode {mode!r}")
+def gan_term(logits, real):
+    """Mean sigmoid cross-entropy of patch ``logits`` against the real
+    (True) or fake (False) label: ``softplus(-logits)`` or
+    ``softplus(logits)``.  This is the one adversarial form."""
+    return softplus(-logits if real else logits).mean()
 
 
-def discriminator_loss(d, source, m, y_real, y_fake, mode="bce"):
+def discriminator_loss(d, source, m, y_real, y_fake):
     """One sample's discriminator loss; the fake is detached so only the
     discriminator receives gradients."""
-    real = gan_term(d.forward(source, m, y_real), True, mode)
-    return real + gan_term(d.forward(source, m, y_fake.detach()), False, mode)
+    real = gan_term(d.forward(source, m, y_real), True)
+    return real + gan_term(d.forward(source, m, y_fake.detach()), False)
 
 
 def content_loss(y_real, y_fake):
@@ -252,7 +240,7 @@ def target_record(views, extractor, oracle, variance="literal", teacher=None,
                   teacher_taps=teacher_taps)
 
 
-def objective(fake, d, target, weights, mode="bce"):
+def objective(fake, d, target, weights):
     """Every generator-side loss term of one fake, keyed as in losses.csv.
 
     ``d`` scores the live fake, so the adversarial term's gradient
@@ -262,7 +250,7 @@ def objective(fake, d, target, weights, mode="bce"):
     """
     weights.validate()
     src, m_src, lay_src, tgt, m_tgt, lay_tgt = target.views
-    terms = {"l_gan_g": gan_term(d.forward(src, m_src, fake), True, mode),
+    terms = {"l_gan_g": gan_term(d.forward(src, m_src, fake), True),
              "l_content": content_loss(tgt.detach(), fake),
              "l_perc": tap_mse(target.taps, target.extractor.features(fake)),
              "l_bce": binary_cross_entropy(target.probs, target.oracle.probs(fake))}

@@ -9,10 +9,10 @@ gamma and beta field that multiply and shift the instance-normalized
 activation.  The discriminator is a standard patch classifier over the
 channel-concatenated (source, saliency, candidate) stack.
 
-Every convolution is a :class:`Conv` layer that owns its kernel, bias,
-stride and padding.  A parameter's name, and so its checkpoint entry,
-is its dotted attribute path: ``enc.0.w``, ``blocks.0.si1.heads.w``,
-``out.b``.
+Every convolution is a :class:`Conv` layer that owns its kernel, bias
+(none where an instance norm follows), stride and padding.  A
+parameter's name, and so its checkpoint entry, is its dotted attribute
+path: ``enc.0.w``, ``blocks.0.si1.heads.w``, ``out.b``.
 """
 from __future__ import annotations
 
@@ -77,12 +77,14 @@ class Module:
 
 class Conv(Module):
     """One ``k x k`` convolution: its kernel ``w`` ([cout, cin, k, k],
-    drawn from N(0, WEIGHT_STD^2)), its zero-initialized bias ``b``, and
-    the stride and padding it always runs with."""
+    drawn from N(0, WEIGHT_STD^2)), its zero-initialized bias ``b`` (None
+    with ``bias=False``, for a conv that feeds an instance norm, whose
+    mean subtraction would cancel it), and the stride and padding it
+    always runs with."""
 
-    def __init__(self, rng, cout, cin, k, stride=1, padding=1):
+    def __init__(self, rng, cout, cin, k, stride=1, padding=1, bias=True):
         self.w = Parameter(rng.normal(0.0, WEIGHT_STD, size=(cout, cin, k, k)))
-        self.b = Parameter(np.zeros(cout))
+        self.b = Parameter(np.zeros(cout)) if bias else None
         self.stride = stride
         self.padding = padding
 
@@ -122,13 +124,14 @@ class SIResBlock(Module):
     """Residual block with two (SI -> relu -> conv) legs.
 
     The shortcut is the identity when channel counts match and a 1x1
-    convolution otherwise.
+    convolution otherwise.  ``conv1`` has no bias: it feeds ``si2``,
+    whose instance norm removes one.
     """
 
     def __init__(self, cin, cout, rng, hidden=32):
         cmid = min(cin, cout)
         self.si1 = SIModule(cin, rng, hidden=hidden)
-        self.conv1 = Conv(rng, cmid, cin, 3)
+        self.conv1 = Conv(rng, cmid, cin, 3, bias=False)
         self.si2 = SIModule(cmid, rng, hidden=hidden)
         self.conv2 = Conv(rng, cout, cmid, 3)
         self.skip = Conv(rng, cout, cin, 1, padding=0) if cin != cout else None
@@ -247,8 +250,9 @@ class PatchDiscriminator(Module):
     """Patch logit map over concat(source, saliency, candidate).
 
     Three stride-2 4x4 convolutions, then two stride-1 layers, all with
-    leaky-relu(0.2); a 64x64 input yields a 6x6 logit map.  When saliency
-    is disabled a zero channel is substituted so shapes stay fixed.
+    leaky-relu(0.2); a 64x64 input yields a 6x6 logit map.  Convs 1-3 are
+    instance-normalized and so carry no bias.  When saliency is disabled
+    a zero channel is substituted so shapes stay fixed.
     """
 
     def __init__(self, source_channels, candidate_channels, base_channels=16,
@@ -262,7 +266,7 @@ class PatchDiscriminator(Module):
         self.convs = []
         prev = cin
         for i, c in enumerate(chans):
-            self.convs.append(Conv(rng, c, prev, 4, stride=2 if i < 3 else 1))
+            self.convs.append(Conv(rng, c, prev, 4, stride=2 if i < 3 else 1, bias=i == 0))
             prev = c
         self.final = Conv(rng, 1, prev, 4)
 

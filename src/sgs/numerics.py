@@ -897,11 +897,13 @@ def restore_params(blob, named_params, path):
     dict :func:`load_checkpoint` read; ``path`` names it in errors.
 
     A missing entry, the Adam moments and the ``.step`` counter included,
-    raises ``KeyError``; a value or Adam moment of the wrong shape
-    ``ShapeError``; a non-finite one, or a step that is not a
-    non-negative integer scalar, ``ValueError``.
+    raises ``KeyError``, as does the first entry that names no parameter;
+    a value or Adam moment of the wrong shape ``ShapeError``; a non-finite
+    one, or a step that is not a non-negative integer scalar, ``ValueError``.
     """
+    consumed = set()
     for name, p in named_params:
+        consumed.update((name, name + ".m1", name + ".m2", name + ".step"))
         if name not in blob:
             raise KeyError(f"{path}: checkpoint missing parameter {name!r}")
         for key in (name + ".m1", name + ".m2"):
@@ -930,3 +932,6 @@ def restore_params(blob, named_params, path):
         p.m2 = m2.copy()
         p.step = int(step)
         p.grad = None
+    for key in blob:
+        if key not in consumed:
+            raise KeyError(f"{path}: checkpoint entry {key!r} names no parameter")

@@ -57,9 +57,8 @@ class TestParser:
             main(["train", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--epochs", "--lr", "--image-size", "--gan-mode",
-                     "--weight-content", "--weight-cycle", "--ict-taps",
-                     "--config", "--variance-mode"):
+        for flag in ("--epochs", "--lr", "--image-size", "--weight-content",
+                     "--weight-cycle", "--ict-taps", "--config", "--variance-mode"):
             assert flag in out
 
     @pytest.mark.parametrize("command", ["train", "train-iterative"])
@@ -79,10 +78,13 @@ class TestParser:
         assert set(flags) - {"--data", "--out", "--direction", "--config"} == expected
 
     def test_stats_flag_is_gone(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--data", str(tmp_path / "absent.jsonl"),
-                  "--out", str(tmp_path / "r"), "--stats", "batch"])
-        assert exc.value.code == 2
+        """Deleted options' flags exit 2: ``--stats`` (instance statistics
+        are the one mode) and ``--gan-mode`` (BCE is the one form)."""
+        for flag, value in (("--stats", "batch"), ("--gan-mode", "lsgan")):
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--data", str(tmp_path / "absent.jsonl"),
+                      "--out", str(tmp_path / "r"), flag, value])
+            assert exc.value.code == 2
 
     def test_unknown_flag_fails(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -108,7 +110,7 @@ class TestConfigFile:
             "epochs = 6\n"
             "lr = 0.001  # inline comment\n"
             "use_saliency = false\n"
-            "gan_mode = lsgan\n"
+            "variance_mode = masked\n"
             "weight_content = 50\n"
             "ict_taps = enc_bottleneck,dec_block1,dec_block2,dec_block3,dec_block4\n"
             "\n"
@@ -117,7 +119,7 @@ class TestConfigFile:
         assert values["epochs"] == 6
         assert values["lr"] == 0.001
         assert values["use_saliency"] is False
-        assert values["gan_mode"] == "lsgan"
+        assert values["variance_mode"] == "masked"
         assert values["weight_content"] == 50.0
         assert values["ict_taps"][0] == "enc_bottleneck"
 
@@ -128,12 +130,15 @@ class TestConfigFile:
             read_config_file(str(cfg))
 
     def test_stats_key_is_gone(self, tmp_path, capsys):
+        """Deleted options' config-file keys exit 2 with one line naming
+        the key: ``stats`` and ``gan_mode``."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("stats = batch\n")
-        rc = main(["train", "--data", str(tmp_path / "absent.jsonl"),
-                   "--out", str(tmp_path / "r"), "--config", str(cfg)])
-        assert rc == 2
-        assert capsys.readouterr().err == "error: config: unknown config key 'stats'\n"
+        for key, value in (("stats", "batch"), ("gan_mode", "lsgan")):
+            cfg.write_text(f"{key} = {value}\n")
+            rc = main(["train", "--data", str(tmp_path / "absent.jsonl"),
+                       "--out", str(tmp_path / "r"), "--config", str(cfg)])
+            assert rc == 2
+            assert capsys.readouterr().err == f"error: config: unknown config key '{key}'\n"
 
     @pytest.mark.parametrize("line", ["epochs = 2.7", "seed = 3.9", "stages = true"])
     def test_int_key_rejects_fraction_and_bool(self, tmp_path, capsys, line):
@@ -464,6 +469,22 @@ class TestEvalCommand:
         assert capsys.readouterr().err == (
             f"error: data: corrupt checkpoint in {model}: {model}/model.bin: "
             "checkpoint missing parameter 'enc.0.w'\n")
+
+    def test_entry_naming_no_parameter_is_data_error(self, cli_corpus, trained_run,
+                                                     tmp_path, capsys):
+        """A checkpoint with an entry the model does not have, such as the
+        ``conv1.b`` an older version saved, is not loaded."""
+        model = tmp_path / "model"
+        shutil.copytree(trained_run["model"], model)
+        blob = load_checkpoint(str(model / "model.bin"))
+        blob["blocks.0.conv1.b"] = np.zeros(blob["blocks.0.conv1.w"].shape[0])
+        save_checkpoint(str(model / "model.bin"), list(blob.items()))
+        rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
+                   "--out", str(tmp_path / "e")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: data: corrupt checkpoint in {model}: {model}/model.bin: "
+            "checkpoint entry 'blocks.0.conv1.b' names no parameter\n")
 
     def test_old_parameter_names_are_data_error(self, cli_corpus, trained_run,
                                                 tmp_path, capsys):

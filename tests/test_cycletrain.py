@@ -29,8 +29,16 @@ from sgs.cycletrain import (
     synthesize_sample,
     train_direction,
 )
-from sgs.layout import DataError, SaliencyMap, SemanticLayout
-from sgs.losses import FeatureExtractor, LossWeights, ParsingOracle, objective, target_record
+from sgs.datagen import generate_corpus
+from sgs.layout import DataError, SaliencyMap, SemanticLayout, load_corpus
+from sgs.losses import (
+    FeatureExtractor,
+    LossWeights,
+    ParsingOracle,
+    discriminator_loss,
+    objective,
+    target_record,
+)
 from sgs.network import Generator, PatchDiscriminator
 from sgs.numerics import Tensor, load_checkpoint
 
@@ -70,7 +78,6 @@ class TestTrainConfig:
         ("image_size", 40, "2\\*\\*depth"),
         ("base_channels", 0, "base_channels"),
         ("si_hidden", 0, "si_hidden"),
-        ("gan_mode", "wasserstein", "gan_mode"),
         ("variance_mode", "robust", "variance"),
     ])
     def test_rejections(self, field, value, hint):
@@ -391,6 +398,36 @@ class TestTrainDirection:
             train_direction(tiny_corpus["samples"][:2],
                             tiny_corpus["samples"][2:4], cfg, "k", 1, wrong,
                             str(tmp_path / "r"))
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_every_bias_gets_a_gradient(tmp_path, direction):
+    """At desk widths and init, one D-loss backward and one ``objective``
+    backward with D frozen give every conv bias of G and D a gradient on
+    its kernel's scale: no bias feeds a norm that cancels it."""
+    sample = load_corpus(generate_corpus(str(tmp_path), 1, 64, seed=1))[0]
+    cfg = TrainConfig()
+    in_ch, out_ch = direction_channels(direction)
+    gen = Generator(in_ch, out_ch, depth=cfg.depth, base_channels=cfg.base_channels,
+                    si_hidden=cfg.si_hidden, image_size=64, seed=1)
+    disc = PatchDiscriminator(in_ch, out_ch, base_channels=cfg.base_channels, seed=2)
+    views = sample_views(sample, direction)
+    src, m_src, lay_src, tgt, _, _ = views
+    fake = gen.forward(src, m_src, lay_src)
+    discriminator_loss(disc, src, m_src, tgt, fake).backward()
+    disc.freeze()
+    target = target_record(views, FeatureExtractor(out_ch, seed=3),
+                           ParsingOracle(out_ch, seed=4))
+    objective(fake, disc, target, cfg.weights)["l_total"].backward()
+    dead = []
+    for net in (gen, disc):
+        params = dict(net.named_params())
+        for name, b in params.items():
+            if name.endswith(".b"):
+                ratio = np.abs(b.grad).max() / np.abs(params[name[:-1] + "w"].grad).max()
+                if not ratio > 1e-6:
+                    dead.append((name, ratio))
+    assert not dead
 
 
 @pytest.fixture(scope="module")

@@ -168,7 +168,7 @@ class TestSIModule:
         assert [n for n, _ in gen.named_params()] == (
             ["enc.0.w", "enc.0.b"]
             + [f"blocks.0.si1.{n}" for n in si_names]
-            + ["blocks.0.conv1.w", "blocks.0.conv1.b"]
+            + ["blocks.0.conv1.w"]
             + [f"blocks.0.si2.{n}" for n in si_names]
             + ["blocks.0.conv2.w", "blocks.0.conv2.b", "out.w", "out.b"]
         )
@@ -298,6 +298,12 @@ class TestGenerator:
         with pytest.raises(ShapeError):
             gen.forward(x, m, SemanticLayout(rand_layout(16)))
 
+    def test_desk_parameter_count(self):
+        """Desk widths: per block SI shared/heads twice, conv1's kernel,
+        conv2's kernel and bias, and a projection skip's two when channels
+        change; plus the five encoder convs and the output conv."""
+        assert len(Generator(3, 1).params()) == 73
+
     def test_weight_gradients_match_finite_differences(self):
         gen = Generator(in_channels=1, out_channels=1, depth=2, base_channels=2,
                         si_hidden=2, image_size=8, seed=9)
@@ -335,6 +341,12 @@ class TestPatchDiscriminator:
         d = PatchDiscriminator(3, 1, base_channels=4, seed=0)
         logits = d.forward(*self._inputs(32))
         assert logits.data.shape == (1, 1, 2, 2)
+
+    def test_only_unnormalized_convs_have_biases(self):
+        d = PatchDiscriminator(3, 1, base_channels=4, seed=0)
+        assert [n for n, _ in d.named_params()] == (
+            ["convs.0.w", "convs.0.b", "convs.1.w", "convs.2.w", "convs.3.w",
+             "final.w", "final.b"])
 
     def test_final_bias_shifts_logits_uniformly(self):
         d = PatchDiscriminator(3, 1, base_channels=4, seed=1)

@@ -843,6 +843,13 @@ class TestCheckpointContainer:
             restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
                            str(path))
 
+    def test_load_params_stray_entry_rejected(self, tmp_path):
+        path = tmp_path / "p.bin"
+        save_params(str(path), [("w", Parameter(np.ones(3))), ("b", Parameter(np.zeros(3)))])
+        with pytest.raises(KeyError, match="'b' names no parameter"):
+            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
+                           str(path))
+
     def test_load_params_missing_name(self, tmp_path):
         p = Parameter(np.ones(3))
         path = tmp_path / "p.bin"
