@@ -7,7 +7,8 @@ checkpoint per direction, and renders contact sheets of its outputs.
 
 The defaults finish in about a minute on a laptop; pass --stages 4
 --epochs 16 --base-channels 16 --si-hidden 32 for the configuration the
-conformance tests exercise.
+conformance tests exercise.  A bad option or corpus exits 2 or 3 with one
+``error: <kind>: <message>`` line, as ``sgs`` does.
 """
 import argparse
 import json
@@ -16,10 +17,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from sgs.cli import _fail, _split_corpus
 from sgs.cli import main as cli_main
-from sgs.cycletrain import TrainConfig, run_iterative, select_optimal
+from sgs.cycletrain import ConfigError, TrainConfig, run_iterative, select_optimal
 from sgs.datagen import generate_corpus
-from sgs.layout import load_corpus
+from sgs.layout import DataError
 
 
 def parse_args(argv):
@@ -39,21 +41,28 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
+    try:
+        return run(args)
+    except DataError as err:
+        return _fail(3, "data", err)
+    except ConfigError as err:
+        return _fail(2, "config", err)
+
+
+def run(args):
+    cfg = TrainConfig(epochs=args.epochs, image_size=args.size,
+                      depth=args.depth, base_channels=args.base_channels,
+                      si_hidden=args.si_hidden, stages=args.stages,
+                      val_count=args.val_count, seed=args.seed).validate()
     os.makedirs(args.out, exist_ok=True)
 
     corpus_dir = os.path.join(args.out, "corpus")
     manifest = generate_corpus(corpus_dir, args.samples, args.size,
                                seed=args.seed)
-    samples = load_corpus(manifest)
-    print(f"corpus: {len(samples)} paired samples at {args.size}px "
+    train, val = _split_corpus(manifest, cfg.val_count)
+    print(f"corpus: {len(train) + len(val)} paired samples at {args.size}px "
           f"in {corpus_dir}")
 
-    cfg = TrainConfig(epochs=args.epochs, image_size=args.size,
-                      depth=args.depth, base_channels=args.base_channels,
-                      si_hidden=args.si_hidden, stages=args.stages,
-                      val_count=args.val_count, seed=args.seed)
-    train = samples[:-cfg.val_count]
-    val = samples[-cfg.val_count:]
     run_dir = os.path.join(args.out, "run")
     result = run_iterative(train, val, cfg, run_dir)
 

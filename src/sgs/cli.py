@@ -32,7 +32,7 @@ from .cycletrain import (
 )
 from .datagen import corpus_stats, generate_corpus
 from .graphs import graph_dump
-from .layout import DataError, load_corpus, write_gray, write_photo, write_pnm
+from .layout import DataError, load_corpus, write_gray, write_photo
 from .losses import LossWeights
 from .numerics import atomic_open
 
@@ -274,7 +274,7 @@ def _write_contact_sheet(path, tiles, columns=8):
     for i, tile in enumerate(tiles):
         r, c = divmod(i, cols)
         sheet[:, r * h:(r + 1) * h, c * w:(c + 1) * w] = tile
-    write_pnm(path, np.rint(np.clip(sheet, 0.0, 1.0) * 255.0).transpose(1, 2, 0), 255)
+    write_photo(path, sheet)
 
 
 def cmd_eval(args):

@@ -33,6 +33,7 @@ from .losses import (
 from .metrics import evaluate_pairs
 from .network import Generator, PatchDiscriminator
 from .numerics import (
+    Adam,
     adam_step,
     atomic_open,
     load_checkpoint,
@@ -47,7 +48,7 @@ DEFAULT_ICT_TAPS = (
 )
 
 MODEL_JSON_KEYS = (
-    "depth", "base_channels", "in_channels", "out_channels",
+    "depth", "base_channels", "si_hidden", "in_channels", "out_channels",
     "use_saliency", "image_size", "seed",
 )
 
@@ -202,10 +203,10 @@ def save_generator(gen, out_dir):
 def load_generator(model_dir):
     """Rebuild a generator from model.json + model.bin.
 
-    The SI hidden width is not part of the config file; it is inferred
-    from the shared-conv weight shape in the checkpoint.  A checkpoint
-    without that entry, such as one saved under older parameter names,
-    raises ``DataError`` naming it.
+    ``model.json`` holds every constructor argument (``MODEL_JSON_KEYS``),
+    so the generator is built from it alone; ``model.bin`` then restores
+    its weights.  Anything missing, mistyped or inconsistent, such as a
+    checkpoint saved by an older version, raises ``DataError``.
     """
     json_path = os.path.join(model_dir, "model.json")
     bin_path = os.path.join(model_dir, "model.bin")
@@ -221,28 +222,15 @@ def load_generator(model_dir):
         raise DataError(f"{json_path}: expected a JSON object, got {type(cfg).__name__}")
     missing = [k for k in MODEL_JSON_KEYS if k not in cfg]
     if missing:
-        raise ConfigError(f"{model_dir}/model.json missing keys {missing}")
+        raise DataError(f"{json_path}: missing keys {missing}")
     # The seed (an int or a seed list) is checked by the generator's rng.
     mistyped = [k for k in MODEL_JSON_KEYS if k != "seed"
                 and type(cfg[k]) is not (bool if k == "use_saliency" else int)]
     if mistyped:
         raise DataError(f"{json_path}: wrong value type for {mistyped}")
     try:
-        blob = load_checkpoint(bin_path)
-        shared = "blocks.0.si1.shared.w"
-        if shared not in blob:
-            raise DataError(f"{bin_path}: checkpoint missing parameter {shared!r}")
-        gen = Generator(
-            in_channels=cfg["in_channels"],
-            out_channels=cfg["out_channels"],
-            depth=cfg["depth"],
-            base_channels=cfg["base_channels"],
-            si_hidden=int(blob[shared].shape[0]),
-            use_saliency=cfg["use_saliency"],
-            image_size=cfg["image_size"],
-            seed=cfg["seed"],
-        )
-        restore_params(blob, gen.named_params(), bin_path)
+        gen = Generator(**{k: cfg[k] for k in MODEL_JSON_KEYS})
+        restore_params(load_checkpoint(bin_path), gen.named_params(), bin_path)
     except (KeyError, IndexError, TypeError, ValueError) as err:
         # str() of a KeyError quotes its message; print the message itself.
         msg = err.args[0] if isinstance(err, KeyError) and err.args else err
@@ -280,9 +268,13 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
     """Train one direction for one stage; writes the checkpoint directory.
 
     ``frozen_opp`` is the opposite-direction generator from the previous
-    stage (None at stage 0, where the cycle term is absent).
+    stage (None at stage 0, where the cycle term is absent).  The Adam
+    state of both networks lives only for the call: the returned
+    generator holds its weights and nothing else.
     """
     cfg.validate()
+    if not train_samples:
+        raise ConfigError("no training samples")
     didx = _dir_index(direction)
     in_ch, out_ch = direction_channels(direction)
     if frozen_opp is not None:
@@ -303,6 +295,8 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
                               seed=[cfg.seed, stage, didx, 1])
     extractor = feature_extractor(cfg.seed, direction)
     oracle = ParsingOracle(out_ch, seed=[cfg.seed, 92, didx])
+    d_opt = Adam(disc.params(), cfg.beta1, cfg.beta2)
+    g_opt = Adam(gen.params(), cfg.beta1, cfg.beta2)
     shuffle_rng = np.random.default_rng([cfg.seed, stage, didx, 4])
     targets = {}  # sample id -> Target, built on first use, constant for the stage
 
@@ -337,7 +331,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
                     )
                 (loss_d * scale).backward()
                 vals["l_gan_d"] += loss_d.item() * scale
-            adam_step(disc.params(), lr, cfg.beta1, cfg.beta2)
+            adam_step(d_opt, lr)
 
             # Generator phase, scored by the discriminator just updated.
             # D is frozen for it: its convs compute input gradients only.
@@ -358,7 +352,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
                 (terms["l_total"] * scale).backward()
                 for key, t in terms.items():
                     vals[key] += t.item() * scale
-            adam_step(gen.params(), lr, cfg.beta1, cfg.beta2)
+            adam_step(g_opt, lr)
             disc.freeze(False)
 
             step += 1

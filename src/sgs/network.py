@@ -175,6 +175,7 @@ class Generator(Module):
         self.out_channels = out_channels
         self.depth = depth
         self.base_channels = base_channels
+        self.si_hidden = si_hidden
         self.use_saliency = use_saliency
         self.image_size = image_size
         self.seed = seed

@@ -744,19 +744,33 @@ def modulate(x, heads):
 
 
 class Parameter(Tensor):
-    """Trainable tensor carrying Adam moment buffers and a step counter."""
+    """A trainable tensor: the leaf type ``Module.named_params`` collects
+    and ``Module.freeze`` switches.  It holds its value and gradient
+    only; optimizer state lives in :class:`Adam`."""
 
-    __slots__ = ("m1", "m2", "step")
+    __slots__ = ()
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.m1 = np.zeros_like(self.data)
-        self.m2 = np.zeros_like(self.data)
+
+
+class Adam:
+    """Adam's state for a fixed list of parameters (Kingma & Ba 2015):
+    one first- and one second-moment array per parameter, zeros at the
+    start, and one step count shared by all of them.  :func:`adam_step`
+    advances it."""
+
+    def __init__(self, params, beta1=0.5, beta2=0.999):
+        self.params = list(params)
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.m1 = [np.zeros_like(p.data) for p in self.params]
+        self.m2 = [np.zeros_like(p.data) for p in self.params]
         self.step = 0
 
 
-def adam_step(params, lr, beta1=0.5, beta2=0.999):
-    """One bias-corrected Adam update over ``params`` (in place).
+def adam_step(opt, lr):
+    """One bias-corrected Adam update of ``opt.params`` (in place).
 
     The moments are updated in their own buffers, in the operation order
     of ``m1 = beta1*m1 + (1-beta1)*g``, ``m2 = beta2*m2 + (1-beta2)*(g*g)``
@@ -764,24 +778,25 @@ def adam_step(params, lr, beta1=0.5, beta2=0.999):
     formula.  ``p.data`` is rebound, never written: a graph recorded
     before the step may still read it.
 
-    Parameters with no accumulated gradient are rejected: that always
-    means a bookkeeping bug, never a legitimate no-op.
+    A parameter with no accumulated gradient is rejected before anything
+    moves: that always means a bookkeeping bug, never a legitimate no-op.
     """
-    for p in params:
+    for p in opt.params:
         if p.grad is None:
             raise ValueError("adam_step found a parameter with no gradient")
-    for p in params:
+    opt.step += 1
+    beta1, beta2, step = opt.beta1, opt.beta2, opt.step
+    for p, m1, m2 in zip(opt.params, opt.m1, opt.m2):
         g = p.grad
-        p.step += 1
         tmp = np.multiply(1.0 - beta1, g)
-        p.m1 *= beta1
-        p.m1 += tmp
+        m1 *= beta1
+        m1 += tmp
         np.multiply(g, g, out=tmp)
         tmp *= 1.0 - beta2
-        p.m2 *= beta2
-        p.m2 += tmp
-        mhat = np.divide(p.m1, 1.0 - beta1 ** p.step, out=tmp)
-        vhat = p.m2 / (1.0 - beta2 ** p.step)
+        m2 *= beta2
+        m2 += tmp
+        mhat = np.divide(m1, 1.0 - beta1 ** step, out=tmp)
+        vhat = m2 / (1.0 - beta2 ** step)
         np.sqrt(vhat, out=vhat)
         vhat += 1e-8
         mhat *= lr
@@ -882,56 +897,35 @@ def load_checkpoint(path):
 
 
 def save_params(path, named_params):
-    """Persist (name, Parameter) pairs with their optimizer state."""
-    entries = []
-    for name, p in named_params:
-        entries.append((name, p.data))
-        entries.append((name + ".m1", p.m1))
-        entries.append((name + ".m2", p.m2))
-        entries.append((name + ".step", np.float64(p.step)))
-    save_checkpoint(path, entries)
+    """Persist the values of (name, Parameter) pairs, one entry each, in
+    the order given."""
+    save_checkpoint(path, [(name, p.data) for name, p in named_params])
 
 
 def restore_params(blob, named_params, path):
     """Restore parameters saved by :func:`save_params`, by name, from the
     dict :func:`load_checkpoint` read; ``path`` names it in errors.
 
-    A missing entry, the Adam moments and the ``.step`` counter included,
-    raises ``KeyError``, as does the first entry that names no parameter;
-    a value or Adam moment of the wrong shape ``ShapeError``; a non-finite
-    one, or a step that is not a non-negative integer scalar, ``ValueError``.
+    A missing entry raises ``KeyError``, as does the first entry that
+    names no parameter (an Adam moment or ``.step`` entry that older
+    versions saved among them); a value of the wrong shape
+    ``ShapeError``; a non-finite one ``ValueError``.
     """
-    consumed = set()
+    names = set()
     for name, p in named_params:
-        consumed.update((name, name + ".m1", name + ".m2", name + ".step"))
+        names.add(name)
         if name not in blob:
             raise KeyError(f"{path}: checkpoint missing parameter {name!r}")
-        for key in (name + ".m1", name + ".m2"):
-            if key not in blob:
-                raise KeyError(f"{path}: checkpoint missing entry {key!r}")
-        arr, m1, m2 = blob[name], blob[name + ".m1"], blob[name + ".m2"]
-        for key, a in ((name, arr), (name + ".m1", m1), (name + ".m2", m2)):
-            if a.shape != p.data.shape:
-                raise ShapeError(
-                    f"{path}: checkpoint entry {key!r} has shape {a.shape}, "
-                    f"expected {p.data.shape}"
-                )
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"{path}: checkpoint entry {key!r} holds non-finite values")
-        key = name + ".step"
-        if key not in blob:
-            raise KeyError(f"{path}: checkpoint missing entry {key!r}")
-        step = blob[key]
-        if step.shape != () or not np.isfinite(step) or step < 0 or step % 1:
-            raise ValueError(
-                f"{path}: checkpoint entry {key!r} is {step.tolist()!r}, "
-                "not a non-negative integer"
+        arr = blob[name]
+        if arr.shape != p.data.shape:
+            raise ShapeError(
+                f"{path}: checkpoint entry {name!r} has shape {arr.shape}, "
+                f"expected {p.data.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: checkpoint entry {name!r} holds non-finite values")
         p.data = arr.copy()
-        p.m1 = m1.copy()
-        p.m2 = m2.copy()
-        p.step = int(step)
         p.grad = None
     for key in blob:
-        if key not in consumed:
+        if key not in names:
             raise KeyError(f"{path}: checkpoint entry {key!r} names no parameter")

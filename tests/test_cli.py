@@ -411,15 +411,19 @@ class TestEvalCommand:
         (None, "image_size", 32.0),
         (None, "use_saliency", "no"),
         (None, "seed", "x"),
+        (None, "si_hidden", None),
     ], ids=["invalid-json", "not-an-object", "depth-str", "size-float",
-            "saliency-str", "seed-str"])
+            "saliency-str", "seed-str", "missing-key"])
     def test_malformed_model_json_is_data_error(self, cli_corpus, trained_run,
                                                 tmp_path, capsys, text, key, value):
         model = tmp_path / "model"
         shutil.copytree(trained_run["model"], model)
         if text is None:
             cfg = json.loads((model / "model.json").read_text())
-            cfg[key] = value
+            if value is None:  # the key a checkpoint from an older version lacks
+                del cfg[key]
+            else:
+                cfg[key] = value
             text = json.dumps(cfg)
         (model / "model.json").write_text(text)
         rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
@@ -442,19 +446,21 @@ class TestEvalCommand:
         assert err.startswith("error: data: ") and "non-finite" in err
         assert err.count("\n") == 1
 
-    def test_missing_adam_moment_is_named_missing(self, cli_corpus, trained_run,
-                                                  tmp_path, capsys):
+    def test_adam_moment_entry_is_data_error(self, cli_corpus, trained_run,
+                                             tmp_path, capsys):
+        """A checkpoint holds weights only; an Adam moment entry, as older
+        versions saved one beside each parameter, is not loaded."""
         model = tmp_path / "model"
         shutil.copytree(trained_run["model"], model)
         blob = load_checkpoint(str(model / "model.bin"))
-        del blob["out.w.m1"]
+        blob["out.w.m1"] = np.zeros_like(blob["out.w"])
         save_checkpoint(str(model / "model.bin"), list(blob.items()))
         rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
                    "--out", str(tmp_path / "e")])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: data: ") and err.count("\n") == 1
-        assert "checkpoint missing entry 'out.w.m1'" in err
+        assert "checkpoint entry 'out.w.m1' names no parameter" in err
 
     def test_missing_parameter_message_is_not_quoted(self, cli_corpus, trained_run,
                                                      tmp_path, capsys):
@@ -495,24 +501,23 @@ class TestEvalCommand:
         shutil.copytree(trained_run["model"], model)
         old = []
         for name, arr in load_checkpoint(str(model / "model.bin")).items():
-            layer, wb, suffix = re.fullmatch(r"(.*)\.([wb])(\.m1|\.m2|\.step)?", name).groups()
-            suffix = suffix or ""
+            layer, wb = re.fullmatch(r"(.*)\.([wb])", name).groups()
             enc = re.fullmatch(r"enc\.(\d+)", layer)
             if enc:
-                old.append((f"enc_{wb}s.{enc[1]}{suffix}", arr))
+                old.append((f"enc_{wb}s.{enc[1]}", arr))
             elif layer.endswith(".heads"):
-                gamma, beta = np.split(arr, 2) if arr.ndim else (arr, arr)
-                old.append((f"{layer[:-5]}gamma_{wb}{suffix}", gamma))
-                old.append((f"{layer[:-5]}beta_{wb}{suffix}", beta))
+                gamma, beta = np.split(arr, 2)
+                old.append((f"{layer[:-5]}gamma_{wb}", gamma))
+                old.append((f"{layer[:-5]}beta_{wb}", beta))
             else:
-                old.append((f"{layer}_{wb}{suffix}", arr))
+                old.append((f"{layer}_{wb}", arr))
         save_checkpoint(str(model / "model.bin"), old)
         rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
                    "--out", str(tmp_path / "e")])
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: data: ") and err.count("\n") == 1
-        assert "missing parameter 'blocks.0.si1.shared.w'" in err
+        assert "missing parameter 'enc.0.w'" in err
 
     def test_thread_pool_matches_serial(self, cli_corpus, trained_run, tmp_path,
                                         monkeypatch):
@@ -615,3 +620,20 @@ class TestEntryPoint:
         for direction in ("k", "o"):
             assert report[direction]["stage"] in (0, 1)
             assert os.path.isfile(os.path.join(report[direction]["path"], "model.bin"))
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--samples", "2", "--val-count", "2"],
+         "val_count 2 leaves no training data (corpus has 2)"),
+        (["--val-count", "0"], "val_count must be >= 2, got 0"),
+    ], ids=["all-held-out", "val-count-0"])
+    def test_desk_experiment_script_empty_training_set(self, tmp_path, flags, message):
+        """A split that leaves nothing to train on exits 2 with one line."""
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                              "run_desk_experiment.py")
+        proc = subprocess.run(
+            [sys.executable, script, "--out", str(tmp_path / "run"), "--size", "32",
+             "--epochs", "2", "--depth", "4", "--base-channels", "4",
+             "--si-hidden", "4"] + flags,
+            capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: config: {message}\n"

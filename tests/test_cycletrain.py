@@ -217,17 +217,26 @@ class TestCheckpointRoundTrip:
         b = synthesize_sample(loaded, s, "k")
         assert np.array_equal(a, b)
 
-    def test_si_hidden_inferred_from_blob(self, tmp_path):
+    def test_si_hidden_round_trips(self, tmp_path):
         gen = self.make_gen(si_hidden=3)
         save_generator(gen, str(tmp_path))
+        with open(tmp_path / "model.json") as f:
+            assert json.load(f)["si_hidden"] == 3
         loaded = load_generator(str(tmp_path))
+        assert loaded.si_hidden == 3
         assert loaded.blocks[0].si1.shared.w.data.shape[0] == 3
+
+    def test_model_bin_holds_one_entry_per_parameter(self, tmp_path):
+        gen = self.make_gen()
+        save_generator(gen, str(tmp_path))
+        blob = load_checkpoint(str(tmp_path / "model.bin"))
+        assert list(blob) == [n for n, _ in gen.named_params()]
 
     def test_model_json_keys(self, tmp_path):
         save_generator(self.make_gen(), str(tmp_path))
         with open(tmp_path / "model.json") as f:
             cfg = json.load(f)
-        assert set(cfg) == {"depth", "base_channels", "in_channels",
+        assert set(cfg) == {"depth", "base_channels", "si_hidden", "in_channels",
                             "out_channels", "use_saliency", "image_size", "seed"}
 
     def test_missing_files_rejected(self, tmp_path):
@@ -245,7 +254,7 @@ class TestCheckpointRoundTrip:
         del cfg["depth"]
         with open(tmp_path / "model.json", "w") as f:
             json.dump(cfg, f)
-        with pytest.raises(ConfigError, match="depth"):
+        with pytest.raises(DataError, match="depth"):
             load_generator(str(tmp_path))
 
     def test_list_seed_round_trips(self, tmp_path):
@@ -283,14 +292,15 @@ class TestTruncatedCheckpoint:
         load_with_model_bin(small_checkpoint, small_checkpoint["model.bin"])
 
     def test_cut_before_last_step_entry_is_data_error(self, small_checkpoint, tmp_path):
-        """The last entry is the last parameter's rank-0 ``.step``: u32 name
-        length, the name, u32 rank 0, one float64."""
+        """The last entry is the last parameter, the output bias ``out.b``
+        of shape [1]: u32 name length, the name, u32 rank 1, u32 dim, one
+        float64.  A file cut just before it is missing that parameter."""
         blob = small_checkpoint["model.bin"]
         (tmp_path / "model.bin").write_bytes(blob)
         last = list(load_checkpoint(str(tmp_path / "model.bin")))[-1]
-        assert last.endswith(".step")
-        cut = len(blob) - (4 + len(last.encode("utf-8")) + 4 + 8)
-        with pytest.raises(DataError, match="step"):
+        assert last == "out.b"
+        cut = len(blob) - (4 + len(last.encode("utf-8")) + 4 + 4 + 8)
+        with pytest.raises(DataError, match="missing parameter 'out.b'"):
             load_with_model_bin(small_checkpoint, blob[:cut])
 
     @settings(max_examples=60, deadline=None)
@@ -340,6 +350,12 @@ class TestTrainDirection:
         assert os.path.exists(tmp_path / "r" / "model.bin")
         assert os.path.exists(tmp_path / "r" / "val_metrics.json")
 
+    def test_empty_training_set_is_config_error(self, tiny_corpus, tmp_path):
+        with pytest.raises(ConfigError, match="no training samples"):
+            train_direction([], tiny_corpus["samples"][:2], tiny_config(), "k", 0,
+                            None, str(tmp_path / "r"))
+        assert not (tmp_path / "r").exists()
+
     def test_deterministic_given_seed(self, tiny_corpus, tmp_path):
         cfg = tiny_config()
         train = tiny_corpus["samples"][:3]
@@ -377,11 +393,11 @@ class TestTrainDirection:
         import sgs.cycletrain as cycletrain
         adam, updates, d_unset = cycletrain.adam_step, [], []
 
-        def recording(params, *args):
+        def recording(opt, *args):
             if len(updates) % 2:  # a generator update, after D's
                 d_unset.append(all(p.grad is None for p in updates[-1]))
-            updates.append(params)
-            adam(params, *args)
+            updates.append(opt.params)
+            adam(opt, *args)
 
         monkeypatch.setattr(cycletrain, "adam_step", recording)
         cfg = tiny_config()

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from sgs import numerics
 from sgs.numerics import (
+    Adam,
     Parameter,
     ShapeError,
     Tensor,
@@ -666,22 +667,24 @@ class TestAdam:
         p = Parameter(np.array([1.0, -2.0]))
         g = np.array([0.5, -0.25])
         p.grad = g.copy()
-        adam_step([p], lr=0.1, beta1=0.5, beta2=0.999)
+        opt = Adam([p], beta1=0.5, beta2=0.999)
+        adam_step(opt, lr=0.1)
         # After one bias-corrected step, mhat == g and vhat == g*g.
         expected = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + 1e-8)
         assert np.allclose(p.data, expected, atol=1e-12)
-        assert p.step == 1
+        assert opt.step == 1
 
     def test_matches_reference_implementation_over_steps(self):
         rng = np.random.default_rng(0)
         p = Parameter(rng.normal(size=(4,)))
+        opt = Adam([p], beta1=0.5, beta2=0.999)
         ref = p.data.copy()
         m = np.zeros(4)
         v = np.zeros(4)
         for step in range(1, 6):
             g = rng.normal(size=(4,))
             p.grad = g.copy()
-            adam_step([p], lr=0.01, beta1=0.5, beta2=0.999)
+            adam_step(opt, lr=0.01)
             m = 0.5 * m + 0.5 * g
             v = 0.999 * v + 0.001 * g * g
             mhat = m / (1 - 0.5 ** step)
@@ -690,34 +693,52 @@ class TestAdam:
             assert np.allclose(p.data, ref, atol=1e-12)
 
     def test_bytes_match_out_of_place_formula(self):
+        """Over two parameters of different shapes, every moment and
+        weight equals the out-of-place formula bit for bit, and the one
+        step count advances once per update."""
         rng = np.random.default_rng(7)
-        p = Parameter(rng.normal(size=(3, 5)))
-        data, m1, m2 = p.data.copy(), np.zeros((3, 5)), np.zeros((3, 5))
+        shapes = [(3, 5), (4,)]
+        params = [Parameter(rng.normal(size=s)) for s in shapes]
+        opt = Adam(params, beta1=0.5, beta2=0.999)
+        data = [p.data.copy() for p in params]
+        m1 = [np.zeros(s) for s in shapes]
+        m2 = [np.zeros(s) for s in shapes]
         lr, beta1, beta2 = 2e-4, 0.5, 0.999
         for step in range(1, 8):
-            g = rng.normal(size=(3, 5)) * 10.0 ** rng.integers(-6, 2)
-            p.grad = g.copy()
-            adam_step([p], lr, beta1, beta2)
-            m1 = beta1 * m1 + (1.0 - beta1) * g
-            m2 = beta2 * m2 + (1.0 - beta2) * (g * g)
-            mhat = m1 / (1.0 - beta1 ** step)
-            vhat = m2 / (1.0 - beta2 ** step)
-            data = data - lr * mhat / (np.sqrt(vhat) + 1e-8)
-            assert np.array_equal(p.m1, m1)
-            assert np.array_equal(p.m2, m2)
-            assert np.array_equal(p.data, data)
+            for i, p in enumerate(params):
+                g = rng.normal(size=shapes[i]) * 10.0 ** rng.integers(-6, 2)
+                p.grad = g.copy()
+                m1[i] = beta1 * m1[i] + (1.0 - beta1) * g
+                m2[i] = beta2 * m2[i] + (1.0 - beta2) * (g * g)
+                mhat = m1[i] / (1.0 - beta1 ** step)
+                vhat = m2[i] / (1.0 - beta2 ** step)
+                data[i] = data[i] - lr * mhat / (np.sqrt(vhat) + 1e-8)
+            adam_step(opt, lr)
+            assert opt.step == step
+            for i, p in enumerate(params):
+                assert np.array_equal(opt.m1[i], m1[i])
+                assert np.array_equal(opt.m2[i], m2[i])
+                assert np.array_equal(p.data, data[i])
 
     def test_missing_gradient_rejected(self):
-        p = Parameter(np.ones(2))
+        p, q = Parameter(np.ones(2)), Parameter(np.ones(2))
+        p.grad = np.ones(2)
+        opt = Adam([p, q])
         with pytest.raises(ValueError):
-            adam_step([p], lr=0.1)
+            adam_step(opt, lr=0.1)
+        assert opt.step == 0 and np.array_equal(p.data, np.ones(2))
 
     def test_update_does_not_alias_old_storage(self):
         p = Parameter(np.ones(2))
         old = p.data
         p.grad = np.ones(2)
-        adam_step([p], lr=0.1)
+        adam_step(Adam([p]), lr=0.1)
         assert np.array_equal(old, np.ones(2))
+
+    def test_parameter_holds_no_optimizer_state(self):
+        p = Parameter(np.ones(2))
+        for attr in ("m1", "m2", "step"):
+            assert not hasattr(p, attr)
 
 
 class TestLrSchedule:
@@ -785,20 +806,20 @@ class TestCheckpointContainer:
         with pytest.raises(ValueError):
             load_checkpoint(str(path))
 
-    def test_save_params_round_trip_restores_optimizer_state(self, tmp_path):
+    def test_save_params_round_trip_restores_weights(self, tmp_path):
         rng = np.random.default_rng(1)
         p = Parameter(rng.normal(size=(3,)))
         p.grad = rng.normal(size=(3,))
-        adam_step([p], lr=0.05)
+        adam_step(Adam([p]), lr=0.05)
         path = tmp_path / "params.bin"
         save_params(str(path), [("w", p)])
+        assert list(load_checkpoint(str(path))) == ["w"]
 
         q = Parameter(np.zeros(3))
+        q.grad = np.ones(3)
         restore_params(load_checkpoint(str(path)), [("w", q)], str(path))
         assert np.array_equal(q.data, p.data)
-        assert np.array_equal(q.m1, p.m1)
-        assert np.array_equal(q.m2, p.m2)
-        assert q.step == 1 and q.grad is None
+        assert q.grad is None
 
     def test_load_params_shape_mismatch(self, tmp_path):
         p = Parameter(np.ones(3))
@@ -809,37 +830,28 @@ class TestCheckpointContainer:
                            str(path))
 
     def test_load_params_moment_shape_mismatch(self, tmp_path):
-        """A wrong-shaped Adam moment would broadcast the parameter on the
-        next step; it is rejected at load."""
+        """Adam moments are no checkpoint entries: one of either shape,
+        as older versions saved them, is rejected at load."""
         path = tmp_path / "p.bin"
-        save_checkpoint(str(path), [("w", np.ones(3)), ("w.m1", np.ones(1)),
-                                    ("w.m2", np.ones(3))])
-        with pytest.raises(ShapeError, match="w.m1"):
-            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
-                           str(path))
+        for m1 in (np.ones(1), np.ones(3)):
+            save_checkpoint(str(path), [("w", np.ones(3)), ("w.m1", m1)])
+            with pytest.raises(KeyError, match="'w.m1' names no parameter"):
+                restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
+                               str(path))
 
     def test_load_params_non_finite_rejected(self, tmp_path):
         path = tmp_path / "p.bin"
-        save_checkpoint(str(path), [("w", np.array([1.0, np.nan])), ("w.m1", np.zeros(2)),
-                                    ("w.m2", np.zeros(2))])
+        save_checkpoint(str(path), [("w", np.array([1.0, np.nan]))])
         with pytest.raises(ValueError, match="non-finite"):
             restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(2)))],
                            str(path))
 
-    def test_load_params_missing_step_rejected(self, tmp_path):
-        path = tmp_path / "p.bin"
-        save_checkpoint(str(path), [("w", np.ones(3)), ("w.m1", np.zeros(3)),
-                                    ("w.m2", np.zeros(3))])
-        with pytest.raises(KeyError, match="w.step"):
-            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
-                           str(path))
-
     @pytest.mark.parametrize("step", [np.inf, np.nan, -1.0, 2.5, np.array([1.0, 2.0])])
     def test_load_params_bad_step_rejected(self, tmp_path, step):
+        """A ``.step`` entry, whatever it holds, names no parameter."""
         path = tmp_path / "p.bin"
-        save_checkpoint(str(path), [("w", np.ones(3)), ("w.m1", np.zeros(3)),
-                                    ("w.m2", np.zeros(3)), ("w.step", step)])
-        with pytest.raises(ValueError, match="w.step"):
+        save_checkpoint(str(path), [("w", np.ones(3)), ("w.step", step)])
+        with pytest.raises(KeyError, match="'w.step' names no parameter"):
             restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
                            str(path))
 
