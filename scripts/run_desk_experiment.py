@@ -5,10 +5,12 @@ Generates a synthetic paired corpus, runs the full iterative schedule in
 both directions, prints a per-stage validation table, picks the optimal
 checkpoint per direction, and renders contact sheets of its outputs.
 
-The defaults finish in about a minute on a laptop; pass --stages 4
---epochs 16 --base-channels 16 --si-hidden 32 for the configuration the
-conformance tests exercise.  A bad option or corpus exits 2 or 3 with one
-``error: <kind>: <message>`` line, as ``sgs`` does.
+The defaults (``DESK_DEFAULTS``) finish in about a minute on a laptop.
+Every training key of ``sgs train-iterative`` is taken too, as a flag or
+from a ``--config`` file, in that order of precedence over the defaults;
+pass --stages 4 --epochs 16 --base-channels 16 --si-hidden 32 for the
+configuration the conformance tests exercise.  A bad option or corpus
+exits 2 or 3 with one ``error: <kind>: <message>`` line, as ``sgs`` does.
 """
 import argparse
 import json
@@ -17,25 +19,23 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from sgs.cli import _fail, _split_corpus
+from sgs.cli import _add_train_flags, _fail, _split_corpus, build_train_config
 from sgs.cli import main as cli_main
-from sgs.cycletrain import ConfigError, TrainConfig, run_iterative, select_optimal
+from sgs.cycletrain import ConfigError, run_iterative, select_optimal
 from sgs.datagen import generate_corpus
 from sgs.layout import DataError
+
+
+# Quick settings that override TrainConfig's defaults for this script.
+DESK_DEFAULTS = {"epochs": 6, "image_size": 32, "depth": 4, "base_channels": 8,
+                 "si_hidden": 8, "stages": 2, "val_count": 2}
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", default="desk_run", help="output directory")
     p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--size", type=int, default=32, choices=(32, 64, 128, 256))
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--stages", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=6)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--base-channels", type=int, default=8)
-    p.add_argument("--si-hidden", type=int, default=8)
-    p.add_argument("--val-count", type=int, default=2)
+    _add_train_flags(p)
     return p.parse_args(argv)
 
 
@@ -50,17 +50,14 @@ def main(argv=None):
 
 
 def run(args):
-    cfg = TrainConfig(epochs=args.epochs, image_size=args.size,
-                      depth=args.depth, base_channels=args.base_channels,
-                      si_hidden=args.si_hidden, stages=args.stages,
-                      val_count=args.val_count, seed=args.seed).validate()
+    cfg = build_train_config(args, DESK_DEFAULTS)
     os.makedirs(args.out, exist_ok=True)
 
     corpus_dir = os.path.join(args.out, "corpus")
-    manifest = generate_corpus(corpus_dir, args.samples, args.size,
-                               seed=args.seed)
+    manifest = generate_corpus(corpus_dir, args.samples, cfg.image_size,
+                               seed=cfg.seed)
     train, val = _split_corpus(manifest, cfg.val_count)
-    print(f"corpus: {len(train) + len(val)} paired samples at {args.size}px "
+    print(f"corpus: {len(train) + len(val)} paired samples at {cfg.image_size}px "
           f"in {corpus_dir}")
 
     run_dir = os.path.join(args.out, "run")

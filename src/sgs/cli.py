@@ -39,32 +39,10 @@ from .numerics import atomic_open
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
 
-# Training config surface: key -> (python type, help text).
-_TRAIN_KEYS = {
-    "epochs": (int, "training epochs per stage (>= 2)"),
-    "lr": (float, "initial Adam learning rate"),
-    "beta1": (float, "Adam beta1"),
-    "beta2": (float, "Adam beta2"),
-    "batch_size": (int, "samples per optimizer step"),
-    "seed": (int, "master seed for all randomness"),
-    "image_size": (int, "square image side in pixels"),
-    "depth": (int, "encoder/decoder depth"),
-    "base_channels": (int, "channel width of the first encoder conv"),
-    "si_hidden": (int, "hidden width of the SI modulation convs"),
-    "use_saliency": (bool, "concatenate the saliency channel"),
-    "stages": (int, "iterative cycle stages after stage 0"),
-    "variance_mode": (str, "variance node form: literal or masked"),
-    "val_count": (int, "samples held out for validation"),
-    "ict_taps": (tuple, "comma-separated tap names for the cycle term"),
-    "weight_content": (float, "weight of the content L1 term"),
-    "weight_perceptual": (float, "weight of the perceptual term"),
-    "weight_parsing": (float, "weight of the parsing BCE term"),
-    "weight_intra_graph": (float, "weight of the intra-class graph term"),
-    "weight_inter_graph": (float, "weight of the inter-class graph term"),
-    "weight_cycle": (float, "weight of the cycle distillation term"),
-}
-
-_WEIGHT_FIELDS = {f"weight_{f.name}": f.name for f in dc_fields(LossWeights)}
+# Training config surface: key -> the dataclass field that declares it,
+# whose default gives the key's type and whose metadata its help text.
+_TRAIN_KEYS = {f.name: f for f in dc_fields(TrainConfig) if f.name != "weights"}
+_TRAIN_KEYS.update({f"weight_{f.name}": f for f in dc_fields(LossWeights)})
 
 
 def _parse_bool(value, key):
@@ -85,7 +63,7 @@ def _parse_taps(value, key):
 def _coerce(key, value):
     if key not in _TRAIN_KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    typ = _TRAIN_KEYS[key][0]
+    typ = type(_TRAIN_KEYS[key].default)
     try:
         if typ is bool:
             return _parse_bool(value, key)
@@ -124,34 +102,31 @@ def read_config_file(path):
     return values
 
 
-def build_train_config(args):
-    """Merge defaults <- config file <- command-line flags."""
-    merged = {}
+def build_train_config(args, defaults=None):
+    """Merge TrainConfig defaults <- ``defaults`` <- config file <-
+    command-line flags."""
+    merged = dict(defaults or {})
     if args.config:
         merged.update(read_config_file(args.config))
     for key in _TRAIN_KEYS:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             merged[key] = _coerce(key, cli_val)
-    weight_kwargs = {}
-    cfg_kwargs = {}
-    for key, value in merged.items():
-        if key in _WEIGHT_FIELDS:
-            weight_kwargs[_WEIGHT_FIELDS[key]] = value
-        else:
-            cfg_kwargs[key] = value
-    cfg = TrainConfig(weights=LossWeights(**weight_kwargs), **cfg_kwargs)
+    weights = {k.removeprefix("weight_"): v for k, v in merged.items()
+               if k.startswith("weight_")}
+    cfg_kwargs = {k: v for k, v in merged.items() if not k.startswith("weight_")}
+    cfg = TrainConfig(weights=LossWeights(**weights), **cfg_kwargs)
     return cfg.validate()
 
 
 def _add_train_flags(parser):
     parser.add_argument("--config", help="key = value config file")
-    for key, (typ, help_text) in _TRAIN_KEYS.items():
+    for key, f in _TRAIN_KEYS.items():
         flag = "--" + key.replace("_", "-")
-        if typ is bool:
-            parser.add_argument(flag, choices=["true", "false"], help=help_text)
+        if type(f.default) is bool:
+            parser.add_argument(flag, choices=["true", "false"], help=f.metadata["help"])
         else:
-            parser.add_argument(flag, type=str, help=help_text)
+            parser.add_argument(flag, type=str, help=f.metadata["help"])
 
 
 def _split_corpus(manifest, val_count):

@@ -26,6 +26,7 @@ from .losses import (
     LossLog,
     LossWeights,
     ParsingOracle,
+    config_key,
     discriminator_loss,
     objective,
     target_record,
@@ -65,22 +66,23 @@ class NumericalError(RuntimeError):
 class TrainConfig:
     """Everything one run needs; all randomness derives from ``seed``."""
 
-    epochs: int = 40
-    lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    batch_size: int = 1
+    epochs: int = config_key(40, "training epochs per stage (>= 2)")
+    lr: float = config_key(2e-4, "initial Adam learning rate")
+    beta1: float = config_key(0.5, "Adam beta1")
+    beta2: float = config_key(0.999, "Adam beta2")
+    batch_size: int = config_key(1, "samples per optimizer step")
     weights: LossWeights = field(default_factory=LossWeights)
-    seed: int = 7
-    image_size: int = 64
-    depth: int = 5
-    base_channels: int = 16
-    si_hidden: int = 32
-    use_saliency: bool = True
-    stages: int = 4
-    variance_mode: str = "literal"
-    val_count: int = 8
-    ict_taps: tuple = DEFAULT_ICT_TAPS
+    seed: int = config_key(7, "master seed for all randomness")
+    image_size: int = config_key(64, "square image side in pixels")
+    depth: int = config_key(5, "encoder/decoder depth")
+    base_channels: int = config_key(16, "channel width of the first encoder conv")
+    si_hidden: int = config_key(32, "hidden width of the SI modulation convs")
+    use_saliency: bool = config_key(True, "concatenate the saliency channel")
+    stages: int = config_key(4, "iterative cycle stages after stage 0")
+    variance_mode: str = config_key("literal", "variance node form: literal or masked")
+    val_count: int = config_key(8, "samples held out for validation")
+    ict_taps: tuple = config_key(DEFAULT_ICT_TAPS,
+                                 "comma-separated tap names for the cycle term")
 
     def validate(self):
         if self.epochs < 2:
@@ -205,8 +207,9 @@ def load_generator(model_dir):
 
     ``model.json`` holds every constructor argument (``MODEL_JSON_KEYS``),
     so the generator is built from it alone; ``model.bin`` then restores
-    its weights.  Anything missing, mistyped or inconsistent, such as a
-    checkpoint saved by an older version, raises ``DataError``.
+    its weights, and the generator is returned frozen.  Anything missing,
+    mistyped or inconsistent, such as a checkpoint saved by an older
+    version, raises ``DataError``.
     """
     json_path = os.path.join(model_dir, "model.json")
     bin_path = os.path.join(model_dir, "model.bin")
@@ -235,6 +238,7 @@ def load_generator(model_dir):
         # str() of a KeyError quotes its message; print the message itself.
         msg = err.args[0] if isinstance(err, KeyError) and err.args else err
         raise DataError(f"corrupt checkpoint in {model_dir}: {msg}") from err
+    gen.freeze()
     return gen
 
 
@@ -270,7 +274,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
     ``frozen_opp`` is the opposite-direction generator from the previous
     stage (None at stage 0, where the cycle term is absent).  The Adam
     state of both networks lives only for the call: the returned
-    generator holds its weights and nothing else.
+    generator holds its weights and nothing else, and is frozen.
     """
     cfg.validate()
     if not train_samples:
@@ -364,6 +368,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
         epoch_total.append(sums["l_total"] / steps_this_epoch)
         epoch_ict.append(sums["l_ict"] / steps_this_epoch)
 
+    gen.freeze()  # the val forwards and the next stage's teacher record no graph
     save_generator(gen, out_dir)
     val = evaluate_direction(gen, val_samples, direction, extractor)
     with atomic_open(os.path.join(out_dir, "val_metrics.json")) as f:
@@ -413,8 +418,13 @@ def run_iterative(train_samples, val_samples, cfg, out_root):
 
 
 def select_optimal(checkpoints):
-    """Lowest Frechet proxy wins; ties break toward higher mean SSIM."""
+    """Lowest Frechet proxy wins, and a missing (None) proxy ranks last;
+    ties break toward higher mean SSIM."""
     if not checkpoints:
         raise ValueError("select_optimal needs at least one checkpoint")
-    return min(checkpoints,
-               key=lambda c: (c.val["frechet_proxy"], -c.val["ssim_mean"]))
+
+    def rank(c):
+        proxy = c.val["frechet_proxy"]
+        return (float("inf") if proxy is None else proxy, -c.val["ssim_mean"])
+
+    return min(checkpoints, key=rank)

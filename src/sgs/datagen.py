@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .layout import (
     BACKGROUND,
@@ -265,16 +266,15 @@ def _scharr_magnitude(img):
 
 
 def _box_blur(img, radius, passes=3):
+    """Repeated edge-padded box filter of a 2-D image, columns then rows."""
     out = img.astype(np.float64)
     k = 2 * radius + 1
     kernel = np.ones(k) / k
     for _ in range(passes):
-        out = np.apply_along_axis(
-            lambda row: np.convolve(np.pad(row, radius, mode="edge"), kernel, "valid"),
-            0, out)
-        out = np.apply_along_axis(
-            lambda row: np.convolve(np.pad(row, radius, mode="edge"), kernel, "valid"),
-            1, out)
+        for axis in (0, 1):
+            pad = [(0, 0), (0, 0)]
+            pad[axis] = (radius, radius)
+            out = sliding_window_view(np.pad(out, pad, mode="edge"), k, axis=axis) @ kernel
     return out
 
 

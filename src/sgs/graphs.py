@@ -76,19 +76,19 @@ def compute_nodes(f, layout, variance="literal"):
     counts = planes.sum(axis=(1, 2))
     present = counts > 0
     denom = Tensor(np.maximum(counts, 1.0)[:, None])
-    presence = Tensor(present.astype(np.float64)[:, None])
 
     masks = Tensor(planes[:, None, :, :])  # [12, 1, H, W]
     fb = f.reshape((1, cf, h, w))
     masked = fb * masks  # [12, Cf, H, W]
-    mu = (masked.sum(axis=(2, 3)) / denom) * presence
+    # An absent class's mask is all zeros, so its nodes are exact zeros.
+    mu = masked.sum(axis=(2, 3)) / denom
 
     mu_b = mu.reshape((N_CLASSES, cf, 1, 1))
     if variance == "literal":
         dev = masked - mu_b
     else:
         dev = (fb - mu_b) * masks
-    nu = ((dev * dev).sum(axis=(2, 3)) / denom) * presence
+    nu = (dev * dev).sum(axis=(2, 3)) / denom
     return GraphNodes(mu=mu, nu=nu, present=present)
 
 
@@ -99,9 +99,8 @@ def _guarded_norm(x, axis=None):
 def intra_graph(f, nodes):
     """Cosine of the pooled global feature vector with every node.
 
-    Entries for absent classes are forced to zero, and the epsilon in
-    the denominator maps exactly-zero vectors to similarity zero rather
-    than NaN.
+    Absent classes have zero nodes, and the epsilon in the denominator
+    maps exactly-zero vectors to similarity zero rather than NaN.
     """
     if f.data.ndim != 3:
         raise ValueError(f"feature map must be [Cf, H, W], got {f.data.shape}")
@@ -112,12 +111,11 @@ def intra_graph(f, nodes):
         )
     fbar = f.mean(axis=(1, 2))  # [Cf]
     norm_f = _guarded_norm(fbar)
-    presence = Tensor(nodes.present.astype(np.float64))
 
     def cosine(node):
         dots = (node * fbar.reshape((1, cf))).sum(axis=(1,))
         norms = _guarded_norm(node, axis=(1,))
-        return presence * dots / (norm_f * norms + COSINE_EPS)
+        return dots / (norm_f * norms + COSINE_EPS)
 
     return IntraClassGraph(c1=cosine(nodes.mu), c2=cosine(nodes.nu))
 

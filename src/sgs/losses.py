@@ -14,7 +14,7 @@ weighted total are computed; its keys are the ``losses.csv`` columns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,16 +35,23 @@ from .numerics import (
 PROB_EPS = 1e-12
 
 
+def config_key(default, help_text):
+    """A dataclass field that is also one training config key and one
+    command-line flag: its type is its default's type, and ``help_text``
+    is the flag's help."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class LossWeights:
     """Weights of the non-adversarial objective terms."""
 
-    content: float = 100.0
-    perceptual: float = 10.0
-    parsing: float = 15.0
-    intra_graph: float = 100.0
-    inter_graph: float = 100.0
-    cycle: float = 5.0
+    content: float = config_key(100.0, "weight of the content L1 term")
+    perceptual: float = config_key(10.0, "weight of the perceptual term")
+    parsing: float = config_key(15.0, "weight of the parsing BCE term")
+    intra_graph: float = config_key(100.0, "weight of the intra-class graph term")
+    inter_graph: float = config_key(100.0, "weight of the inter-class graph term")
+    cycle: float = config_key(5.0, "weight of the cycle distillation term")
 
     def validate(self):
         for f in fields(self):

@@ -305,10 +305,13 @@ class MetricReport:
         return float(np.mean(self.fsim_values)) if self.fsim_values else float("nan")
 
     def summary(self):
+        """JSON-ready means; a NaN proxy (fewer than two pairs) is None,
+        which JSON writes as null."""
+        proxy = self.frechet_proxy
         return {
             "ssim_mean": self.ssim_mean,
             "fsim_mean": self.fsim_mean,
-            "frechet_proxy": self.frechet_proxy,
+            "frechet_proxy": None if np.isnan(proxy) else proxy,
             "n": self.n,
         }
 

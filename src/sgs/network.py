@@ -196,16 +196,13 @@ class Generator(Module):
             prev = cout
         self.out = Conv(rng, out_channels, prev, 3)
 
-    def forward(self, x, m, layout, want_taps=False):
+    def forward(self, x, m, layout, want_taps=None):
         """Run ``x`` ([Cin, H, W]) through the network.
 
-        Returns the synthesized [Cout, H, W] image, or with
-        ``want_taps=True`` a ``(image, taps)`` pair where ``taps`` maps
-        "enc_bottleneck" and "dec_block<i>" to their activations and
-        "dec_block<i>_layout_hw" to the layout resolution each SI block
-        consumed.  With ``want_taps`` a sequence of tap names, returns
-        only ``taps``, and runs no decoder block past the deepest named
-        tap and no output conv.
+        Returns the synthesized [Cout, H, W] image, or with ``want_taps``
+        a sequence of tap names ("enc_bottleneck", "dec_block<i>") a dict
+        of only those activations; it then runs no decoder block past the
+        deepest named tap and no output conv.
         """
         if x.data.ndim != 3 or x.data.shape[0] != self.in_channels:
             raise ShapeError(
@@ -226,25 +223,19 @@ class Generator(Module):
         for conv in self.enc:
             z = leaky_relu(conv.forward(z), 0.2)
         taps = {"enc_bottleneck": z}
-        names = None if isinstance(want_taps, bool) else set(want_taps)
 
         for j, block in enumerate(self.blocks, start=1):
-            if names is not None and names <= taps.keys():
+            if want_taps is not None and taps.keys() >= set(want_taps):
                 break
             z = upsample_nearest(z, 2)
-            res = z.data.shape[2:]
-            planes = downsample_layout(layout, h // res[0]).one_hot()
+            planes = downsample_layout(layout, h // z.data.shape[2]).one_hot()
             z = block.forward(z, Tensor(planes[None, :, :, :]))
             taps[f"dec_block{j}"] = z
-            taps[f"dec_block{j}_layout_hw"] = res
-        if names is not None:
-            return taps
+        if want_taps is not None:
+            return {name: taps[name] for name in want_taps}
 
         out = tanh(self.out.forward(z))
-        out = ((out + 1.0) * 0.5).reshape((self.out_channels, h, w))
-        if want_taps:
-            return out, taps
-        return out
+        return ((out + 1.0) * 0.5).reshape((self.out_channels, h, w))
 
 
 class PatchDiscriminator(Module):

@@ -669,14 +669,18 @@ def test_criterion_8_depth7_shape_contract():
     x = Tensor(rng.uniform(size=(3, 256, 256)))
     m = SaliencyMap(rng.uniform(size=(256, 256)))
     layout = SemanticLayout(rng.integers(0, 12, size=(256, 256)).astype(np.uint8))
-    out, taps = gen.forward(x, m, layout, want_taps=True)
+    out = gen.forward(x, m, layout)
+    # SIModule.forward rejects layout planes of any other size than its
+    # activation, so each block's tap has the layout resolution it consumed.
+    taps = gen.forward(x, m, layout, want_taps=["enc_bottleneck"] +
+                       [f"dec_block{j}" for j in range(1, 8)])
 
     bottleneck_ok = taps["enc_bottleneck"].data.shape[2:] == (2, 2)
     output_ok = out.data.shape == (1, 256, 256)
     layouts_ok = True
     resolutions = []
     for j in range(1, 8):
-        res = taps[f"dec_block{j}_layout_hw"]
+        res = taps[f"dec_block{j}"].data.shape[2:]
         resolutions.append(res[0])
         layouts_ok &= res == (2 ** (j + 1), 2 ** (j + 1))
         from sgs.layout import downsample_layout

@@ -5,6 +5,7 @@ and the one-line machine-parsable stderr format are asserted alongside
 the artifacts each command writes.
 """
 import dataclasses
+import importlib.util
 import json
 import os
 import re
@@ -377,6 +378,24 @@ class TestEvalCommand:
         assert rows[0] == "id,ssim,fsim"
         assert len(rows) == 9
 
+    def test_one_sample_writes_null_proxy(self, cli_corpus, trained_run, tmp_path):
+        """Below two pairs there is no Frechet proxy: val_metrics.json says
+        null, and stays JSON a strict parser accepts."""
+        with open(cli_corpus["manifest"]) as f:
+            first = f.readline()
+        one = cli_corpus["root"] / "one_manifest.jsonl"
+        one.write_text(first)
+        out = tmp_path / "eval"
+        assert main(["eval", "--model", trained_run["model"],
+                     "--data", str(one), "--out", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        summary = json.loads((out / "val_metrics.json").read_text(), parse_constant=reject)
+        assert summary["n"] == 1
+        assert summary["frechet_proxy"] is None
+
     def test_val_split_reproduces_training_metrics(self, cli_corpus, trained_run,
                                                    tmp_path):
         """Scoring the training run's val split gives its val_metrics.json,
@@ -610,7 +629,7 @@ class TestEntryPoint:
                               "run_desk_experiment.py")
         out = tmp_path / "run"
         proc = subprocess.run(
-            [sys.executable, script, "--out", str(out), "--samples", "4", "--size", "32",
+            [sys.executable, script, "--out", str(out), "--samples", "4", "--image-size", "32",
              "--stages", "1", "--epochs", "2", "--depth", "4", "--base-channels", "4",
              "--si-hidden", "4"],
             capture_output=True, text=True, timeout=600)
@@ -620,6 +639,28 @@ class TestEntryPoint:
         for direction in ("k", "o"):
             assert report[direction]["stage"] in (0, 1)
             assert os.path.isfile(os.path.join(report[direction]["path"], "model.bin"))
+
+    def test_desk_experiment_config_layers(self, tmp_path):
+        """The script's config: TrainConfig < DESK_DEFAULTS < --config file
+        < flags, built without training."""
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                            "run_desk_experiment.py")
+        spec = importlib.util.spec_from_file_location("run_desk_experiment", path)
+        desk = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(desk)
+        cfg_file = tmp_path / "desk.cfg"
+        cfg_file.write_text("epochs = 3\ndepth = 3\nweight_cycle = 2.5\n")
+        args = desk.parse_args(["--config", str(cfg_file), "--epochs", "5",
+                                "--lr", "0.001"])
+        cfg = build_train_config(args, desk.DESK_DEFAULTS)
+        assert cfg.epochs == 5            # flag over file
+        assert cfg.lr == 0.001            # flag over TrainConfig
+        assert cfg.depth == 3             # file over DESK_DEFAULTS
+        assert cfg.weights.cycle == 2.5   # file over LossWeights
+        assert cfg.base_channels == 8     # DESK_DEFAULTS over TrainConfig
+        assert cfg.seed == TrainConfig().seed
+        plain = build_train_config(desk.parse_args([]), desk.DESK_DEFAULTS)
+        assert {k: getattr(plain, k) for k in desk.DESK_DEFAULTS} == desk.DESK_DEFAULTS
 
     @pytest.mark.parametrize("flags,message", [
         (["--samples", "2", "--val-count", "2"],
@@ -631,7 +672,7 @@ class TestEntryPoint:
         script = os.path.join(os.path.dirname(__file__), "..", "scripts",
                               "run_desk_experiment.py")
         proc = subprocess.run(
-            [sys.executable, script, "--out", str(tmp_path / "run"), "--size", "32",
+            [sys.executable, script, "--out", str(tmp_path / "run"), "--image-size", "32",
              "--epochs", "2", "--depth", "4", "--base-channels", "4",
              "--si-hidden", "4"] + flags,
             capture_output=True, text=True, timeout=600)

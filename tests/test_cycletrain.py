@@ -217,6 +217,13 @@ class TestCheckpointRoundTrip:
         b = synthesize_sample(loaded, s, "k")
         assert np.array_equal(a, b)
 
+    def test_loaded_generator_is_frozen(self, tmp_path, tiny_corpus):
+        save_generator(self.make_gen(), str(tmp_path))
+        loaded = load_generator(str(tmp_path))
+        assert not any(p.requires_grad for p in loaded.params())
+        src, m_src, lay_src = sample_views(tiny_corpus["samples"][0], "k")[:3]
+        assert not loaded.forward(src, m_src, lay_src).requires_grad
+
     def test_si_hidden_round_trips(self, tmp_path):
         gen = self.make_gen(si_hidden=3)
         save_generator(gen, str(tmp_path))
@@ -380,6 +387,7 @@ class TestTrainDirection:
         res = train_direction(tiny_corpus["samples"][:3],
                               tiny_corpus["samples"][3:5], cfg, "k", 0, None,
                               str(tmp_path / "r"))
+        assert not any(p.requires_grad for p in res.generator.params())
         loaded = load_generator(str(tmp_path / "r"))
         s = tiny_corpus["samples"][5]
         assert np.array_equal(synthesize_sample(res.generator, s, "k"),
@@ -508,6 +516,13 @@ class TestSelectOptimal:
     def test_tie_breaks_toward_higher_ssim(self):
         best = select_optimal([self.ckpt(0, 2.0, 0.3), self.ckpt(1, 2.0, 0.8)])
         assert best.stage == 1
+
+    def test_missing_proxy_ranks_last(self):
+        """A val split below two pairs has a None proxy (null in JSON)."""
+        best = select_optimal([self.ckpt(0, None, 0.9), self.ckpt(1, 4.0, 0.1),
+                               self.ckpt(2, None, 0.95)])
+        assert best.stage == 1
+        assert select_optimal([self.ckpt(0, None, 0.3), self.ckpt(1, None, 0.8)]).stage == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

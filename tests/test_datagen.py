@@ -12,6 +12,7 @@ import pytest
 
 from sgs.datagen import (
     MAX_WARP,
+    _box_blur,
     corpus_stats,
     generate_corpus,
     generate_sample,
@@ -153,6 +154,37 @@ class TestSaliency:
         s = generate_sample(23, 1, 32, "aligned")
         assert np.array_equal(s["saliency_photo"],
                               render_saliency(s["layout_photo"]))
+
+
+def box_blur_reference(img, radius, passes=3):
+    """The blur as one edge-padded ``np.convolve`` per column, then per row."""
+    out = img.astype(np.float64)
+    kernel = np.ones(2 * radius + 1) / (2 * radius + 1)
+
+    def blur_line(line):
+        return np.convolve(np.pad(line, radius, mode="edge"), kernel, "valid")
+
+    for _ in range(passes):
+        out = np.apply_along_axis(blur_line, 0, out)
+        out = np.apply_along_axis(blur_line, 1, out)
+    return out
+
+
+class TestBoxBlur:
+    @pytest.mark.parametrize("shape", [(5, 5), (32, 32), (64, 48), (256, 256)])
+    @pytest.mark.parametrize("binary", [False, True], ids=["random", "binary"])
+    @pytest.mark.parametrize("radius,passes", [(2, 2), (1, 3)])
+    def test_matches_per_line_convolution(self, shape, binary, radius, passes):
+        """Within 1e-15 of the per-line reference, and the same 8-bit
+        values once quantized as the corpus files are."""
+        img = np.random.default_rng(sum(shape) + radius).random(shape)
+        if binary:
+            img = (img > 0.5).astype(np.float64)
+        got = _box_blur(img, radius, passes)
+        want = box_blur_reference(img, radius, passes)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert np.array_equal(np.rint(got * 255), np.rint(want * 255))
 
 
 class TestGenerateCorpus:

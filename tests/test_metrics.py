@@ -353,6 +353,7 @@ class TestMetricReport:
         r = MetricReport()
         assert np.isnan(r.ssim_mean) and np.isnan(r.fsim_mean)
         assert np.isnan(r.frechet_proxy)
+        assert r.summary()["frechet_proxy"] is None  # JSON null, not NaN
 
 
 class TestEvaluatePairs:

@@ -230,10 +230,10 @@ class TestGenerator:
     def test_taps_cover_bottleneck_and_every_block(self):
         gen = tiny_generator()
         x, m, layout = gen_inputs(32)
-        _, taps = gen.forward(x, m, layout, want_taps=True)
+        names = ("enc_bottleneck", "dec_block1", "dec_block2", "dec_block3")
+        taps = gen.forward(x, m, layout, want_taps=names)
+        assert list(taps) == list(names)
         assert taps["enc_bottleneck"].data.shape[2:] == (4, 4)
-        for j in range(1, 4):
-            assert f"dec_block{j}" in taps
         assert taps["dec_block3"].data.shape[2:] == (32, 32)
 
     def test_named_taps_stop_after_the_deepest(self, monkeypatch):
@@ -242,7 +242,8 @@ class TestGenerator:
         conv."""
         gen = tiny_generator()
         x, m, layout = gen_inputs(32)
-        _, full = gen.forward(x, m, layout, want_taps=True)
+        full = gen.forward(x, m, layout, want_taps=("enc_bottleneck", "dec_block1",
+                                                    "dec_block2", "dec_block3"))
         ran = []
         forward = SIResBlock.forward
 
@@ -254,17 +255,19 @@ class TestGenerator:
         monkeypatch.setattr(gen, "out", None)
         taps = gen.forward(x, m, layout, want_taps=("dec_block2", "enc_bottleneck"))
         assert ran == gen.blocks[:2]
-        assert "dec_block3" not in taps
-        for name in ("enc_bottleneck", "dec_block1", "dec_block2"):
+        assert list(taps) == ["dec_block2", "enc_bottleneck"]
+        for name in taps:
             assert np.array_equal(taps[name].data, full[name].data)
 
     def test_layout_pyramid_resolutions_double(self):
         gen = tiny_generator()
         x, m, layout = gen_inputs(32)
-        _, taps = gen.forward(x, m, layout, want_taps=True)
-        assert taps["dec_block1_layout_hw"] == (8, 8)
-        assert taps["dec_block2_layout_hw"] == (16, 16)
-        assert taps["dec_block3_layout_hw"] == (32, 32)
+        # SIModule.forward rejects layout planes of any other size than its
+        # activation, so a block's tap has the layout resolution it consumed.
+        taps = gen.forward(x, m, layout, want_taps=("dec_block1", "dec_block2", "dec_block3"))
+        assert taps["dec_block1"].data.shape[2:] == (8, 8)
+        assert taps["dec_block2"].data.shape[2:] == (16, 16)
+        assert taps["dec_block3"].data.shape[2:] == (32, 32)
 
     def test_saliency_disabled_ignores_map(self):
         gen = tiny_generator(use_saliency=False)
