@@ -9,8 +9,9 @@ The defaults (``DESK_DEFAULTS``) finish in about a minute on a laptop.
 Every training key of ``sgs train-iterative`` is taken too, as a flag or
 from a ``--config`` file, in that order of precedence over the defaults;
 pass --stages 4 --epochs 16 --base-channels 16 --si-hidden 32 for the
-configuration the conformance tests exercise.  A bad option or corpus
-exits 2 or 3 with one ``error: <kind>: <message>`` line, as ``sgs`` does.
+configuration the conformance tests exercise.  A failure exits with
+``sgs``'s code and one ``error: <kind>: <message>`` line: a bad option 2,
+an unreadable corpus or unwritable output 3, a non-finite loss 4.
 """
 import argparse
 import json
@@ -19,11 +20,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from sgs.cli import _add_train_flags, _fail, _split_corpus, build_train_config
+from sgs.cli import _add_train_flags, _split_corpus, build_train_config, run_command
 from sgs.cli import main as cli_main
-from sgs.cycletrain import ConfigError, run_iterative, select_optimal
+from sgs.cycletrain import run_iterative, select_optimal
 from sgs.datagen import generate_corpus
-from sgs.layout import DataError
 
 
 # Quick settings that override TrainConfig's defaults for this script.
@@ -40,13 +40,7 @@ def parse_args(argv):
 
 
 def main(argv=None):
-    args = parse_args(argv)
-    try:
-        return run(args)
-    except DataError as err:
-        return _fail(3, "data", err)
-    except ConfigError as err:
-        return _fail(2, "config", err)
+    return run_command(run, parse_args(argv))
 
 
 def run(args):

@@ -363,11 +363,12 @@ def _fail(code, kind, err):
     return code
 
 
-def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_command(fn, args):
+    """``fn(args)``'s exit code, or a failure's code after one ``error:
+    <kind>: <message>`` line: data 3, numerical 4, config or
+    ``ValueError`` 2, ``OSError`` 3."""
     try:
-        return args.func(args)
+        return fn(args)
     except DataError as err:
         return _fail(3, "data", err)
     except NumericalError as err:
@@ -376,6 +377,11 @@ def main(argv=None):
         return _fail(2, "config", err)
     except OSError as err:
         return _fail(3, "data", err)
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    return run_command(args.func, args)
 
 
 if __name__ == "__main__":

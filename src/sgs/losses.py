@@ -25,9 +25,9 @@ from .numerics import (
     Tensor,
     _accumulate,
     _result,
+    activate,
     avg_pool2d,
     conv2d,
-    relu,
     softmax,
     softplus,
 )
@@ -88,9 +88,9 @@ class FeatureExtractor:
             raise ShapeError(
                 f"extractor expects [{self.in_channels}, H, W], got {img.data.shape}"
             )
-        h = relu(conv2d(img.reshape((1,) + img.data.shape), self.w1, padding=1))
+        h = activate(conv2d(img.reshape((1,) + img.data.shape), self.w1, padding=1), 0.0)
         t1 = avg_pool2d(h, 2)
-        h = relu(conv2d(t1, self.w2, padding=1))
+        h = activate(conv2d(t1, self.w2, padding=1), 0.0)
         t2 = avg_pool2d(h, 2)
         return t1, t2
 
@@ -117,7 +117,7 @@ class ParsingOracle:
             raise ShapeError(
                 f"parser expects [{self.in_channels}, H, W], got {img.data.shape}"
             )
-        h = relu(conv2d(img.reshape((1,) + img.data.shape), self.w1, padding=1))
+        h = activate(conv2d(img.reshape((1,) + img.data.shape), self.w1, padding=1), 0.0)
         logits = conv2d(h, self.w2, padding=1)
         return softmax(logits, axis=1)
 

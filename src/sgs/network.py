@@ -23,12 +23,11 @@ from .numerics import (
     Parameter,
     ShapeError,
     Tensor,
+    activate,
     concat,
     conv2d,
-    leaky_relu,
     modulate,
     normalize,
-    relu,
     tanh,
     upsample_nearest,
 )
@@ -80,16 +79,20 @@ class Conv(Module):
     drawn from N(0, WEIGHT_STD^2)), its zero-initialized bias ``b`` (None
     with ``bias=False``, for a conv that feeds an instance norm, whose
     mean subtraction would cancel it), and the stride and padding it
-    always runs with."""
+    always runs with.  With a ``slope`` the output goes through
+    :func:`~sgs.numerics.activate`, relu at 0.0 and leaky relu above,
+    fused into the conv's graph node."""
 
-    def __init__(self, rng, cout, cin, k, stride=1, padding=1, bias=True):
+    def __init__(self, rng, cout, cin, k, stride=1, padding=1, bias=True, slope=None):
         self.w = Parameter(rng.normal(0.0, WEIGHT_STD, size=(cout, cin, k, k)))
         self.b = Parameter(np.zeros(cout)) if bias else None
         self.stride = stride
         self.padding = padding
+        self.slope = slope
 
     def forward(self, x):
-        return conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+        out = conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+        return out if self.slope is None else activate(out, self.slope)
 
 
 class SIModule(Module):
@@ -105,7 +108,7 @@ class SIModule(Module):
 
     def __init__(self, channels, rng, hidden=32):
         self.channels = channels
-        self.shared = Conv(rng, hidden, N_CLASSES, 3)
+        self.shared = Conv(rng, hidden, N_CLASSES, 3, slope=0.0)
         self.heads = Conv(rng, 2 * channels, hidden, 3)
 
     def forward(self, x, layout_planes):
@@ -117,15 +120,16 @@ class SIModule(Module):
                 f"layout resolution {layout_planes.data.shape[-2:]} does not match "
                 f"activation {x.data.shape[-2:]}"
             )
-        return modulate(x, self.heads.forward(relu(self.shared.forward(layout_planes))))
+        return modulate(x, self.heads.forward(self.shared.forward(layout_planes)))
 
 
 class SIResBlock(Module):
     """Residual block with two (SI -> relu -> conv) legs.
 
-    The shortcut is the identity when channel counts match and a 1x1
-    convolution otherwise.  ``conv1`` has no bias: it feeds ``si2``,
-    whose instance norm removes one.
+    Each relu is applied in place to its SI module's output, fused into
+    the modulation's graph node.  The shortcut is the identity when
+    channel counts match and a 1x1 convolution otherwise.  ``conv1`` has
+    no bias: it feeds ``si2``, whose instance norm removes one.
     """
 
     def __init__(self, cin, cout, rng, hidden=32):
@@ -137,8 +141,8 @@ class SIResBlock(Module):
         self.skip = Conv(rng, cout, cin, 1, padding=0) if cin != cout else None
 
     def forward(self, x, layout_planes):
-        h = self.conv1.forward(relu(self.si1.forward(x, layout_planes)))
-        h = self.conv2.forward(relu(self.si2.forward(h, layout_planes)))
+        h = self.conv1.forward(activate(self.si1.forward(x, layout_planes), 0.0))
+        h = self.conv2.forward(activate(self.si2.forward(h, layout_planes), 0.0))
         if self.skip is not None:
             return h + self.skip.forward(x)
         return h + x
@@ -184,7 +188,7 @@ class Generator(Module):
         self.enc = []
         prev = in_channels + 1
         for c in enc_ch:
-            self.enc.append(Conv(rng, c, prev, 4, stride=2))
+            self.enc.append(Conv(rng, c, prev, 4, stride=2, slope=0.2))
             prev = c
 
         self.blocks = []
@@ -221,7 +225,7 @@ class Generator(Module):
         sal = _saliency_channel(m if self.use_saliency else None, h, w)
         z = concat([x.reshape((1,) + x.data.shape), sal], axis=1)
         for conv in self.enc:
-            z = leaky_relu(conv.forward(z), 0.2)
+            z = conv.forward(z)
         taps = {"enc_bottleneck": z}
 
         for j, block in enumerate(self.blocks, start=1):
@@ -241,10 +245,12 @@ class Generator(Module):
 class PatchDiscriminator(Module):
     """Patch logit map over concat(source, saliency, candidate).
 
-    Three stride-2 4x4 convolutions, then two stride-1 layers, all with
-    leaky-relu(0.2); a 64x64 input yields a 6x6 logit map.  Convs 1-3 are
-    instance-normalized and so carry no bias.  When saliency is disabled
-    a zero channel is substituted so shapes stay fixed.
+    Three stride-2 4x4 convolutions, then two stride-1 layers; a 64x64
+    input yields a 6x6 logit map.  Convs 1-3 are instance-normalized and
+    so carry no bias.  Every layer but the last ends in leaky-relu(0.2),
+    applied in place to the output of ``convs.0`` or of each
+    ``normalize``.  When saliency is disabled a zero channel is
+    substituted so shapes stay fixed.
     """
 
     def __init__(self, source_channels, candidate_channels, base_channels=16,
@@ -288,7 +294,5 @@ class PatchDiscriminator(Module):
         )
         for i, conv in enumerate(self.convs):
             z = conv.forward(z)
-            if i > 0:
-                z = normalize(z)
-            z = leaky_relu(z, 0.2)
+            z = activate(normalize(z) if i > 0 else z, 0.2)
         return self.final.forward(z)

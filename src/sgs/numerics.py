@@ -18,15 +18,18 @@ is one node built the same way.
 
 A backward closure keeps only the arrays its formula reads, as
 references taken at forward time, never copies: what it can recompute
-from those in one pass (the masks of :func:`relu` and
-:func:`leaky_relu`, the sign of ``abs``, the clipped probabilities of
-the BCE) it recomputes.  :func:`conv2d` keeps no padded copy of its
-input; see its docstring for which tiles feed its kernel gradient.
+from those in one pass (the sign of ``abs``, the clipped probabilities
+of the BCE, the instance-norm output of :func:`normalize`) it
+recomputes.  :func:`conv2d` keeps no padded copy of its input; see its
+docstring for which tiles feed its kernel gradient.
 
 Desk scale keeps the design deliberately small: 64-bit floats, a single
 thread, no in-place mutation of anything that participates in a recorded
-graph (the optimizer update on parameter storage between steps is the
-one sanctioned exception).
+graph, with two sanctioned exceptions: the optimizer update on parameter
+storage between steps, and :func:`activate`, which applies a relu or
+leaky relu in place to the fresh output of the op that produced its
+input and records no node of its own, so no pre-activation array is
+kept for backward.
 """
 from __future__ import annotations
 
@@ -318,22 +321,36 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 
-def relu(x):
-    xd = x.data
-
-    def bw(g):
-        _accumulate(x, g * (xd > 0.0))
-
-    return _result(xd * (xd > 0.0), (x,), bw)
+def _activation_mask(d, slope):
+    return d > 0.0 if slope == 0.0 else np.where(d > 0.0, 1.0, slope)
 
 
-def leaky_relu(x, slope=0.2):
-    xd = x.data
+def activate(t, slope):
+    """Relu (``slope`` 0.0) or leaky relu (``slope`` > 0) applied in place
+    to ``t``, the fresh result of one op, with no graph node of its own.
 
-    def bw(g):
-        _accumulate(x, g * np.where(xd > 0.0, 1.0, slope))
+    ``t.data`` is multiplied by the mask ``d > 0`` or ``where(d > 0, 1,
+    slope)``.  With ``slope >= 0`` the output is positive exactly where
+    the input was, so backward recomputes the mask from the output:
+    ``t``'s closure is wrapped to multiply the incoming gradient by it
+    before the producing op's closure runs.  Safe only on a result that
+    no other op has read yet and whose own closure does not read it, such
+    as the output of :func:`conv2d`, :func:`modulate` or
+    :func:`normalize`.  Returns ``t``.
+    """
+    if not slope >= 0.0:
+        raise ValueError(f"activate needs slope >= 0, got {slope}")
+    if t.requires_grad and t._backward is None:
+        raise ValueError("activate cannot overwrite a leaf that records a gradient")
+    d = t.data
+    d *= _activation_mask(d, slope)
+    producer = t._backward
+    if producer is not None:
+        def bw(g):
+            producer(g * _activation_mask(d, slope))
 
-    return _result(xd * np.where(xd > 0.0, 1.0, slope), (x,), bw)
+        t._backward = bw
+    return t
 
 
 def _sigmoid_stable(d):
@@ -700,14 +717,17 @@ def normalize(x):
 
     Each (sample, channel) slice is normalized with its own statistics.
     Constant slices map to exactly zero.  One graph node, whose backward
-    is the closed-form instance-norm gradient.
+    is the closed-form instance-norm gradient.  Backward recomputes the
+    output and statistics from the input, so the closure never reads the
+    output, which :func:`activate` may overwrite.
     """
-    y, s = _instance_norm(x.data)
+    xd = x.data
 
     def bw(g):
+        y, s = _instance_norm(xd)
         _accumulate(x, _instance_norm_grad(g, y, s))
 
-    return _result(y, (x,), bw)
+    return _result(_instance_norm(xd)[0], (x,), bw)
 
 
 def modulate(x, heads):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from sgs.cli import _TRAIN_KEYS, build_parser, build_train_config, main, read_config_file
-from sgs.cycletrain import ConfigError, TrainConfig
+from sgs.cycletrain import ConfigError, NumericalError, TrainConfig
 from sgs.layout import read_manifest, read_pnm
 from sgs.losses import LossWeights
 from sgs.numerics import load_checkpoint, save_checkpoint
@@ -661,6 +661,36 @@ class TestEntryPoint:
         assert cfg.seed == TrainConfig().seed
         plain = build_train_config(desk.parse_args([]), desk.DESK_DEFAULTS)
         assert {k: getattr(plain, k) for k in desk.DESK_DEFAULTS} == desk.DESK_DEFAULTS
+
+    def test_desk_experiment_script_unwritable_out(self, tmp_path):
+        """An output path under a regular file exits 3 with one line."""
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                              "run_desk_experiment.py")
+        (tmp_path / "afile").write_text("")
+        proc = subprocess.run(
+            [sys.executable, script, "--out", str(tmp_path / "afile" / "run")],
+            capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: data: "), proc.stderr
+
+    def test_desk_experiment_script_numerical_error(self, tmp_path, monkeypatch, capsys):
+        """A non-finite loss in training exits 4 with one line."""
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                            "run_desk_experiment.py")
+        spec = importlib.util.spec_from_file_location("run_desk_experiment", path)
+        desk = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(desk)
+
+        def diverge(*args):
+            raise NumericalError("non-finite generator loss at stage 0 direction k step 1")
+
+        monkeypatch.setattr(desk, "run_iterative", diverge)
+        rc = desk.main(["--out", str(tmp_path / "run"), "--samples", "4",
+                        "--image-size", "32"])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "error: numerical: non-finite generator loss at stage 0 direction k step 1\n")
 
     @pytest.mark.parametrize("flags,message", [
         (["--samples", "2", "--val-count", "2"],

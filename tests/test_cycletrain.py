@@ -40,7 +40,7 @@ from sgs.losses import (
     target_record,
 )
 from sgs.network import Generator, PatchDiscriminator
-from sgs.numerics import Tensor, load_checkpoint
+from sgs.numerics import Tensor, _toposort, load_checkpoint
 
 TINY = dict(epochs=2, image_size=32, depth=4, base_channels=4, si_hidden=4,
             stages=1, val_count=2, seed=3)
@@ -452,6 +452,26 @@ def test_every_bias_gets_a_gradient(tmp_path, direction):
                 if not ratio > 1e-6:
                     dead.append((name, ratio))
     assert not dead
+
+
+def test_generator_phase_graph_size(tmp_path):
+    """One desk G-phase ``l_total`` graph (64 px, depth 5, D frozen) has
+    244 nodes: every relu and leaky relu is fused into the op that
+    produces its input.  The count is tied to the current op set; with
+    one node per activation it was 276."""
+    sample = load_corpus(generate_corpus(str(tmp_path), 1, 64, seed=1))[0]
+    cfg = TrainConfig()
+    in_ch, out_ch = direction_channels("k")
+    gen = Generator(in_ch, out_ch, depth=cfg.depth, base_channels=cfg.base_channels,
+                    si_hidden=cfg.si_hidden, image_size=64, seed=1)
+    disc = PatchDiscriminator(in_ch, out_ch, base_channels=cfg.base_channels, seed=2)
+    disc.freeze()
+    views = sample_views(sample, "k")
+    src, m_src, lay_src, _, _, _ = views
+    target = target_record(views, FeatureExtractor(out_ch, seed=3),
+                           ParsingOracle(out_ch, seed=4))
+    total = objective(gen.forward(src, m_src, lay_src), disc, target, cfg.weights)["l_total"]
+    assert len(_toposort(total)) == 244
 
 
 @pytest.fixture(scope="module")

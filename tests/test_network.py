@@ -5,7 +5,7 @@ import pytest
 from sgs import numerics
 from sgs.layout import N_CLASSES, SaliencyMap, SemanticLayout
 from sgs.network import Generator, Module, PatchDiscriminator, SIModule, SIResBlock
-from sgs.numerics import Parameter, ShapeError, Tensor, conv2d, normalize, relu
+from sgs.numerics import Parameter, ShapeError, Tensor, activate, conv2d, normalize
 
 from conftest import relative_error, spot_check_param
 
@@ -121,7 +121,7 @@ class TestSIModule:
             Parameter(a.copy()) for a in (hw[:3], hb[:3], hw[3:], hb[3:]))
 
         def separate(x):
-            h = relu(conv2d(planes, si.shared.w, si.shared.b, 1, 1))
+            h = activate(conv2d(planes, si.shared.w, si.shared.b, 1, 1), 0.0)
             gamma = conv2d(h, gamma_w, gamma_b, 1, 1)
             beta = conv2d(h, beta_w, beta_b, 1, 1)
             return gamma * normalize(x) + beta

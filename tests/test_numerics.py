@@ -14,17 +14,18 @@ from sgs.numerics import (
     Parameter,
     ShapeError,
     Tensor,
+    _accumulate,
+    _result,
+    activate,
     adam_step,
     atomic_open,
     avg_pool2d,
     concat,
     conv2d,
-    leaky_relu,
     load_checkpoint,
     lr_at_epoch,
     modulate,
     normalize,
-    relu,
     restore_params,
     save_checkpoint,
     save_params,
@@ -129,7 +130,7 @@ class TestBackwardConsumesGraph:
 
     def test_second_backward_propagates_nothing(self):
         t = Tensor([2.0, -1.0], requires_grad=True)
-        root = relu(t * 3.0).sum()
+        root = (t * 3.0).abs().sum()
         root.backward()
         first = t.grad.copy()
         root.backward()
@@ -155,7 +156,7 @@ class TestBackwardConsumesGraph:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            root = relu(normalize(conv2d(x, k, None, 1, 1))).mean()
+            root = activate(normalize(conv2d(x, k, None, 1, 1)), 0.0).mean()
             built = tracemalloc.get_traced_memory()[0] - before
             root.backward()
             held = tracemalloc.get_traced_memory()[0] - before
@@ -168,11 +169,11 @@ class TestBackwardConsumesGraph:
 
 class TestElementwiseValues:
     def test_relu_values(self):
-        out = relu(Tensor([-1.0, 0.0, 2.0]))
+        out = activate(Tensor([-1.0, 0.0, 2.0]), 0.0)
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_leaky_relu_values(self):
-        out = leaky_relu(Tensor([-1.0, 2.0]))
+        out = activate(Tensor([-1.0, 2.0]), 0.2)
         assert np.allclose(out.data, [-0.2, 2.0])
 
     def test_mean_of_small_vector(self):
@@ -270,9 +271,10 @@ class TestGradients:
         gradcheck(lambda t: (concat([t, b], axis=1) ** 2).sum(), x0)
 
     def test_leaky_relu_gradient(self):
-        x0 = np.random.default_rng(12).normal(size=(5, 5))
+        x0 = np.random.default_rng(12).normal(size=(1, 1, 5, 5))
         x0[np.abs(x0) < 0.1] = 0.3
-        gradcheck(lambda t: leaky_relu(t).sum(), x0)
+        one = Tensor(np.ones((1, 1, 1, 1)))  # a 1x1 conv that reproduces its input
+        gradcheck(lambda t: activate(conv2d(t, one), 0.2).sum(), x0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -634,6 +636,99 @@ class TestFusedOps:
         x = Tensor(np.ones((1, 2, 3, 3)))
         with pytest.raises(ShapeError):
             modulate(x, Tensor(np.ones((1, 2, 3, 3))))
+
+
+def relu_reference(x):
+    """The relu graph node that :func:`activate` replaced."""
+    xd = x.data
+
+    def bw(g):
+        _accumulate(x, g * (xd > 0.0))
+
+    return _result(xd * (xd > 0.0), (x,), bw)
+
+
+def leaky_relu_reference(x, slope):
+    """The leaky-relu graph node that :func:`activate` replaced."""
+    xd = x.data
+
+    def bw(g):
+        _accumulate(x, g * np.where(xd > 0.0, 1.0, slope))
+
+    return _result(xd * np.where(xd > 0.0, 1.0, slope), (x,), bw)
+
+
+def unfused(t, slope):
+    return relu_reference(t) if slope == 0.0 else leaky_relu_reference(t, slope)
+
+
+def _conv_case(stride, trainable_kernel):
+    def make(rng):
+        leaves = [Tensor(rng.normal(size=(1, 3, 7, 7)), requires_grad=True),
+                  Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=trainable_kernel),
+                  Tensor(rng.normal(size=(2,)), requires_grad=True)]
+        return leaves, lambda x, k, b: conv2d(x, k, b, stride, 1)
+    return make
+
+
+def _modulate_case(rng):
+    leaves = [Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True),
+              Tensor(rng.normal(size=(1, 6, 6, 6)), requires_grad=True)]
+    return leaves, modulate
+
+
+def _normalize_case(rng):
+    return [Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)], normalize
+
+
+ACTIVATED_OPS = {
+    "conv-s1-trainable": _conv_case(1, True),
+    "conv-s1-frozen": _conv_case(1, False),
+    "conv-s2-trainable": _conv_case(2, True),
+    "conv-s2-frozen": _conv_case(2, False),
+    "modulate": _modulate_case,
+    "normalize": _normalize_case,
+}
+
+
+class TestActivate:
+    """``activate`` in place on an op's output against the unfused node."""
+
+    @staticmethod
+    def run(op, act, slope):
+        leaves, fn = ACTIVATED_OPS[op](np.random.default_rng(5))
+        out = act(fn(*leaves), slope)
+        w = Tensor(np.random.default_rng(6).normal(size=out.data.shape))
+        (out * w).sum().backward()
+        return out.data, [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2])
+    @pytest.mark.parametrize("op", list(ACTIVATED_OPS))
+    def test_bytes_match_unfused(self, op, slope):
+        fused, fused_grads = self.run(op, activate, slope)
+        ref, ref_grads = self.run(op, unfused, slope)
+        assert np.array_equal(fused, ref)
+        assert (fused < 0.0).any() == (slope > 0.0)
+        for a, b in zip(fused_grads, ref_grads):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_records_no_node(self):
+        x = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+        out = conv2d(x, Tensor(np.ones((1, 1, 1, 1))))
+        parents = out._parents
+        assert activate(out, 0.2) is out and out._parents == parents
+
+    def test_negative_slope_rejected(self):
+        out = conv2d(Tensor(np.ones((1, 1, 3, 3)), requires_grad=True),
+                     Tensor(np.ones((1, 1, 1, 1))))
+        with pytest.raises(ValueError, match="slope >= 0"):
+            activate(out, -0.2)
+
+    def test_trainable_leaf_rejected(self):
+        leaf = Tensor([-1.0, 2.0], requires_grad=True)
+        with pytest.raises(ValueError, match="leaf"):
+            activate(leaf, 0.0)
+        assert np.array_equal(leaf.data, [-1.0, 2.0])
 
 
 class TestNormalize:
