@@ -24,6 +24,7 @@ from sgs.cli import _add_train_flags, _split_corpus, build_train_config, run_com
 from sgs.cli import main as cli_main
 from sgs.cycletrain import run_iterative, select_optimal
 from sgs.datagen import generate_corpus
+from sgs.numerics import atomic_open
 
 
 # Quick settings that override TrainConfig's defaults for this script.
@@ -50,7 +51,7 @@ def run(args):
     corpus_dir = os.path.join(args.out, "corpus")
     manifest = generate_corpus(corpus_dir, args.samples, cfg.image_size,
                                seed=cfg.seed)
-    train, val = _split_corpus(manifest, cfg.val_count)
+    train, val = _split_corpus(manifest, cfg)
     print(f"corpus: {len(train) + len(val)} paired samples at {cfg.image_size}px "
           f"in {corpus_dir}")
 
@@ -79,8 +80,7 @@ def run(args):
                        "--data", manifest, "--out", sheet_dir])
         if rc != 0:
             return rc
-    with open(os.path.join(args.out, "report.json"), "w",
-              encoding="utf-8") as f:
+    with atomic_open(os.path.join(args.out, "report.json")) as f:
         f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"\nreport written to {os.path.join(args.out, 'report.json')}")
     return 0

@@ -129,23 +129,20 @@ def _add_train_flags(parser):
             parser.add_argument(flag, type=str, help=f.metadata["help"])
 
 
-def _split_corpus(manifest, val_count):
+def _split_corpus(manifest, cfg):
+    """(train, val) samples of a corpus whose one image size is ``cfg``'s."""
     samples = load_corpus(manifest)
-    if val_count < 2:
-        raise ConfigError(f"val_count must be >= 2, got {val_count}")
-    if val_count >= len(samples):
-        raise ConfigError(
-            f"val_count {val_count} leaves no training data (corpus has {len(samples)})"
-        )
-    return samples[:-val_count], samples[-val_count:]
-
-
-def _check_corpus_size(samples, image_size):
+    if cfg.val_count < 2:
+        raise ConfigError(f"val_count must be >= 2, got {cfg.val_count}")
+    if cfg.val_count >= len(samples):
+        raise ConfigError(f"val_count {cfg.val_count} leaves no training data "
+                          f"(corpus has {len(samples)})")
     actual = samples[0].photo.data.shape[1]
-    if actual != image_size:
+    if actual != cfg.image_size:
         raise ConfigError(
-            f"image_size {image_size} does not match corpus images ({actual}px)"
+            f"image_size {cfg.image_size} does not match corpus images ({actual}px)"
         )
+    return samples[:-cfg.val_count], samples[-cfg.val_count:]
 
 
 def _worker_map():
@@ -180,8 +177,7 @@ def cmd_datagen(args):
 
 def cmd_train(args):
     cfg = build_train_config(args)
-    train, val = _split_corpus(args.data, cfg.val_count)
-    _check_corpus_size(train, cfg.image_size)
+    train, val = _split_corpus(args.data, cfg)
     out_dir = os.path.join(args.out, f"stage0_{args.direction}")
     result = train_direction(train, val, cfg, args.direction, 0, None, out_dir)
     write_manifest(args.out, cfg, {args.direction: [result.checkpoint]})
@@ -191,8 +187,7 @@ def cmd_train(args):
 
 def cmd_train_iterative(args):
     cfg = build_train_config(args)
-    train, val = _split_corpus(args.data, cfg.val_count)
-    _check_corpus_size(train, cfg.image_size)
+    train, val = _split_corpus(args.data, cfg)
     out = run_iterative(train, val, cfg, args.out)
     for d, ckpts in out["checkpoints"].items():
         last = ckpts[-1]
@@ -204,13 +199,13 @@ def cmd_train_iterative(args):
 def _load_model_and_data(args):
     gen = load_generator(args.model)
     direction = args.direction or _infer_direction(gen)
-    samples = load_corpus(args.data)
-    for s in samples:
-        if s.photo.data.shape[1] != gen.image_size:
-            raise DataError(
-                f"sample {s.id!r} is {s.photo.data.shape[1]}px but the model "
-                f"was trained at {gen.image_size}px"
-            )
+    samples = load_corpus(args.data)  # one image size throughout
+    actual = samples[0].photo.data.shape[1]
+    if actual != gen.image_size:
+        raise DataError(
+            f"corpus images are {actual}px but the model was trained at "
+            f"{gen.image_size}px"
+        )
     return gen, direction, samples
 
 

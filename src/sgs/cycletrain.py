@@ -21,7 +21,6 @@ import numpy as np
 
 from .layout import DataError
 from .losses import (
-    LOSS_CSV_COLUMNS,
     FeatureExtractor,
     LossLog,
     LossWeights,
@@ -70,7 +69,6 @@ class TrainConfig:
     lr: float = config_key(2e-4, "initial Adam learning rate")
     beta1: float = config_key(0.5, "Adam beta1")
     beta2: float = config_key(0.999, "Adam beta2")
-    batch_size: int = config_key(1, "samples per optimizer step")
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = config_key(7, "master seed for all randomness")
     image_size: int = config_key(64, "square image side in pixels")
@@ -89,8 +87,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 2, got {self.epochs}")
         if self.stages < 1:
             raise ConfigError(f"stages must be >= 1, got {self.stages}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.lr <= 0 or not np.isfinite(self.lr):
             raise ConfigError(f"lr must be positive, got {self.lr}")
         for name in ("beta1", "beta2"):
@@ -302,7 +300,9 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
     d_opt = Adam(disc.params(), cfg.beta1, cfg.beta2)
     g_opt = Adam(gen.params(), cfg.beta1, cfg.beta2)
     shuffle_rng = np.random.default_rng([cfg.seed, stage, didx, 4])
-    targets = {}  # sample id -> Target, built on first use, constant for the stage
+    targets = [target_record(sample_views(s, direction), extractor, oracle,
+                             cfg.variance_mode, frozen_opp, cfg.ict_taps)
+               for s in train_samples]
 
     os.makedirs(out_dir, exist_ok=True)
     log = LossLog(os.path.join(out_dir, "losses.csv"))
@@ -311,30 +311,22 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
 
     for epoch in range(cfg.epochs):
         lr = lr_at_epoch(cfg.lr, epoch, cfg.epochs)
-        order = shuffle_rng.permutation(len(train_samples))
-        sums = {"l_total": 0.0, "l_ict": 0.0}
-        steps_this_epoch = 0
+        epoch_vals = []
 
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
-            scale = 1.0 / len(batch)
-            vals = dict.fromkeys(LOSS_CSV_COLUMNS[1:], 0.0)
+        for i in shuffle_rng.permutation(len(train_samples)):
+            target = targets[i]
+            src, m_src, lay_src, tgt, _, _ = target.views
 
-            # Discriminator phase: fakes detached so only D learns here.
+            # Discriminator phase: the fake is detached so only D learns here.
             disc.zero_grad()
-            fakes = []
-            for s in batch:
-                src, m_src, lay_src, tgt, _, _ = sample_views(s, direction)
-                fake = gen.forward(src, m_src, lay_src)
-                fakes.append((s, fake))
-                loss_d = discriminator_loss(disc, src, m_src, tgt, fake)
-                if not np.isfinite(loss_d.data):
-                    raise NumericalError(
-                        f"non-finite discriminator loss at stage {stage} "
-                        f"direction {direction} step {step}"
-                    )
-                (loss_d * scale).backward()
-                vals["l_gan_d"] += loss_d.item() * scale
+            fake = gen.forward(src, m_src, lay_src)
+            loss_d = discriminator_loss(disc, src, m_src, tgt, fake)
+            if not np.isfinite(loss_d.data):
+                raise NumericalError(
+                    f"non-finite discriminator loss at stage {stage} "
+                    f"direction {direction} step {step}"
+                )
+            loss_d.backward()
             adam_step(d_opt, lr)
 
             # Generator phase, scored by the discriminator just updated.
@@ -342,31 +334,24 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
             gen.zero_grad()
             disc.zero_grad()
             disc.freeze()
-            for s, fake in fakes:
-                if s.id not in targets:
-                    targets[s.id] = target_record(
-                        sample_views(s, direction), extractor, oracle,
-                        cfg.variance_mode, frozen_opp, cfg.ict_taps)
-                terms = objective(fake, disc, targets[s.id], cfg.weights)
-                if not np.isfinite(terms["l_total"].data):
-                    raise NumericalError(
-                        f"non-finite generator loss at stage {stage} "
-                        f"direction {direction} step {step}"
-                    )
-                (terms["l_total"] * scale).backward()
-                for key, t in terms.items():
-                    vals[key] += t.item() * scale
+            terms = objective(fake, disc, target, cfg.weights)
+            if not np.isfinite(terms["l_total"].data):
+                raise NumericalError(
+                    f"non-finite generator loss at stage {stage} "
+                    f"direction {direction} step {step}"
+                )
+            terms["l_total"].backward()
             adam_step(g_opt, lr)
             disc.freeze(False)
 
             step += 1
-            steps_this_epoch += 1
+            vals = {key: t.item() for key, t in terms.items()}
+            vals["l_gan_d"] = loss_d.item()
             log.append(step, vals)
-            sums["l_total"] += vals["l_total"]
-            sums["l_ict"] += vals["l_ict"]
+            epoch_vals.append(vals)
 
-        epoch_total.append(sums["l_total"] / steps_this_epoch)
-        epoch_ict.append(sums["l_ict"] / steps_this_epoch)
+        epoch_total.append(sum(v["l_total"] for v in epoch_vals) / len(epoch_vals))
+        epoch_ict.append(sum(v["l_ict"] for v in epoch_vals) / len(epoch_vals))
 
     gen.freeze()  # the val forwards and the next stage's teacher record no graph
     save_generator(gen, out_dir)

@@ -272,6 +272,7 @@ def read_manifest(path):
             lines = f.readlines()
     except OSError as err:
         raise DataError(f"cannot read manifest {path}: {err}") from err
+    first_line = {}  # sample id -> the line that named it first
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -283,6 +284,12 @@ def read_manifest(path):
         missing = [k for k in MANIFEST_KEYS if k not in row]
         if missing:
             raise DataError(f"{path}:{lineno}: manifest row missing keys {missing}")
+        sid = str(row["id"])
+        if sid in first_line:
+            raise DataError(
+                f"{path}:{lineno}: sample id {sid!r} repeats line {first_line[sid]}"
+            )
+        first_line[sid] = lineno
         rows.append(row)
     return rows
 
@@ -311,7 +318,17 @@ def load_sample(manifest_path, row):
 
 
 def load_corpus(manifest_path):
+    """Every sample of a manifest; all must share sample 0's image size."""
     rows = read_manifest(manifest_path)
     if not rows:
         raise DataError(f"{manifest_path}: empty manifest")
-    return [load_sample(manifest_path, row) for row in rows]
+    samples = [load_sample(manifest_path, row) for row in rows]
+    first = samples[0].photo.data.shape
+    for s in samples:
+        shape = s.photo.data.shape
+        if shape != first:
+            raise DataError(
+                f"{manifest_path}: sample {s.id!r} is {shape[1]}x{shape[2]}px but "
+                f"sample {samples[0].id!r} is {first[1]}x{first[2]}px"
+            )
+    return samples

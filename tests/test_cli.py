@@ -12,20 +12,29 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 from sgs.cli import _TRAIN_KEYS, build_parser, build_train_config, main, read_config_file
-from sgs.cycletrain import ConfigError, NumericalError, TrainConfig
-from sgs.layout import read_manifest, read_pnm
+from sgs.cycletrain import Checkpoint, ConfigError, NumericalError, TrainConfig
+from sgs.datagen import generate_corpus
+from sgs.layout import read_manifest, read_pnm, write_manifest
 from sgs.losses import LossWeights
 from sgs.numerics import load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--epochs", "2", "--depth", "4", "--base-channels", "4",
                "--si-hidden", "4", "--val-count", "2", "--image-size", "32",
                "--seed", "3"]
+
+
+def absolute_rows(rows, root):
+    """Manifest rows with every file path made absolute under ``root``, so
+    the manifest can be written anywhere."""
+    return [{k: v if k == "id" else str(root / v) for k, v in row.items()}
+            for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +89,10 @@ class TestParser:
 
     def test_stats_flag_is_gone(self, tmp_path, capsys):
         """Deleted options' flags exit 2: ``--stats`` (instance statistics
-        are the one mode) and ``--gan-mode`` (BCE is the one form)."""
-        for flag, value in (("--stats", "batch"), ("--gan-mode", "lsgan")):
+        are the one mode), ``--gan-mode`` (BCE is the one form) and
+        ``--batch-size`` (one sample per optimizer step)."""
+        for flag, value in (("--stats", "batch"), ("--gan-mode", "lsgan"),
+                            ("--batch-size", "2")):
             with pytest.raises(SystemExit) as exc:
                 main(["train", "--data", str(tmp_path / "absent.jsonl"),
                       "--out", str(tmp_path / "r"), flag, value])
@@ -132,9 +143,9 @@ class TestConfigFile:
 
     def test_stats_key_is_gone(self, tmp_path, capsys):
         """Deleted options' config-file keys exit 2 with one line naming
-        the key: ``stats`` and ``gan_mode``."""
+        the key: ``stats``, ``gan_mode`` and ``batch_size``."""
         cfg = tmp_path / "run.cfg"
-        for key, value in (("stats", "batch"), ("gan_mode", "lsgan")):
+        for key, value in (("stats", "batch"), ("gan_mode", "lsgan"), ("batch_size", 2)):
             cfg.write_text(f"{key} = {value}\n")
             rc = main(["train", "--data", str(tmp_path / "absent.jsonl"),
                        "--out", str(tmp_path / "r"), "--config", str(cfg)])
@@ -318,6 +329,38 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "image_size" in err and "32px" in err
 
+    def test_duplicate_ids_is_data_error(self, cli_corpus, tmp_path, capsys):
+        """Two different samples named alike exit 3 before training."""
+        rows = read_manifest(cli_corpus["manifest"])
+        rows[1]["id"] = rows[0]["id"]
+        manifest = tmp_path / "dup.jsonl"
+        write_manifest(str(manifest), absolute_rows(rows, cli_corpus["root"]))
+        rc = main(["train", "--data", str(manifest), "--out", str(tmp_path / "r")]
+                  + TRAIN_FLAGS)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+        assert f":2: sample id '{rows[0]['id']}' repeats line 1" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_mixed_size_corpus_is_data_error(self, tmp_path, capsys):
+        """A corpus of 64 px and 32 px samples exits 3 naming the first
+        32 px one, rather than training on both sizes."""
+        rows = []
+        for prefix, n, size in (("a", 4, 64), ("b", 2, 32)):
+            root = tmp_path / prefix
+            for row in absolute_rows(read_manifest(
+                    generate_corpus(str(root), n, size, seed=5)), root):
+                rows.append(dict(row, id=prefix + row["id"]))
+        manifest = tmp_path / "mixed.jsonl"
+        write_manifest(str(manifest), rows)
+        rc = main(["train", "--data", str(manifest), "--out", str(tmp_path / "r"),
+                   "--image-size", "64", "--val-count", "2"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+        assert "sample 'b0000' is 32x32px but sample 'a0000' is 64x64px" in err
+
     def test_numerical_blowup_is_exit_4(self, cli_corpus, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -355,6 +398,15 @@ class TestSynthesizeCommand:
                    str(tmp_path / "s"), "--ids", "9999"])
         assert rc == 3
         assert "9999" in capsys.readouterr().err
+
+    def test_corpus_size_differs_from_model_is_data_error(self, trained_run, tmp_path,
+                                                          capsys):
+        manifest = generate_corpus(str(tmp_path / "c64"), 2, 64, seed=5)
+        rc = main(["synthesize", "--model", trained_run["model"], "--data", manifest,
+                   "--out", str(tmp_path / "synth")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: data: corpus images are 64px but the model was trained at 32px\n")
 
     def test_missing_checkpoint_is_data_error(self, cli_corpus, tmp_path, capsys):
         rc = main(["synthesize", "--model", str(tmp_path / "nope"),
@@ -608,6 +660,15 @@ class TestGraphDumpCommand:
         assert "'zz'" in capsys.readouterr().err
 
 
+def load_desk_script():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        "run_desk_experiment.py")
+    spec = importlib.util.spec_from_file_location("run_desk_experiment", path)
+    desk = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(desk)
+    return desk
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run([sys.executable, "-m", "sgs.cli", "--help"],
@@ -643,11 +704,7 @@ class TestEntryPoint:
     def test_desk_experiment_config_layers(self, tmp_path):
         """The script's config: TrainConfig < DESK_DEFAULTS < --config file
         < flags, built without training."""
-        path = os.path.join(os.path.dirname(__file__), "..", "scripts",
-                            "run_desk_experiment.py")
-        spec = importlib.util.spec_from_file_location("run_desk_experiment", path)
-        desk = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(desk)
+        desk = load_desk_script()
         cfg_file = tmp_path / "desk.cfg"
         cfg_file.write_text("epochs = 3\ndepth = 3\nweight_cycle = 2.5\n")
         args = desk.parse_args(["--config", str(cfg_file), "--epochs", "5",
@@ -676,11 +733,7 @@ class TestEntryPoint:
 
     def test_desk_experiment_script_numerical_error(self, tmp_path, monkeypatch, capsys):
         """A non-finite loss in training exits 4 with one line."""
-        path = os.path.join(os.path.dirname(__file__), "..", "scripts",
-                            "run_desk_experiment.py")
-        spec = importlib.util.spec_from_file_location("run_desk_experiment", path)
-        desk = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(desk)
+        desk = load_desk_script()
 
         def diverge(*args):
             raise NumericalError("non-finite generator loss at stage 0 direction k step 1")
@@ -691,6 +744,31 @@ class TestEntryPoint:
         assert rc == 4
         assert capsys.readouterr().err == (
             "error: numerical: non-finite generator loss at stage 0 direction k step 1\n")
+
+    def test_desk_experiment_failed_report_keeps_previous_file(self, tmp_path,
+                                                               monkeypatch, capsys):
+        """``report.json`` is written atomically: a failed flush to disk
+        leaves the previous report byte for byte and no temp file."""
+        desk = load_desk_script()
+        ckpt = Checkpoint(stage=0, direction="k", path="p", digest="d",
+                          val={"ssim_mean": 0.5, "fsim_mean": 0.5, "frechet_proxy": 1.0})
+        stage = {d: types.SimpleNamespace(epoch_ict=[0.0]) for d in ("k", "o")}
+        monkeypatch.setattr(desk, "run_iterative", lambda *args: {
+            "checkpoints": {"k": [ckpt], "o": [ckpt]}, "stages": [stage]})
+        monkeypatch.setattr(desk, "cli_main", lambda argv: 0)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "report.json").write_text('{"old": 1}\n', encoding="utf-8")
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        rc = desk.main(["--out", str(out), "--samples", "4", "--image-size", "32"])
+        assert rc == 3
+        assert "No space left" in capsys.readouterr().err
+        assert (out / "report.json").read_text(encoding="utf-8") == '{"old": 1}\n'
+        assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
 
     @pytest.mark.parametrize("flags,message", [
         (["--samples", "2", "--val-count", "2"],

@@ -66,7 +66,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value,hint", [
         ("epochs", 1, "epochs"),
         ("stages", 0, "stages"),
-        ("batch_size", 0, "batch_size"),
+        ("seed", -1, "seed must be >= 0, got -1"),
         ("lr", 0.0, "lr"),
         ("lr", float("nan"), "lr"),
         ("beta1", -1.0, "beta1"),
@@ -414,6 +414,32 @@ class TestTrainDirection:
         assert len(d_unset) == cfg.epochs * 2 and all(d_unset)
         assert all(p.requires_grad for p in updates[0])
 
+    def test_each_step_scores_one_sample(self, tiny_corpus, tmp_path, monkeypatch):
+        """D's real image and the target the fake is scored against come
+        from the same sample at every step, even when two samples share an
+        id."""
+        import sgs.cycletrain as cycletrain
+        d_loss, g_objective, reals, scored = (cycletrain.discriminator_loss,
+                                              cycletrain.objective, [], [])
+
+        def recording_d(d, source, m, y_real, y_fake):
+            reals.append(y_real.data)
+            return d_loss(d, source, m, y_real, y_fake)
+
+        def recording_g(fake, d, target, weights):
+            scored.append(target.views[3].data)
+            return g_objective(fake, d, target, weights)
+
+        monkeypatch.setattr(cycletrain, "discriminator_loss", recording_d)
+        monkeypatch.setattr(cycletrain, "objective", recording_g)
+        first, second = tiny_corpus["samples"][:2]
+        train = [first, dataclasses.replace(second, id=first.id)]
+        train_direction(train, tiny_corpus["samples"][2:4], tiny_config(), "k", 0,
+                        None, str(tmp_path / "r"))
+        assert len(reals) == len(scored) == 4
+        assert len({r.tobytes() for r in reals}) == 2
+        assert all(np.array_equal(r, t) for r, t in zip(reals, scored))
+
     def test_frozen_opp_channel_validation(self, tiny_corpus, tmp_path):
         cfg = tiny_config()
         wrong = Generator(3, 1, depth=4, base_channels=2, si_hidden=2,
@@ -500,6 +526,7 @@ class TestRunIterative:
             manifest = json.load(f)
         assert set(manifest) == {"config", "checkpoints"}
         assert manifest["config"]["stages"] == 1
+        assert "batch_size" not in manifest["config"]
         assert len(manifest["checkpoints"]["k"]) == 2
 
     def test_frozen_stage0_untouched_by_stage1(self, run):

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from sgs.layout import (
     BACKGROUND,
     CLASS_NAMES,
+    MANIFEST_KEYS,
     N_CLASSES,
     SKIN,
     DataError,
@@ -263,6 +264,41 @@ class TestManifests:
         path.write_text('{"id": "0", "photo": "p.ppm"}\n')
         with pytest.raises(DataError, match="sketch"):
             read_manifest(str(path))
+
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        rows = self._rows(3)
+        rows[2]["id"] = rows[0]["id"]
+        write_manifest(str(path), rows)
+        with pytest.raises(DataError, match=r":3: sample id '0000' repeats line 1"):
+            read_manifest(str(path))
+
+    def test_load_corpus_rejects_mixed_sizes(self, tmp_path):
+        """Every sample must share sample 0's size; the first that does
+        not is named."""
+        rows = []
+        for prefix, size in (("a", 32), ("b", 16)):
+            for row in self._rows(2):
+                row = dict(row, id=prefix + row["id"])
+                sample = make_sample(row["id"], size=size)
+                for key in MANIFEST_KEYS[1:]:
+                    row[key] = prefix + row[key]
+                write_photo(str(tmp_path / row["photo"]), sample.photo.data)
+                write_gray(str(tmp_path / row["sketch"]), sample.sketch.data[0])
+                write_gray(str(tmp_path / row["saliency_photo"]),
+                           sample.saliency_photo.values)
+                write_gray(str(tmp_path / row["saliency_sketch"]),
+                           sample.saliency_sketch.values)
+                write_layout(str(tmp_path / row["layout_photo"]), sample.layout_photo)
+                write_layout(str(tmp_path / row["layout_sketch"]), sample.layout_sketch)
+                rows.append(row)
+        path = tmp_path / "m.jsonl"
+        write_manifest(str(path), rows)
+        with pytest.raises(DataError, match="sample 'b0000' is 16x16px but sample "
+                                            "'a0000' is 32x32px"):
+            load_corpus(str(path))
+        write_manifest(str(path), rows[:2])
+        assert [s.id for s in load_corpus(str(path))] == ["a0000", "a0001"]
 
     def test_missing_file_names_sample(self, tmp_path):
         path = tmp_path / "m.jsonl"
