@@ -22,7 +22,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from sgs.cli import _add_train_flags, _split_corpus, build_train_config, run_command
 from sgs.cli import main as cli_main
-from sgs.cycletrain import run_iterative, select_optimal
+from sgs.cycletrain import DIRECTIONS, run_iterative, select_optimal
 from sgs.datagen import generate_corpus
 from sgs.numerics import atomic_open
 
@@ -60,7 +60,7 @@ def run(args):
 
     print(f"\n{'stage':>5} {'dir':>3} {'ssim':>8} {'fsim':>8} "
           f"{'frechet':>10} {'last-ict':>10}")
-    for direction in ("k", "o"):
+    for direction in DIRECTIONS:
         for ckpt in result["checkpoints"][direction]:
             ict = result["stages"][ckpt.stage][direction].epoch_ict[-1]
             print(f"{ckpt.stage:>5} {direction:>3} "
@@ -70,7 +70,7 @@ def run(args):
                   f"{ict:>10.5f}")
 
     report = {}
-    for direction, label in (("k", "photo->sketch"), ("o", "sketch->photo")):
+    for direction, label in zip(DIRECTIONS, ("photo->sketch", "sketch->photo")):
         best = select_optimal(result["checkpoints"][direction])
         report[direction] = {"stage": best.stage, "path": best.path,
                              "val": best.val}

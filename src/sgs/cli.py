@@ -19,6 +19,7 @@ from dataclasses import fields as dc_fields
 import numpy as np
 
 from .cycletrain import (
+    DIRECTIONS,
     ConfigError,
     NumericalError,
     TrainConfig,
@@ -30,7 +31,7 @@ from .cycletrain import (
     train_direction,
     write_manifest,
 )
-from .datagen import corpus_stats, generate_corpus
+from .datagen import generate_corpus
 from .graphs import graph_dump
 from .layout import DataError, load_corpus, write_gray, write_photo
 from .losses import LossWeights
@@ -170,8 +171,7 @@ def _infer_direction(gen):
 def cmd_datagen(args):
     manifest = generate_corpus(args.out, args.n, args.size, args.seed,
                                mode=args.mode, glasses_frac=args.glasses_frac)
-    stats = corpus_stats(manifest)
-    print(f"wrote {stats['n_samples']} samples to {manifest}")
+    print(f"wrote {args.n} samples to {manifest}")
     return 0
 
 
@@ -315,7 +315,7 @@ def build_parser():
     p = sub.add_parser("train", help="train one direction, stage 0 only")
     p.add_argument("--data", required=True, help="corpus manifest")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--direction", choices=["k", "o"], default="k",
+    p.add_argument("--direction", choices=DIRECTIONS, default="k",
                    help="k: photo->sketch, o: sketch->photo")
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
@@ -330,7 +330,7 @@ def build_parser():
     p.add_argument("--model", required=True, help="checkpoint directory")
     p.add_argument("--data", required=True, help="corpus manifest")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--direction", choices=["k", "o"], default=None,
+    p.add_argument("--direction", choices=DIRECTIONS, default=None,
                    help="override the direction inferred from the model")
     p.add_argument("--ids", default=None, help="comma-separated sample ids")
     p.set_defaults(func=cmd_synthesize)
@@ -339,7 +339,7 @@ def build_parser():
     p.add_argument("--model", required=True, help="checkpoint directory")
     p.add_argument("--data", required=True, help="corpus manifest")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--direction", choices=["k", "o"], default=None,
+    p.add_argument("--direction", choices=DIRECTIONS, default=None,
                    help="override the direction inferred from the model")
     p.set_defaults(func=cmd_eval)
 

@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .layout import (
     BACKGROUND,
-    CLASS_NAMES,
     CLOTH,
     EARS,
     EYEBROWS,
@@ -29,19 +28,19 @@ from .layout import (
     HAIR,
     INNER_MOUTH,
     LIPS,
+    MANIFEST_KEYS,
     N_CLASSES,
     NECK,
     NOSE,
     SKIN,
     DataError,
     SemanticLayout,
-    read_layout,
-    read_manifest,
     write_gray,
     write_layout,
     write_manifest,
     write_photo,
 )
+from .metrics import LUMA_WEIGHTS
 
 # Painting order: later entries overwrite earlier ones.
 LAYER_ORDER = (
@@ -292,7 +291,7 @@ def render_photo(spec, layout, rng):
 
 def render_sketch(spec, layout, rng):
     """Edge-stroke rendering of the class structure, in [0, 1]."""
-    luma = spec.palette[layout.classes] @ np.array([0.299, 0.587, 0.114])
+    luma = spec.palette[layout.classes] @ np.array(LUMA_WEIGHTS)
     edges = _scharr_magnitude(luma)
     peak = edges.max()
     strokes = edges / peak if peak > 0 else edges
@@ -349,14 +348,8 @@ def generate_corpus(out_dir, n, size, seed, mode="aligned", glasses_frac=0.5):
     for i in range(n):
         sample = generate_sample(seed, i, size, mode, glasses_frac)
         sid = f"{i:04d}"
-        names = {
-            "photo": f"{sid}_photo.ppm",
-            "sketch": f"{sid}_sketch.pgm",
-            "saliency_photo": f"{sid}_saliency_photo.pgm",
-            "saliency_sketch": f"{sid}_saliency_sketch.pgm",
-            "layout_photo": f"{sid}_layout_photo.pgm",
-            "layout_sketch": f"{sid}_layout_sketch.pgm",
-        }
+        names = {k: f"{sid}_{k}.{'ppm' if k == 'photo' else 'pgm'}"
+                 for k in MANIFEST_KEYS if k != "id"}
         write_photo(os.path.join(out_dir, names["photo"]), sample["photo"])
         write_gray(os.path.join(out_dir, names["sketch"]), sample["sketch"][0])
         write_gray(os.path.join(out_dir, names["saliency_photo"]), sample["saliency_photo"])
@@ -367,46 +360,3 @@ def generate_corpus(out_dir, n, size, seed, mode="aligned", glasses_frac=0.5):
     manifest = os.path.join(out_dir, "manifest.jsonl")
     write_manifest(manifest, rows)
     return manifest
-
-
-def corpus_stats(manifest_path):
-    """Byte-level corpus summary: counts, sizes, per-class frequencies.
-
-    Broken file paths are collected and reported together rather than
-    failing on the first one.
-    """
-    rows = read_manifest(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    problems = []
-    pixel_counts = np.zeros(N_CLASSES, dtype=np.int64)
-    presence_counts = np.zeros(N_CLASSES, dtype=np.int64)
-    sizes = {}
-    n_ok = 0
-    for row in rows:
-        path = os.path.join(base, row["layout_photo"])
-        try:
-            layout = read_layout(path)
-        except (DataError, OSError) as err:
-            problems.append(f"sample {row['id']!r}: {err}")
-            continue
-        counts = layout.class_counts()
-        pixel_counts += counts
-        presence_counts += counts > 0
-        key = f"{layout.height}x{layout.width}"
-        sizes[key] = sizes.get(key, 0) + 1
-        n_ok += 1
-    if problems:
-        raise DataError("corpus has broken samples:\n" + "\n".join(problems))
-    # An empty manifest reports zero counts rather than failing.
-    total = float(max(pixel_counts.sum(), 1))
-    denom = max(n_ok, 1)
-    return {
-        "n_samples": n_ok,
-        "sizes": sizes,
-        "class_pixel_fraction": {
-            name: float(pixel_counts[c] / total) for c, name in enumerate(CLASS_NAMES)
-        },
-        "class_presence_fraction": {
-            name: float(presence_counts[c] / denom) for c, name in enumerate(CLASS_NAMES)
-        },
-    }

@@ -83,9 +83,6 @@ class SemanticLayout:
             planes[c] = self.classes == c
         return planes
 
-    def class_counts(self):
-        return np.bincount(self.classes.ravel(), minlength=N_CLASSES)
-
 
 def downsample_layout(layout, factor):
     """Pick the top-left corner of each factor x factor block.
@@ -281,6 +278,8 @@ def read_manifest(path):
             row = json.loads(line)
         except json.JSONDecodeError as err:
             raise DataError(f"{path}:{lineno}: invalid JSON: {err}") from err
+        if not isinstance(row, dict):
+            raise DataError(f"{path}:{lineno}: manifest row is not a JSON object")
         missing = [k for k in MANIFEST_KEYS if k not in row]
         if missing:
             raise DataError(f"{path}:{lineno}: manifest row missing keys {missing}")

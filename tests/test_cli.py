@@ -21,7 +21,7 @@ import pytest
 from sgs.cli import _TRAIN_KEYS, build_parser, build_train_config, main, read_config_file
 from sgs.cycletrain import Checkpoint, ConfigError, NumericalError, TrainConfig
 from sgs.datagen import generate_corpus
-from sgs.layout import read_manifest, read_pnm, write_manifest
+from sgs.layout import MANIFEST_KEYS, read_manifest, read_pnm, write_manifest
 from sgs.losses import LossWeights
 from sgs.numerics import load_checkpoint, save_checkpoint
 
@@ -658,6 +658,18 @@ class TestGraphDumpCommand:
         rc = main(["graph-dump", "--data", cli_corpus["manifest"], "--id", "zz"])
         assert rc == 3
         assert "'zz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["7", "[1]", "null", json.dumps(" ".join(MANIFEST_KEYS))],
+                             ids=["number", "array", "null", "string_of_every_key"])
+    def test_non_object_row_is_data_error(self, tmp_path, capsys, row):
+        """A row that is valid JSON but not an object names its line; a
+        string holding every key name is not taken for a row."""
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(row + "\n", encoding="utf-8")
+        rc = main(["graph-dump", "--data", str(manifest), "--id", "0"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: data: {manifest}:1: manifest row is not a JSON object\n")
 
 
 def load_desk_script():

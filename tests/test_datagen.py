@@ -1,8 +1,8 @@
 """Tests for the procedural paired-corpus generator.
 
 Determinism is checked at the byte level, class usage against the
-layout domain, and corpus statistics against a counting oracle that
-re-reads the generated files directly.
+layout domain, and the loaded corpus's class statistics against a
+counting oracle that re-reads the generated files directly.
 """
 import hashlib
 import os
@@ -13,13 +13,13 @@ import pytest
 from sgs.datagen import (
     MAX_WARP,
     _box_blur,
-    corpus_stats,
     generate_corpus,
     generate_sample,
     render_saliency,
     sample_scene,
     sample_warp,
 )
+from sgs.graphs import compute_nodes
 from sgs.layout import (
     BACKGROUND,
     CLASS_NAMES,
@@ -206,6 +206,12 @@ class TestGenerateCorpus:
         manifest = generate_corpus(str(tmp_path / "c"), n=5, size=32, seed=0)
         rows = read_manifest(manifest)
         assert [row["id"] for row in rows] == [f"{i:04d}" for i in range(5)]
+        assert rows[1] == {
+            "id": "0001", "photo": "0001_photo.ppm", "sketch": "0001_sketch.pgm",
+            "saliency_photo": "0001_saliency_photo.pgm",
+            "saliency_sketch": "0001_saliency_sketch.pgm",
+            "layout_photo": "0001_layout_photo.pgm", "layout_sketch": "0001_layout_sketch.pgm",
+        }
         samples = load_corpus(manifest)
         assert len(samples) == 5
 
@@ -241,61 +247,59 @@ class TestGenerateCorpus:
 def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("statscorpus")
     manifest = generate_corpus(str(root), n=32, size=32, seed=29)
-    return {"root": root, "manifest": manifest}
+    return {"root": root, "manifest": manifest, "samples": load_corpus(manifest)}
+
+
+def class_presence(samples):
+    """[n, 12] bool: the classes each photo layout holds, as the graph
+    nodes count them."""
+    return np.array([compute_nodes(s.photo, s.layout_photo).present for s in samples])
 
 
 class TestCorpusStats:
+    """Class statistics of a generated corpus, read through ``load_corpus``."""
+
     def test_matches_counting_oracle(self, corpus):
-        stats = corpus_stats(corpus["manifest"])
         rows = read_manifest(corpus["manifest"])
-        counts = np.zeros(12, dtype=np.int64)
-        presence = np.zeros(12, dtype=np.int64)
-        for row in rows:
-            layout = read_layout(str(corpus["root"] / row["layout_photo"]))
-            for c in range(12):
-                k = int((layout.classes == c).sum())
-                counts[c] += k
-                presence[c] += k > 0
-        total = counts.sum()
-        assert stats["n_samples"] == 32
-        assert stats["sizes"] == {"32x32": 32}
-        for c, name in enumerate(CLASS_NAMES):
-            assert abs(stats["class_pixel_fraction"][name] - counts[c] / total) < 1e-12
-            assert abs(stats["class_presence_fraction"][name] - presence[c] / 32) < 1e-12
+        assert [s.id for s in corpus["samples"]] == [row["id"] for row in rows]
+        for s, row in zip(corpus["samples"], rows):
+            classes = read_layout(str(corpus["root"] / row["layout_photo"])).classes
+            counts = np.array([int((classes == c).sum()) for c in range(12)])
+            assert s.layout_photo.classes.shape == (32, 32)
+            assert np.array_equal(s.layout_photo.one_hot().sum(axis=(1, 2)), counts)
+            assert np.array_equal(compute_nodes(s.photo, s.layout_photo).present,
+                                  counts > 0)
 
     def test_default_corpus_presence_profile(self, corpus):
         """All classes show up in >= 90% of samples, glasses in exactly half."""
-        stats = corpus_stats(corpus["manifest"])
-        presence = stats["class_presence_fraction"]
-        for name in CLASS_NAMES:
+        presence = class_presence(corpus["samples"]).mean(axis=0)
+        for c, name in enumerate(CLASS_NAMES):
             if name == "glasses":
-                assert abs(presence[name] - 0.5) < 1e-12
+                assert abs(presence[c] - 0.5) < 1e-12
             else:
-                assert presence[name] >= 0.9
+                assert presence[c] >= 0.9
 
-    def test_invariant_to_line_order(self, corpus, tmp_path):
+    def test_invariant_to_line_order(self, corpus):
         rows = read_manifest(corpus["manifest"])
         shuffled = str(corpus["root"] / "shuffled.jsonl")
         write_manifest(shuffled, rows[::-1])
-        assert corpus_stats(shuffled) == corpus_stats(corpus["manifest"])
+        back = load_corpus(shuffled)[::-1]
+        for a, b in zip(back, corpus["samples"], strict=True):
+            assert a.id == b.id
+            assert np.array_equal(a.photo.data, b.photo.data)
+            assert np.array_equal(a.layout_photo.classes, b.layout_photo.classes)
 
-    def test_empty_manifest_zero_counts(self, tmp_path):
-        manifest = tmp_path / "manifest.jsonl"
-        manifest.write_text("")
-        stats = corpus_stats(str(manifest))
-        assert stats["n_samples"] == 0
-        assert stats["sizes"] == {}
-        assert all(v == 0.0 for v in stats["class_pixel_fraction"].values())
-
-    def test_broken_paths_itemized(self, tmp_path):
+    def test_broken_path_names_first_sample(self, tmp_path):
+        """The one corpus reader stops at the first broken sample and names it."""
         out = tmp_path / "c"
         manifest = generate_corpus(str(out), n=3, size=32, seed=5)
         os.remove(str(out / "0001_layout_photo.pgm"))
         os.remove(str(out / "0002_layout_photo.pgm"))
         with pytest.raises(DataError) as exc:
-            corpus_stats(manifest)
+            load_corpus(manifest)
         msg = str(exc.value)
-        assert "'0001'" in msg and "'0002'" in msg and "'0000'" not in msg
+        assert "'0001'" in msg and "0001_layout_photo.pgm" in msg
+        assert "'0002'" not in msg and "'0000'" not in msg
 
 
 class TestSceneSpec:

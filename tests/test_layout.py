@@ -75,11 +75,6 @@ class TestSemanticLayout:
         assert planes.shape == (12, 6, 6)
         assert np.array_equal(planes.sum(axis=0), np.ones((6, 6)))
 
-    def test_class_counts_total(self):
-        layout = SemanticLayout(np.random.default_rng(1).integers(0, 12, (5, 7)))
-        counts = layout.class_counts()
-        assert counts.sum() == 35
-
 
 @settings(max_examples=50, deadline=None)
 @given(hnp.arrays(np.int64, (8, 8), elements=st.integers(0, 11)))
