@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import N_CLASSES
-from .numerics import Tensor
+from .numerics import Tensor, _accumulate, _result
 
 COSINE_EPS = 1e-12
 # Additive guard inside square roots: keeps gradients finite at exactly-zero
@@ -61,6 +61,12 @@ def compute_nodes(f, layout, variance="literal"):
     region contribute (-mu)^2 terms; ``variance="masked"`` restricts the
     squared deviations to the region instead.  Absent classes yield zero
     nodes and present=False.
+
+    The layout is a partition, so per-class sums are one ``np.bincount``
+    per channel over the class map, and each of ``mu`` and ``nu`` is one
+    graph node over ``f`` with a closed-form backward.  Neither closure
+    keeps anything pixel-sized: the ``nu`` backward recomputes the
+    deviations from ``f.data``.
     """
     if f.data.ndim != 3:
         raise ValueError(f"feature map must be [Cf, H, W], got {f.data.shape}")
@@ -72,24 +78,49 @@ def compute_nodes(f, layout, variance="literal"):
     if variance not in ("literal", "masked"):
         raise ValueError(f"unknown variance mode {variance!r}")
 
-    planes = layout.one_hot()  # [12, H, W]
-    counts = planes.sum(axis=(1, 2))
+    classes = layout.classes.ravel()  # [HW]
+    counts = np.bincount(classes, minlength=N_CLASSES)
     present = counts > 0
-    denom = Tensor(np.maximum(counts, 1.0)[:, None])
+    denom = np.maximum(counts, 1)[:, None]  # [12, 1]
 
-    masks = Tensor(planes[:, None, :, :])  # [12, 1, H, W]
-    fb = f.reshape((1, cf, h, w))
-    masked = fb * masks  # [12, Cf, H, W]
-    # An absent class's mask is all zeros, so its nodes are exact zeros.
-    mu = masked.sum(axis=(2, 3)) / denom
+    def class_means(x):  # [Cf, HW] -> [12, Cf]
+        sums = [np.bincount(classes, weights=row, minlength=N_CLASSES) for row in x]
+        return np.stack(sums, axis=1) / denom
 
-    mu_b = mu.reshape((N_CLASSES, cf, 1, 1))
+    def per_pixel(v):  # [12, Cf] -> [Cf, HW], each pixel's class row
+        return np.take(v.T, classes, axis=1)
+
+    # An absent class has no pixels, so its sums and nodes are exact zeros.
+    mu = class_means(f.data.reshape(cf, h * w))
+
+    def deviations():  # f - mu[classes], [Cf, HW]
+        dev = per_pixel(mu)
+        np.subtract(f.data.reshape(cf, h * w), dev, out=dev)
+        return dev
+
+    sq = deviations()
+    sq *= sq
+    nu = class_means(sq)
     if variance == "literal":
-        dev = masked - mu_b
+        # Each of the HW - n pixels outside a region adds (0 - mu)^2.
+        outside = (h * w - counts)[:, None] / denom
+        nu += outside * mu * mu
     else:
-        dev = (fb - mu_b) * masks
-    nu = (dev * dev).sum(axis=(2, 3)) / denom
-    return GraphNodes(mu=mu, nu=nu, present=present)
+        outside = None
+
+    def mu_bw(g):
+        _accumulate(f, per_pixel(g / denom).reshape(f.data.shape))
+
+    def nu_bw(g):
+        a = 2.0 * g / denom
+        gf = deviations()
+        gf *= per_pixel(a)
+        if outside is not None:
+            gf += per_pixel(a * outside * mu)
+        _accumulate(f, gf.reshape(f.data.shape))
+
+    return GraphNodes(mu=_result(mu, (f,), mu_bw), nu=_result(nu, (f,), nu_bw),
+                      present=present)
 
 
 def _guarded_norm(x, axis=None):

@@ -283,6 +283,9 @@ def read_manifest(path):
         missing = [k for k in MANIFEST_KEYS if k not in row]
         if missing:
             raise DataError(f"{path}:{lineno}: manifest row missing keys {missing}")
+        for key in MANIFEST_KEYS:
+            if key != "id" and not (isinstance(row[key], str) and row[key]):
+                raise DataError(f"{path}:{lineno}: manifest key {key!r} is not a file name")
         sid = str(row["id"])
         if sid in first_line:
             raise DataError(

@@ -671,6 +671,20 @@ class TestGraphDumpCommand:
         assert capsys.readouterr().err == (
             f"error: data: {manifest}:1: manifest row is not a JSON object\n")
 
+    @pytest.mark.parametrize("value", [5, None, ["a.ppm"], ""],
+                             ids=["number", "null", "list", "empty"])
+    def test_file_key_not_a_name_is_data_error(self, tmp_path, capsys, value):
+        """A file key must hold a non-empty string before any path is built."""
+        row = {k: f"0_{k}.pgm" for k in MANIFEST_KEYS}
+        row["id"] = "0"
+        row["photo"] = value
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        rc = main(["graph-dump", "--data", str(manifest), "--id", "0"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: data: {manifest}:1: manifest key 'photo' is not a file name\n")
+
 
 def load_desk_script():
     path = os.path.join(os.path.dirname(__file__), "..", "scripts",

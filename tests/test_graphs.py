@@ -1,4 +1,6 @@
 """Graph-node and graph-loss tests against brute-force loop oracles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -312,7 +314,30 @@ class TestGraphLosses:
 
 
 class TestGraphGradients:
-    """Finite-difference checks through the full graph path."""
+    """Finite-difference checks of the nodes and through the full graph path."""
+
+    @pytest.mark.parametrize("variance", ["literal", "masked"])
+    @pytest.mark.parametrize("layout_kind", ["extreme", "random"])
+    def test_node_gradient(self, layout_kind, variance):
+        """Every ``mu`` and ``nu`` entry carries its own random weight, so
+        no entry's gradient hides behind a cosine or a distance."""
+        rng = np.random.default_rng(63)
+        if layout_kind == "extreme":
+            # Class 2 covers all but one pixel, class 7 is that pixel, and
+            # the other ten classes are absent.
+            classes = np.full((4, 4), 2)
+        else:
+            _, classes = random_instance(64, empty_classes=True, size=4)
+        classes[1, 2] = 7
+        layout = SemanticLayout(classes)
+        w1 = Tensor(rng.standard_normal((N_CLASSES, 3)))
+        w2 = Tensor(rng.standard_normal((N_CLASSES, 3)))
+
+        def build(t):
+            nodes = compute_nodes(t, layout, variance=variance)
+            return (nodes.mu * w1).sum() + (nodes.nu * w2).sum()
+
+        gradcheck(build, rng.uniform(0.1, 1.0, size=(3, 4, 4)), rtol=1e-4, h=1e-6)
 
     def _target_graphs(self, classes):
         tgt, _ = random_instance(77, size=classes.shape[0])
@@ -352,6 +377,36 @@ class TestGraphGradients:
                     + inter_graph_loss(it_t, inter_graph(nodes)))
 
         gradcheck(build, f, rtol=1e-4, h=1e-6)
+
+
+class TestComputeNodesMemory:
+    """The op keeps nothing pixel-sized for backward.
+
+    Sizes are in units of one ``[Cf, H, W]`` float64 array, the size of
+    ``f`` itself.
+    """
+
+    @pytest.mark.parametrize("variance", ["literal", "masked"])
+    @pytest.mark.parametrize("cf", [1, 3])
+    def test_held_and_peak_memory(self, cf, variance):
+        size = 128
+        rng = np.random.default_rng(cf)
+        layout = SemanticLayout(rng.integers(0, N_CLASSES, size=(size, size)))
+        f = Tensor(rng.random((cf, size, size)), requires_grad=True)
+        w1 = Tensor(rng.standard_normal((N_CLASSES, cf)))
+        w2 = Tensor(rng.standard_normal((N_CLASSES, cf)))
+        unit = cf * size * size * 8
+        tracemalloc.start()
+        try:
+            nodes = compute_nodes(f, layout, variance=variance)
+            held, _ = tracemalloc.get_traced_memory()
+            ((nodes.mu * w1).sum() + (nodes.nu * w2).sum()).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.grad.shape == f.data.shape
+        assert held < unit, f"{held / unit:.2f} units held after forward"
+        assert peak <= 4 * unit, f"{peak / unit:.2f} units at peak"
 
 
 class TestGraphDump:
