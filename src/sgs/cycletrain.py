@@ -354,6 +354,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
         epoch_ict.append(sum(v["l_ict"] for v in epoch_vals) / len(epoch_vals))
 
     gen.freeze()  # the val forwards and the next stage's teacher record no graph
+    gen.zero_grad()  # the returned generator holds its weights only
     save_generator(gen, out_dir)
     val = evaluate_direction(gen, val_samples, direction, extractor)
     with atomic_open(os.path.join(out_dir, "val_metrics.json")) as f:

@@ -51,7 +51,12 @@ class DataError(ValueError):
 
 
 class SemanticLayout:
-    """Per-pixel class indices over an H x W grid."""
+    """Per-pixel class indices over an H x W grid.
+
+    ``classes`` is read-only, so what is derived from it is built on first
+    use and cached on the instance: the downsampled layouts of
+    :meth:`downsampled` and the neighbourhood tables of :meth:`si_tables`.
+    """
 
     def __init__(self, classes):
         arr = np.asarray(classes)
@@ -66,7 +71,15 @@ class SemanticLayout:
             )
         if arr.min() < 0:
             raise DataError("layout contains negative class indices")
-        self.classes = arr.astype(np.uint8)
+        self._classes = arr.astype(np.uint8)
+        self._classes.setflags(write=False)
+        self._scaled = {}  # factor -> downsampled layout
+        self._tables = None
+
+    @property
+    def classes(self):
+        """The [H, W] uint8 class map, read-only."""
+        return self._classes
 
     @property
     def height(self):
@@ -82,6 +95,67 @@ class SemanticLayout:
         for c in range(N_CLASSES):
             planes[c] = self.classes == c
         return planes
+
+    def downsampled(self, factor):
+        """:func:`downsample_layout` of this layout, built once per factor."""
+        if factor == 1:
+            return self
+        if factor not in self._scaled:
+            self._scaled[factor] = downsample_layout(self, factor)
+        return self._scaled[factor]
+
+    def si_tables(self):
+        """This layout's :func:`neighbourhood_tables`, built once."""
+        if self._tables is None:
+            self._tables = neighbourhood_tables(self.classes)
+        return self._tables
+
+
+def neighbourhood_tables(classes):
+    """The distinct 3x3 and 5x5 neighbourhoods of an [H, W] class map.
+
+    Returns int32 arrays ``(p3, n5, inv)``:
+
+    - ``p3`` [U3, 9]: each distinct 3x3 neighbourhood, taps in row-major
+      order, as class codes; code ``N_CLASSES`` marks a tap outside the map.
+    - ``n5`` [U5, 9]: each distinct 5x5 neighbourhood, as the ``p3`` rows
+      of its centre's nine 3x3 neighbours; row ``U3`` marks a neighbour
+      outside the map.
+    - ``inv`` [H*W]: each pixel's row of ``n5``.
+
+    Two chained 3x3 convs over the one-hot map give each pixel a value
+    that depends on its 5x5 neighbourhood alone, so they need computing
+    once per row of ``n5``.  Each stage packs its taps into one int64 key
+    per pixel and takes ``np.unique`` of the keys; rows come out in key
+    order, so the tables are a function of ``classes`` alone.
+    """
+    h, w = classes.shape
+    if (h + 2) * (w + 2) >= 1 << 21:  # three packed ids must fit in an int64
+        raise DataError(f"layout {h}x{w} is too large for neighbourhood tables")
+    base = N_CLASSES + 1
+    pad = np.full((h + 2, w + 2), N_CLASSES, dtype=np.int64)
+    pad[1:-1, 1:-1] = classes
+    key = np.zeros((h, w), dtype=np.int64)
+    for di in range(3):
+        for dj in range(3):
+            key = key * base + pad[di : di + h, dj : dj + w]
+    keys, id3 = np.unique(key.ravel(), return_inverse=True)
+    p3 = np.stack([keys // base ** (8 - t) % base for t in range(9)], axis=1)
+
+    u3 = len(keys)
+    ids = np.full((h + 2, w + 2), u3, dtype=np.int64)
+    ids[1:-1, 1:-1] = id3.reshape(h, w)
+    # Each pixel's 3 x 3 block of neighbour ids: its rows of three, then
+    # the column of three row ids.
+    row = (ids[:, :-2] * (u3 + 1) + ids[:, 1:-1]) * (u3 + 1) + ids[:, 2:]
+    _, rid = np.unique(row.ravel(), return_inverse=True)
+    rid = rid.reshape(h + 2, w)
+    ur = int(rid.max()) + 1
+    block = (rid[:-2] * ur + rid[1:-1]) * ur + rid[2:]
+    _, first, inv = np.unique(block.ravel(), return_index=True, return_inverse=True)
+    n5 = np.stack([ids[di : di + h, dj : dj + w].ravel()[first]
+                   for di in range(3) for dj in range(3)], axis=1)
+    return p3.astype(np.int32), n5.astype(np.int32), inv.astype(np.int32)
 
 
 def downsample_layout(layout, factor):

@@ -45,11 +45,20 @@ def to_luminance(img):
 
 
 def _gaussian_window(size, sigma):
+    """The 1-D factor ``g`` of the normalized window ``outer(g, g)``."""
     half = (size - 1) / 2.0
     coords = np.arange(size) - half
     g = np.exp(-(coords ** 2) / (2.0 * sigma ** 2))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
+
+
+def _separable_filter(img, g):
+    """Valid-mode correlation of ``img`` with ``outer(g, g)``, as a pass
+    of ``g`` down the columns and then one along the rows."""
+    k = g.shape[0]
+    h, w = img.shape
+    cols = sum(g[t] * img[t : h - k + 1 + t] for t in range(k))
+    return sum(g[t] * cols[:, t : w - k + 1 + t] for t in range(k))
 
 
 def _window_filter(img, window):
@@ -67,15 +76,15 @@ def ssim(x, y):
         raise ValueError(f"ssim shapes differ: {a.shape} vs {b.shape}")
     if min(a.shape) < SSIM_WINDOW:
         raise ValueError(f"ssim needs at least {SSIM_WINDOW} pixels per side, got {a.shape}")
-    w = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+    g = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
     c1 = (SSIM_K1 * SSIM_L) ** 2
     c2 = (SSIM_K2 * SSIM_L) ** 2
 
-    mu_a = _window_filter(a, w)
-    mu_b = _window_filter(b, w)
-    var_a = _window_filter(a * a, w) - mu_a * mu_a
-    var_b = _window_filter(b * b, w) - mu_b * mu_b
-    cov = _window_filter(a * b, w) - mu_a * mu_b
+    mu_a = _separable_filter(a, g)
+    mu_b = _separable_filter(b, g)
+    var_a = _separable_filter(a * a, g) - mu_a * mu_a
+    var_b = _separable_filter(b * b, g) - mu_b * mu_b
+    cov = _separable_filter(a * b, g) - mu_a * mu_b
 
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layout import N_CLASSES, downsample_layout
+from .layout import N_CLASSES
 from .numerics import (
     Parameter,
     ShapeError,
     Tensor,
+    _accumulate,
+    _result,
     activate,
     concat,
     conv2d,
@@ -95,14 +97,78 @@ class Conv(Module):
         return out if self.slope is None else activate(out, self.slope)
 
 
+def layout_heads(layout, shared, heads):
+    """``heads(relu(shared(one_hot(layout))))`` as one graph node: the
+    [1, 2C, h, w] gamma/beta field of an SI module over ``layout``.
+
+    ``shared`` and ``heads`` are the module's two 3x3, padding-1 convs.
+    Their output at a pixel depends only on the pixel's 5x5 class
+    neighbourhood, so it is computed once per distinct neighbourhood from
+    the layout's :meth:`~sgs.layout.SemanticLayout.si_tables` ``(p3, n5,
+    inv)``: ``R = relu(b + sum_t shared.w[:, p3[:, t], t])`` for the 3x3
+    ones, a zero row appended for a neighbour in the heads conv's zero
+    padding, ``Q = R[n5] @ heads_mat + heads.b`` for the 5x5 ones, and the
+    field is ``Q`` gathered by ``inv``.
+
+    Backward sums the field's gradient into ``Q``'s rows with
+    ``np.bincount`` over ``inv``, gives the heads gradients from it and
+    ``R[n5]``, sums ``R``'s gradient over ``n5`` and the shared kernel's
+    over ``p3`` the same way.  The closure keeps ``R``, ``heads_mat`` and
+    the tables.
+    """
+    p3, n5, inv = layout.si_tables()
+    hidden = shared.w.data.shape[0]
+    c2 = heads.w.data.shape[0]
+    u3, u5 = len(p3), len(n5)
+    # [9, 13, hidden]: the shared kernel's tap t for class code c; zero
+    # for code N_CLASSES, a tap in the shared conv's zero padding.
+    taps = np.zeros((9, N_CLASSES + 1, hidden))
+    taps[:, :N_CLASSES] = shared.w.data.reshape(hidden, N_CLASSES, 9).T
+    r = np.zeros((u3 + 1, hidden))
+    taps[np.arange(9), p3].sum(axis=1, out=r[:u3])
+    r[:u3] += shared.b.data
+    np.maximum(r, 0.0, out=r)
+    # [2C, 9*hidden], columns in the (tap, channel) order of R[n5] rows.
+    hmat = heads.w.data.transpose(0, 2, 3, 1).reshape(c2, 9 * hidden)
+    q = hmat @ r[n5].reshape(u5, 9 * hidden).T  # [2C, U5]
+    q += heads.b.data[:, None]
+    out = q[:, inv].reshape(1, c2, layout.height, layout.width)
+
+    def bw(g):
+        offsets = (np.arange(c2) * u5)[:, None]
+        gq = np.bincount((inv + offsets).ravel(), weights=g.ravel(),
+                         minlength=c2 * u5).reshape(c2, u5)
+        _accumulate(heads.b, gq.sum(axis=1))
+        if heads.w.requires_grad:
+            gw = gq @ r[n5].reshape(u5, 9 * hidden)
+            gw = gw.reshape(c2, 3, 3, hidden).transpose(0, 3, 1, 2)
+            _accumulate(heads.w, np.ascontiguousarray(gw))  # Adam runs faster on C order
+        if not (shared.w.requires_grad or shared.b.requires_grad):
+            return
+        gcols = (gq.T @ hmat).ravel()  # [U5, 9, hidden]
+        gr = np.bincount((n5[:, :, None] * hidden + np.arange(hidden)).ravel(),
+                         weights=gcols, minlength=(u3 + 1) * hidden)
+        gr = gr.reshape(u3 + 1, hidden)[:u3]
+        gr *= r[:u3] > 0.0
+        _accumulate(shared.b, gr.sum(axis=0))
+        idx = (np.arange(9) * (N_CLASSES + 1) + p3)[:, :, None] * hidden + np.arange(hidden)
+        gw = np.bincount(idx.ravel(), weights=np.repeat(gr, 9, axis=0).ravel(),
+                         minlength=9 * (N_CLASSES + 1) * hidden)
+        gw = gw.reshape(9, N_CLASSES + 1, hidden)[:, :N_CLASSES].T
+        _accumulate(shared.w, np.ascontiguousarray(gw).reshape(shared.w.data.shape))
+
+    return _result(out, (shared.w, shared.b, heads.w, heads.b), bw)
+
+
 class SIModule(Module):
     """Layout-conditioned modulation of a normalized activation.
 
-    A shared 3x3 convolution over the one-hot layout feeds the 3x3
-    gamma and beta heads; the output is ``gamma * normalize(x) + beta``
-    (the modulation is applied exactly in this form, with no residual
-    1+gamma variant).  The two heads are stored and run as one ``heads``
-    convolution of ``2C`` output channels, gamma first, whose output
+    A shared 3x3 convolution over the one-hot layout, with a relu, feeds
+    the 3x3 gamma and beta heads; the output is ``gamma * normalize(x) +
+    beta`` (the modulation is applied exactly in this form, with no
+    residual 1+gamma variant).  The two heads are stored as one ``heads``
+    convolution of ``2C`` output channels, gamma first.  Both convs run
+    as the one node :func:`layout_heads`, whose output
     :func:`~sgs.numerics.modulate` applies as one op.
     """
 
@@ -111,16 +177,16 @@ class SIModule(Module):
         self.shared = Conv(rng, hidden, N_CLASSES, 3, slope=0.0)
         self.heads = Conv(rng, 2 * channels, hidden, 3)
 
-    def forward(self, x, layout_planes):
-        """``x`` is [N, C, h, w]; ``layout_planes`` is [N, 12, h, w]."""
+    def forward(self, x, layout):
+        """``x`` is [1, C, h, w]; ``layout`` is a SemanticLayout at h x w."""
         if x.data.shape[1] != self.channels:
             raise ShapeError(f"SI module built for {self.channels} channels, got {x.data.shape}")
-        if layout_planes.data.shape[-2:] != x.data.shape[-2:]:
+        if (layout.height, layout.width) != x.data.shape[-2:]:
             raise ShapeError(
-                f"layout resolution {layout_planes.data.shape[-2:]} does not match "
+                f"layout resolution {(layout.height, layout.width)} does not match "
                 f"activation {x.data.shape[-2:]}"
             )
-        return modulate(x, self.heads.forward(self.shared.forward(layout_planes)))
+        return modulate(x, layout_heads(layout, self.shared, self.heads))
 
 
 class SIResBlock(Module):
@@ -140,9 +206,9 @@ class SIResBlock(Module):
         self.conv2 = Conv(rng, cout, cmid, 3)
         self.skip = Conv(rng, cout, cin, 1, padding=0) if cin != cout else None
 
-    def forward(self, x, layout_planes):
-        h = self.conv1.forward(activate(self.si1.forward(x, layout_planes), 0.0))
-        h = self.conv2.forward(activate(self.si2.forward(h, layout_planes), 0.0))
+    def forward(self, x, layout):
+        h = self.conv1.forward(activate(self.si1.forward(x, layout), 0.0))
+        h = self.conv2.forward(activate(self.si2.forward(h, layout), 0.0))
         if self.skip is not None:
             return h + self.skip.forward(x)
         return h + x
@@ -232,8 +298,7 @@ class Generator(Module):
             if want_taps is not None and taps.keys() >= set(want_taps):
                 break
             z = upsample_nearest(z, 2)
-            planes = downsample_layout(layout, h // z.data.shape[2]).one_hot()
-            z = block.forward(z, Tensor(planes[None, :, :, :]))
+            z = block.forward(z, layout.downsampled(h // z.data.shape[2]))
             taps[f"dec_block{j}"] = z
         if want_taps is not None:
             return {name: taps[name] for name in want_taps}

@@ -230,34 +230,33 @@ def _case_modulate(seed):
                gradcheck(through_heads, h0))
 
 
-def _si_planes(seed, size):
-    rng = np.random.default_rng([seed, 15])
-    return Tensor(rand_classes(rng, size).one_hot()[None, :, :, :])
+def _si_layout(seed, size):
+    return rand_classes(np.random.default_rng([seed, 15]), size)
 
 
 def _case_si_module_input(seed):
     rng = np.random.default_rng([seed, 16])
     mod = SIModule(3, rng, hidden=4)
-    planes = _si_planes(seed, 6)
+    layout = _si_layout(seed, 6)
     w = const((seed, 17), 1, 3, 6, 6)
     x0 = np.random.default_rng(seed).normal(size=(1, 3, 6, 6))
-    return gradcheck(lambda x: (mod.forward(x, planes) * w).sum(), x0)
+    return gradcheck(lambda x: (mod.forward(x, layout) * w).sum(), x0)
 
 
 def _case_si_module_params(seed):
     rng = np.random.default_rng([seed, 18])
     mod = SIModule(2, rng, hidden=3)
-    planes = _si_planes(seed, 4)
+    layout = _si_layout(seed, 4)
     x = const((seed, 19), 1, 2, 4, 4)
     w = const((seed, 20), 1, 2, 4, 4)
 
     def loss_fn():
-        return float((mod.forward(x, planes) * w).sum().data)
+        return float((mod.forward(x, layout) * w).sum().data)
 
     mod.zero_grad()
-    (mod.forward(x, planes) * w).sum().backward()
+    (mod.forward(x, layout) * w).sum().backward()
     # Every entry of the heads kernel and bias: the gamma and beta halves.
-    rels = [spot_check_param(loss_fn, mod.shared.w, seed=seed)]
+    rels = [spot_check_param(loss_fn, p, seed=seed) for p in (mod.shared.w, mod.shared.b)]
     rels += [spot_check_param(loss_fn, p, n_probe=p.data.size, seed=seed)
              for p in (mod.heads.w, mod.heads.b)]
     return max(rels)
@@ -266,10 +265,10 @@ def _case_si_module_params(seed):
 def _case_si_resblock_input(seed):
     rng = np.random.default_rng([seed, 21])
     block = SIResBlock(2, 3, rng, hidden=3)
-    planes = _si_planes(seed, 4)
+    layout = _si_layout(seed, 4)
     w = const((seed, 22), 1, 3, 4, 4)
     x0 = np.random.default_rng(seed).normal(size=(1, 2, 4, 4))
-    return gradcheck(lambda x: (block.forward(x, planes) * w).sum(), x0)
+    return gradcheck(lambda x: (block.forward(x, layout) * w).sum(), x0)
 
 
 def _case_generator_params(seed):
@@ -678,7 +677,7 @@ def test_criterion_8_depth7_shape_contract():
     m = SaliencyMap(rng.uniform(size=(256, 256)))
     layout = SemanticLayout(rng.integers(0, 12, size=(256, 256)).astype(np.uint8))
     out = gen.forward(x, m, layout)
-    # SIModule.forward rejects layout planes of any other size than its
+    # SIModule.forward rejects a layout of any other size than its
     # activation, so each block's tap has the layout resolution it consumed.
     taps = gen.forward(x, m, layout, want_taps=["enc_bottleneck"] +
                        [f"dec_block{j}" for j in range(1, 8)])
@@ -691,8 +690,7 @@ def test_criterion_8_depth7_shape_contract():
         res = taps[f"dec_block{j}"].data.shape[2:]
         resolutions.append(res[0])
         layouts_ok &= res == (2 ** (j + 1), 2 ** (j + 1))
-        from sgs.layout import downsample_layout
-        planes = downsample_layout(layout, 256 // res[0]).one_hot()
+        planes = layout.downsampled(256 // res[0]).one_hot()
         layouts_ok &= planes.shape == (12, res[0], res[1])
         layouts_ok &= bool(np.all(planes.sum(axis=0) == 1.0))
     ok = bottleneck_ok and output_ok and layouts_ok

@@ -393,6 +393,13 @@ class TestTrainDirection:
         assert np.array_equal(synthesize_sample(res.generator, s, "k"),
                               synthesize_sample(loaded, s, "k"))
 
+    def test_returned_generator_holds_no_gradients(self, tiny_corpus, tmp_path):
+        """The returned generator keeps its weights and nothing else, so
+        a run that retains every stage's generators holds no gradients."""
+        res = train_direction(tiny_corpus["samples"][:2], tiny_corpus["samples"][2:4],
+                              tiny_config(), "o", 0, None, str(tmp_path / "r"))
+        assert all(p.grad is None for p in res.generator.params())
+
     def test_generator_phase_leaves_discriminator_grads_unset(self, tiny_corpus,
                                                               tmp_path, monkeypatch):
         """D is frozen for the G phase: at every generator update each D
@@ -482,9 +489,10 @@ def test_every_bias_gets_a_gradient(tmp_path, direction):
 
 def test_generator_phase_graph_size(tmp_path):
     """One desk G-phase ``l_total`` graph (64 px, depth 5, D frozen) has
-    237 nodes: every relu and leaky relu is fused into the op that
-    produces its input, and ``compute_nodes`` adds two nodes, ``mu`` and
-    ``nu``.  The count is tied to the current op set."""
+    227 nodes: every relu and leaky relu is fused into the op that
+    produces its input, ``compute_nodes`` adds two nodes, ``mu`` and
+    ``nu``, and each of the ten SI modules two, its heads field and the
+    modulation.  The count is tied to the current op set."""
     sample = load_corpus(generate_corpus(str(tmp_path), 1, 64, seed=1))[0]
     cfg = TrainConfig()
     in_ch, out_ch = direction_channels("k")
@@ -497,7 +505,7 @@ def test_generator_phase_graph_size(tmp_path):
     target = target_record(views, FeatureExtractor(out_ch, seed=3),
                            ParsingOracle(out_ch, seed=4))
     total = objective(gen.forward(src, m_src, lay_src), disc, target, cfg.weights)["l_total"]
-    assert len(_toposort(total)) == 237
+    assert len(_toposort(total)) == 227
 
 
 @pytest.fixture(scope="module")

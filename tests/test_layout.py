@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sgs.datagen import generate_corpus
 from sgs.layout import (
     BACKGROUND,
     CLASS_NAMES,
@@ -20,6 +21,7 @@ from sgs.layout import (
     downsample_layout,
     load_corpus,
     load_sample,
+    neighbourhood_tables,
     read_gray,
     read_layout,
     read_manifest,
@@ -108,6 +110,69 @@ class TestDownsampleLayout:
         layout = SemanticLayout(np.zeros((6, 6), dtype=int))
         with pytest.raises(DataError):
             downsample_layout(layout, 4)
+
+
+def padded_patch(classes, i, j, radius):
+    """The (2*radius+1)^2 classes around pixel (i, j), N_CLASSES outside."""
+    pad = np.pad(classes.astype(int), radius, constant_values=N_CLASSES)
+    return pad[i : i + 2 * radius + 1, j : j + 2 * radius + 1]
+
+
+class TestNeighbourhoodTables:
+    def test_classes_are_read_only(self):
+        src = np.zeros((3, 3), dtype=int)
+        layout = SemanticLayout(src)
+        with pytest.raises(ValueError):
+            layout.classes[0, 0] = 1
+        with pytest.raises(AttributeError):
+            layout.classes = np.ones((3, 3), dtype=np.uint8)
+        src[0, 0] = 1  # the caller's array is copied, not frozen
+        assert layout.classes[0, 0] == 0
+
+    @pytest.mark.parametrize("size,hi", [(1, 12), (2, 12), (5, 12), (9, 3), (12, 2)])
+    def test_rows_are_the_distinct_neighbourhoods(self, size, hi):
+        """Against per-pixel patches: pixels share a row of ``n5`` exactly
+        when their 5x5 neighbourhoods match, and a row's ``p3`` entries are
+        its 3x3 neighbours' own neighbourhoods."""
+        classes = np.random.default_rng(size).integers(0, hi, (size, size))
+        p3, n5, inv = neighbourhood_tables(classes)
+        assert all(t.dtype == np.int32 for t in (p3, n5, inv))
+        rows = {}
+        for pix in range(size * size):
+            i, j = divmod(pix, size)
+            rows.setdefault(int(inv[pix]), set()).add(
+                padded_patch(classes, i, j, 2).tobytes())
+            for t in range(9):
+                ni, nj = i + t // 3 - 1, j + t % 3 - 1
+                if 0 <= ni < size and 0 <= nj < size:
+                    assert np.array_equal(p3[n5[inv[pix], t]],
+                                          padded_patch(classes, ni, nj, 1).ravel())
+                else:
+                    assert n5[inv[pix], t] == len(p3)
+        assert sorted(rows) == list(range(len(n5)))
+        assert all(len(v) == 1 for v in rows.values())
+        assert len(set().union(*rows.values())) == len(n5)
+        assert len({r.tobytes() for r in p3}) == len(p3)
+
+    def test_cached_on_the_instance(self):
+        layout = SemanticLayout(np.random.default_rng(0).integers(0, 12, (8, 8)))
+        assert layout.si_tables() is layout.si_tables()
+        assert layout.downsampled(1) is layout
+        half = layout.downsampled(2)
+        assert half is layout.downsampled(2)
+        assert np.array_equal(half.classes, downsample_layout(layout, 2).classes)
+
+    def test_paper_scale_tables_are_small(self, tmp_path):
+        """One 256-px face layout's tables at all seven decoder
+        resolutions are integer arrays under 2 MiB in total."""
+        layout = load_corpus(generate_corpus(str(tmp_path), 1, 256, seed=1))[0].layout_photo
+        tables = [t for f in (1, 2, 4, 8, 16, 32, 64) for t in layout.downsampled(f).si_tables()]
+        assert all(t.dtype.kind == "i" for t in tables)
+        assert sum(t.nbytes for t in tables) < 2 * 1024 * 1024
+
+    def test_oversized_layout_rejected(self):
+        with pytest.raises(DataError, match="too large"):
+            neighbourhood_tables(np.zeros((1447, 1447), dtype=np.uint8))
 
 
 class TestSaliencyMap:

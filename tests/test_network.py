@@ -2,16 +2,15 @@
 import numpy as np
 import pytest
 
+from sgs import layout as layout_mod
 from sgs import numerics
-from sgs.layout import N_CLASSES, SaliencyMap, SemanticLayout
-from sgs.network import Generator, Module, PatchDiscriminator, SIModule, SIResBlock
+from sgs.datagen import generate_corpus
+from sgs.layout import N_CLASSES, SaliencyMap, SemanticLayout, load_corpus
+from sgs.network import (Generator, Module, PatchDiscriminator, SIModule, SIResBlock,
+                         layout_heads)
 from sgs.numerics import Parameter, ShapeError, Tensor, activate, conv2d, normalize
 
 from conftest import relative_error, spot_check_param
-
-
-def layout_planes(classes):
-    return Tensor(SemanticLayout(classes).one_hot()[None, :, :, :])
 
 
 def rand_layout(size, seed=0, hi=N_CLASSES):
@@ -35,7 +34,7 @@ class TestModuleBase:
         si = SIModule(2, np.random.default_rng(1), hidden=2)
         si.freeze()
         x = Tensor(np.random.default_rng(2).random((1, 2, 4, 4)), requires_grad=True)
-        out = si.forward(x, layout_planes(rand_layout(4)))
+        out = si.forward(x, SemanticLayout(rand_layout(4)))
         (out * out).sum().backward()
         assert x.grad is not None
         assert all(p.grad is None for p in si.params())
@@ -47,7 +46,7 @@ class TestSIModule:
         for p in (si.heads.w, si.heads.b):
             p.data = np.zeros_like(p.data)
         x = Tensor(np.random.default_rng(1).random((1, 3, 6, 6)))
-        out = si.forward(x, layout_planes(rand_layout(6)))
+        out = si.forward(x, SemanticLayout(rand_layout(6)))
         assert np.array_equal(out.data, np.zeros((1, 3, 6, 6)))
 
     def test_constant_heads_reproduce_affine_normalization(self):
@@ -58,7 +57,7 @@ class TestSIModule:
             p.data = np.zeros_like(p.data)
         si.heads.b.data = np.array([2.0, -1.0, 0.5, 3.0])
         x = Tensor(np.random.default_rng(3).random((1, 2, 5, 5)))
-        out = si.forward(x, layout_planes(rand_layout(5, seed=1)))
+        out = si.forward(x, SemanticLayout(rand_layout(5, seed=1)))
         ref = normalize(x).data * np.array([2.0, -1.0])[None, :, None, None] \
             + np.array([0.5, 3.0])[None, :, None, None]
         assert np.allclose(out.data, ref, atol=1e-12)
@@ -74,8 +73,8 @@ class TestSIModule:
         base_classes = rand_layout(9, seed=2)
         moved = base_classes.copy()
         moved[4, 4] = (moved[4, 4] + 1) % N_CLASSES
-        a = si.forward(x, layout_planes(base_classes)).data[0, 0]
-        b = si.forward(x, layout_planes(moved)).data[0, 0]
+        a = si.forward(x, SemanticLayout(base_classes)).data[0, 0]
+        b = si.forward(x, SemanticLayout(moved)).data[0, 0]
         diff = np.abs(a - b) > 1e-14
         ii, jj = np.nonzero(diff)
         assert diff.any()
@@ -84,22 +83,22 @@ class TestSIModule:
     def test_channel_mismatch_rejected(self):
         si = SIModule(3, np.random.default_rng(0), hidden=2)
         with pytest.raises(ShapeError):
-            si.forward(Tensor(np.ones((1, 2, 4, 4))), layout_planes(rand_layout(4)))
+            si.forward(Tensor(np.ones((1, 2, 4, 4))), SemanticLayout(rand_layout(4)))
 
     def test_resolution_mismatch_rejected(self):
         si = SIModule(2, np.random.default_rng(0), hidden=2)
         with pytest.raises(ShapeError):
-            si.forward(Tensor(np.ones((1, 2, 4, 4))), layout_planes(rand_layout(8)))
+            si.forward(Tensor(np.ones((1, 2, 4, 4))), SemanticLayout(rand_layout(8)))
 
     def test_gradient_through_module(self):
         si = SIModule(2, np.random.default_rng(6), hidden=3)
-        planes = layout_planes(rand_layout(4, seed=3))
+        layout = SemanticLayout(rand_layout(4, seed=3))
         x = Tensor(np.random.default_rng(7).random((1, 2, 4, 4)), requires_grad=True)
-        loss = (si.forward(x, planes) ** 2).sum()
+        loss = (si.forward(x, layout) ** 2).sum()
         loss.backward()
 
         def loss_fn():
-            return float((si.forward(x.detach(), planes) ** 2).sum().data)
+            return float((si.forward(x.detach(), layout) ** 2).sum().data)
 
         spot_check_param(loss_fn, si.heads.w, n_probe=4)
         spot_check_param(loss_fn, si.shared.w, n_probe=4)
@@ -112,7 +111,8 @@ class TestSIModule:
         rng = np.random.default_rng(9)
         for p in si.params():
             p.data = rng.normal(size=p.data.shape)
-        planes = layout_planes(rand_layout(6, seed=4))
+        layout = SemanticLayout(rand_layout(6, seed=4))
+        planes = Tensor(layout.one_hot()[None, :, :, :])
         x0 = rng.random((1, 3, 6, 6))
         w = Tensor(rng.normal(size=(1, 3, 6, 6)))
 
@@ -134,7 +134,7 @@ class TestSIModule:
                     np.concatenate([gamma_b.grad, beta_b.grad])]
 
         results = []
-        for fn, head_grads in ((lambda x: si.forward(x, planes), fused_head_grads),
+        for fn, head_grads in ((lambda x: si.forward(x, layout), fused_head_grads),
                                (separate, separate_head_grads)):
             si.zero_grad()
             x = Tensor(x0, requires_grad=True)
@@ -146,17 +146,16 @@ class TestSIModule:
             assert np.allclose(fused, ref, rtol=0.0, atol=1e-12)
 
     def test_one_node_after_head_conv(self):
-        """The modulation records a single node on top of the head conv,
-        which reads the ``heads`` kernel itself: no join node."""
+        """The module records two nodes: the heads field, one node whose
+        parents are the four SI parameters themselves, and the modulation
+        on top of it."""
         si = SIModule(2, np.random.default_rng(10), hidden=3)
         x = Tensor(np.random.default_rng(11).random((1, 2, 4, 4)), requires_grad=True)
-        out = si.forward(x, layout_planes(rand_layout(4, seed=5)))
+        out = si.forward(x, SemanticLayout(rand_layout(4, seed=5)))
         assert out._parents[0] is x
         heads = out._parents[1]
-        assert len(numerics._toposort(out)) == len(numerics._toposort(heads)) + 2
-        assert heads._parents[1] is si.heads.w and heads._parents[2] is si.heads.b
-        assert all(n._backward is None or "concat" not in n._backward.__qualname__
-                   for n in numerics._toposort(out))
+        assert heads._parents == (si.shared.w, si.shared.b, si.heads.w, si.heads.b)
+        assert len(numerics._toposort(out)) == len(numerics._toposort(heads)) + 2 == 7
 
     def test_param_names_and_order_unchanged(self):
         """Checkpoints are keyed by these names, in this order."""
@@ -174,6 +173,88 @@ class TestSIModule:
         )
 
 
+def reference_heads(layout, si):
+    """The SI heads field as the explicit conv stack over one-hot planes:
+    ``conv2d(one_hot) -> relu -> heads conv``."""
+    planes = Tensor(layout.one_hot()[None, :, :, :])
+    return si.heads.forward(si.shared.forward(planes))
+
+
+class TestLayoutHeads:
+    """``layout_heads`` against the conv stack it replaces, in value and
+    in all four parameter gradients."""
+
+    def check_against_convs(self, layout, channels=3, hidden=4, seed=0):
+        rng = np.random.default_rng(seed)
+        si = SIModule(channels, rng, hidden=hidden)
+        for p in si.params():
+            p.data = rng.normal(size=p.data.shape)
+        w = Tensor(rng.normal(size=(1, 2 * channels, layout.height, layout.width)))
+        results = []
+        for heads in (lambda: layout_heads(layout, si.shared, si.heads),
+                      lambda: reference_heads(layout, si)):
+            si.zero_grad()
+            out = heads()
+            (out * w).sum().backward()
+            results.append([out.data] + [p.grad for p in si.params()])
+        for got, ref in zip(*results):
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+    @pytest.mark.parametrize("size,seed", [(5, 0), (6, 1), (8, 2)])
+    def test_random_layouts_every_neighbourhood_distinct(self, size, seed):
+        layout = SemanticLayout(rand_layout(size, seed=seed))
+        assert len(layout.si_tables()[1]) == size * size  # the worst case, U5 = HW
+        self.check_against_convs(layout, seed=seed)
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_generated_faces(self, tmp_path, size):
+        layout = load_corpus(generate_corpus(str(tmp_path), 1, size, seed=1))[0].layout_photo
+        assert len(layout.si_tables()[1]) < size * size // 4
+        self.check_against_convs(layout, channels=2, hidden=3)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_tiny_maps(self, size):
+        self.check_against_convs(SemanticLayout(rand_layout(size, seed=size)))
+
+    def test_absent_classes(self):
+        classes = rand_layout(7, seed=3, hi=3)
+        classes[2:5, 1:6] = N_CLASSES - 1
+        self.check_against_convs(SemanticLayout(classes), seed=4)
+
+    def test_frozen_parameters_record_no_graph(self):
+        si = SIModule(2, np.random.default_rng(5), hidden=3)
+        si.freeze()
+        out = layout_heads(SemanticLayout(rand_layout(4)), si.shared, si.heads)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+    def test_generator_forward_builds_no_one_hot(self, monkeypatch):
+        def refuse(layout):
+            raise AssertionError("one_hot called")
+
+        monkeypatch.setattr(SemanticLayout, "one_hot", refuse)
+        gen = tiny_generator()
+        x, m, layout = gen_inputs(32)
+        (gen.forward(x, m, layout) * 1.0).sum().backward()
+
+    def test_second_forward_builds_no_table(self, monkeypatch):
+        built = []
+        tables = layout_mod.neighbourhood_tables
+
+        def counting(classes):
+            built.append(classes.shape)
+            return tables(classes)
+
+        monkeypatch.setattr(layout_mod, "neighbourhood_tables", counting)
+        gen = tiny_generator()
+        x, m, layout = gen_inputs(32)
+        first = gen.forward(x, m, layout)
+        assert built == [(8, 8), (16, 16), (32, 32)]
+        second = gen.forward(x, m, layout)
+        assert len(built) == 3
+        assert np.array_equal(first.data, second.data)
+
+
 class TestSIResBlock:
     def test_zero_convs_reduce_to_identity_skip(self):
         block = SIResBlock(3, 3, np.random.default_rng(0), hidden=2)
@@ -181,14 +262,14 @@ class TestSIResBlock:
         block.conv2.w.data = np.zeros_like(block.conv2.w.data)
         block.conv2.b.data = np.zeros_like(block.conv2.b.data)
         x = Tensor(np.random.default_rng(1).random((1, 3, 4, 4)))
-        out = block.forward(x, layout_planes(rand_layout(4)))
+        out = block.forward(x, SemanticLayout(rand_layout(4)))
         assert np.allclose(out.data, x.data, atol=1e-15)
 
     def test_channel_change_uses_projection_skip(self):
         block = SIResBlock(3, 5, np.random.default_rng(2), hidden=2)
         assert block.skip is not None
         x = Tensor(np.random.default_rng(3).random((1, 3, 4, 4)))
-        out = block.forward(x, layout_planes(rand_layout(4)))
+        out = block.forward(x, SemanticLayout(rand_layout(4)))
         assert out.data.shape == (1, 5, 4, 4)
 
 
@@ -262,7 +343,7 @@ class TestGenerator:
     def test_layout_pyramid_resolutions_double(self):
         gen = tiny_generator()
         x, m, layout = gen_inputs(32)
-        # SIModule.forward rejects layout planes of any other size than its
+        # SIModule.forward rejects a layout of any other size than its
         # activation, so a block's tap has the layout resolution it consumed.
         taps = gen.forward(x, m, layout, want_taps=("dec_block1", "dec_block2", "dec_block3"))
         assert taps["dec_block1"].data.shape[2:] == (8, 8)
