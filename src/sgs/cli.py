@@ -159,10 +159,6 @@ def _worker_map():
     return pool.map, pool
 
 
-def _infer_direction(gen):
-    return "k" if gen.in_channels == 3 else "o"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -198,7 +194,7 @@ def cmd_train_iterative(args):
 
 def _load_model_and_data(args):
     gen = load_generator(args.model)
-    direction = args.direction or _infer_direction(gen)
+    direction = "k" if gen.in_channels == 3 else "o"  # the input channels fix it
     samples = load_corpus(args.data)  # one image size throughout
     actual = samples[0].photo.data.shape[1]
     if actual != gen.image_size:
@@ -330,8 +326,6 @@ def build_parser():
     p.add_argument("--model", required=True, help="checkpoint directory")
     p.add_argument("--data", required=True, help="corpus manifest")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--direction", choices=DIRECTIONS, default=None,
-                   help="override the direction inferred from the model")
     p.add_argument("--ids", default=None, help="comma-separated sample ids")
     p.set_defaults(func=cmd_synthesize)
 
@@ -339,8 +333,6 @@ def build_parser():
     p.add_argument("--model", required=True, help="checkpoint directory")
     p.add_argument("--data", required=True, help="corpus manifest")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--direction", choices=DIRECTIONS, default=None,
-                   help="override the direction inferred from the model")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("graph-dump", help="emit graph nodes/edges for a sample")

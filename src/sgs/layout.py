@@ -260,7 +260,10 @@ def read_pnm(path):
             raise DataError(f"{path}: truncated Netpbm header")
         ch = blob[pos : pos + 1]
         if ch == b"#":
-            pos = blob.index(b"\n", pos) + 1
+            pos = blob.find(b"\n", pos)
+            if pos < 0:
+                raise DataError(f"{path}: Netpbm header comment has no end of line")
+            pos += 1
         elif ch.isspace():
             pos += 1
         elif ch.isdigit():
@@ -272,6 +275,8 @@ def read_pnm(path):
         else:
             raise DataError(f"{path}: malformed Netpbm header byte {ch!r}")
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: Netpbm image is {w}x{h}, expected at least 1x1")
     if maxval < 1 or maxval > 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace byte separates header and raster

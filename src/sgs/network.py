@@ -24,11 +24,12 @@ from .numerics import (
     ShapeError,
     Tensor,
     _accumulate,
+    _instance_norm,
+    _instance_norm_grad,
     _result,
     activate,
     concat,
     conv2d,
-    modulate,
     normalize,
     tanh,
     upsample_nearest,
@@ -97,69 +98,6 @@ class Conv(Module):
         return out if self.slope is None else activate(out, self.slope)
 
 
-def layout_heads(layout, shared, heads):
-    """``heads(relu(shared(one_hot(layout))))`` as one graph node: the
-    [1, 2C, h, w] gamma/beta field of an SI module over ``layout``.
-
-    ``shared`` and ``heads`` are the module's two 3x3, padding-1 convs.
-    Their output at a pixel depends only on the pixel's 5x5 class
-    neighbourhood, so it is computed once per distinct neighbourhood from
-    the layout's :meth:`~sgs.layout.SemanticLayout.si_tables` ``(p3, n5,
-    inv)``: ``R = relu(b + sum_t shared.w[:, p3[:, t], t])`` for the 3x3
-    ones, a zero row appended for a neighbour in the heads conv's zero
-    padding, ``Q = R[n5] @ heads_mat + heads.b`` for the 5x5 ones, and the
-    field is ``Q`` gathered by ``inv``.
-
-    Backward sums the field's gradient into ``Q``'s rows with
-    ``np.bincount`` over ``inv``, gives the heads gradients from it and
-    ``R[n5]``, sums ``R``'s gradient over ``n5`` and the shared kernel's
-    over ``p3`` the same way.  The closure keeps ``R``, ``heads_mat`` and
-    the tables.
-    """
-    p3, n5, inv = layout.si_tables()
-    hidden = shared.w.data.shape[0]
-    c2 = heads.w.data.shape[0]
-    u3, u5 = len(p3), len(n5)
-    # [9, 13, hidden]: the shared kernel's tap t for class code c; zero
-    # for code N_CLASSES, a tap in the shared conv's zero padding.
-    taps = np.zeros((9, N_CLASSES + 1, hidden))
-    taps[:, :N_CLASSES] = shared.w.data.reshape(hidden, N_CLASSES, 9).T
-    r = np.zeros((u3 + 1, hidden))
-    taps[np.arange(9), p3].sum(axis=1, out=r[:u3])
-    r[:u3] += shared.b.data
-    np.maximum(r, 0.0, out=r)
-    # [2C, 9*hidden], columns in the (tap, channel) order of R[n5] rows.
-    hmat = heads.w.data.transpose(0, 2, 3, 1).reshape(c2, 9 * hidden)
-    q = hmat @ r[n5].reshape(u5, 9 * hidden).T  # [2C, U5]
-    q += heads.b.data[:, None]
-    out = q[:, inv].reshape(1, c2, layout.height, layout.width)
-
-    def bw(g):
-        offsets = (np.arange(c2) * u5)[:, None]
-        gq = np.bincount((inv + offsets).ravel(), weights=g.ravel(),
-                         minlength=c2 * u5).reshape(c2, u5)
-        _accumulate(heads.b, gq.sum(axis=1))
-        if heads.w.requires_grad:
-            gw = gq @ r[n5].reshape(u5, 9 * hidden)
-            gw = gw.reshape(c2, 3, 3, hidden).transpose(0, 3, 1, 2)
-            _accumulate(heads.w, np.ascontiguousarray(gw))  # Adam runs faster on C order
-        if not (shared.w.requires_grad or shared.b.requires_grad):
-            return
-        gcols = (gq.T @ hmat).ravel()  # [U5, 9, hidden]
-        gr = np.bincount((n5[:, :, None] * hidden + np.arange(hidden)).ravel(),
-                         weights=gcols, minlength=(u3 + 1) * hidden)
-        gr = gr.reshape(u3 + 1, hidden)[:u3]
-        gr *= r[:u3] > 0.0
-        _accumulate(shared.b, gr.sum(axis=0))
-        idx = (np.arange(9) * (N_CLASSES + 1) + p3)[:, :, None] * hidden + np.arange(hidden)
-        gw = np.bincount(idx.ravel(), weights=np.repeat(gr, 9, axis=0).ravel(),
-                         minlength=9 * (N_CLASSES + 1) * hidden)
-        gw = gw.reshape(9, N_CLASSES + 1, hidden)[:, :N_CLASSES].T
-        _accumulate(shared.w, np.ascontiguousarray(gw).reshape(shared.w.data.shape))
-
-    return _result(out, (shared.w, shared.b, heads.w, heads.b), bw)
-
-
 class SIModule(Module):
     """Layout-conditioned modulation of a normalized activation.
 
@@ -167,9 +105,9 @@ class SIModule(Module):
     the 3x3 gamma and beta heads; the output is ``gamma * normalize(x) +
     beta`` (the modulation is applied exactly in this form, with no
     residual 1+gamma variant).  The two heads are stored as one ``heads``
-    convolution of ``2C`` output channels, gamma first.  Both convs run
-    as the one node :func:`layout_heads`, whose output
-    :func:`~sgs.numerics.modulate` applies as one op.
+    convolution of ``2C`` output channels, gamma first.  Both convs, the
+    instance norm and the modulation run as the one graph node that
+    :meth:`forward` builds.
     """
 
     def __init__(self, channels, rng, hidden=32):
@@ -178,15 +116,84 @@ class SIModule(Module):
         self.heads = Conv(rng, 2 * channels, hidden, 3)
 
     def forward(self, x, layout):
-        """``x`` is [1, C, h, w]; ``layout`` is a SemanticLayout at h x w."""
-        if x.data.shape[1] != self.channels:
-            raise ShapeError(f"SI module built for {self.channels} channels, got {x.data.shape}")
+        """``x`` is [1, C, h, w]; ``layout`` is a SemanticLayout at h x w.
+
+        One graph node over ``(x, shared.w, shared.b, heads.w, heads.b)``.
+        Both convs' output at a pixel depends only on the pixel's 5x5 class
+        neighbourhood, so it is computed once per distinct neighbourhood
+        from the layout's :meth:`~sgs.layout.SemanticLayout.si_tables`
+        ``(p3, n5, inv)``: ``R = relu(b + sum_t shared.w[:, p3[:, t], t])``
+        for the 3x3 ones, a zero row appended for a neighbour in the heads
+        conv's zero padding, and ``Q = R[n5] @ heads_mat + heads.b`` for the
+        5x5 ones.  Gamma and beta are ``Q``'s two halves gathered by ``inv``.
+
+        Backward gathers gamma again for the input gradient, sums ``g*y``
+        and ``g`` into ``Q``'s columns with ``np.bincount`` over ``inv``,
+        gives the heads gradients from that and ``R[n5]``, and sums ``R``'s
+        gradient over ``n5`` and the shared kernel's over ``p3`` the same
+        way.  The closure keeps the instance norm's ``y`` and ``s``, ``Q``,
+        ``R``, ``heads_mat`` and the tables, and no [1, 2C, h, w] field.
+        """
+        c = self.channels
+        if x.data.shape[1] != c:
+            raise ShapeError(f"SI module built for {c} channels, got {x.data.shape}")
         if (layout.height, layout.width) != x.data.shape[-2:]:
             raise ShapeError(
                 f"layout resolution {(layout.height, layout.width)} does not match "
                 f"activation {x.data.shape[-2:]}"
             )
-        return modulate(x, layout_heads(layout, self.shared, self.heads))
+        shared, heads = self.shared, self.heads
+        p3, n5, inv = layout.si_tables()
+        hidden = shared.w.data.shape[0]
+        u3, u5 = len(p3), len(n5)
+        # [9, 13, hidden]: the shared kernel's tap t for class code c; zero
+        # for code N_CLASSES, a tap in the shared conv's zero padding.
+        taps = np.zeros((9, N_CLASSES + 1, hidden))
+        taps[:, :N_CLASSES] = shared.w.data.reshape(hidden, N_CLASSES, 9).T
+        r = np.zeros((u3 + 1, hidden))
+        taps[np.arange(9), p3].sum(axis=1, out=r[:u3])
+        r[:u3] += shared.b.data
+        np.maximum(r, 0.0, out=r)
+        # [2C, 9*hidden], columns in the (tap, channel) order of R[n5] rows.
+        hmat = heads.w.data.transpose(0, 2, 3, 1).reshape(2 * c, 9 * hidden)
+        q = hmat @ r[n5].reshape(u5, 9 * hidden).T  # [2C, U5]
+        q += heads.b.data[:, None]
+        y, s = _instance_norm(x.data)
+        field_shape = (1, c, layout.height, layout.width)
+        params = (shared.w, shared.b, heads.w, heads.b)
+
+        def bw(g):
+            if x.requires_grad:
+                gamma = q[:c, inv].reshape(field_shape)
+                _accumulate(x, _instance_norm_grad(g * gamma, y, s))
+            if not any(p.requires_grad for p in params):
+                return
+            cols = (inv + (np.arange(c) * u5)[:, None]).ravel()
+            gq = np.empty((2 * c, u5))
+            gq[:c] = np.bincount(cols, weights=(g * y).ravel(),
+                                 minlength=c * u5).reshape(c, u5)
+            gq[c:] = np.bincount(cols, weights=g.ravel(), minlength=c * u5).reshape(c, u5)
+            _accumulate(heads.b, gq.sum(axis=1))
+            if heads.w.requires_grad:
+                gw = gq @ r[n5].reshape(u5, 9 * hidden)
+                gw = gw.reshape(2 * c, 3, 3, hidden).transpose(0, 3, 1, 2)
+                _accumulate(heads.w, np.ascontiguousarray(gw))  # Adam runs faster on C order
+            if not (shared.w.requires_grad or shared.b.requires_grad):
+                return
+            gcols = (gq.T @ hmat).ravel()  # [U5, 9, hidden]
+            gr = np.bincount((n5[:, :, None] * hidden + np.arange(hidden)).ravel(),
+                             weights=gcols, minlength=(u3 + 1) * hidden)
+            gr = gr.reshape(u3 + 1, hidden)[:u3]
+            gr *= r[:u3] > 0.0
+            _accumulate(shared.b, gr.sum(axis=0))
+            idx = (np.arange(9) * (N_CLASSES + 1) + p3)[:, :, None] * hidden + np.arange(hidden)
+            gw = np.bincount(idx.ravel(), weights=np.repeat(gr, 9, axis=0).ravel(),
+                             minlength=9 * (N_CLASSES + 1) * hidden)
+            gw = gw.reshape(9, N_CLASSES + 1, hidden)[:, :N_CLASSES].T
+            _accumulate(shared.w, np.ascontiguousarray(gw).reshape(shared.w.data.shape))
+
+        out = q[:c, inv].reshape(field_shape) * y + q[c:, inv].reshape(field_shape)
+        return _result(out, (x, *params), bw)
 
 
 class SIResBlock(Module):

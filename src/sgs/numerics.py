@@ -10,11 +10,12 @@ walk and only tensors the caller still holds keep their ``.grad``.
 
 Some compositions are fused into single ops with a closed-form
 backward, so each records one node and saves one set of arrays:
-subtraction (``a - b`` and ``2.0 - a``), :func:`normalize` (instance
-normalization) and :func:`modulate` (``gamma * normalize(x) + beta``
-from one ``[gamma, beta]`` heads array), the last two sharing one
-instance-norm forward and backward.  ``sgs.losses.binary_cross_entropy``
-is one node built the same way.
+subtraction (``a - b`` and ``2.0 - a``) and :func:`normalize` (instance
+normalization).  ``sgs.losses.binary_cross_entropy`` and
+``sgs.network.SIModule.forward`` (``gamma * normalize(x) + beta`` with
+the gamma/beta convs over the layout) are single nodes built the same
+way, the latter sharing :func:`normalize`'s instance-norm forward and
+backward.
 
 A backward closure keeps only the arrays its formula reads, as
 references taken at forward time, never copies: what it can recompute
@@ -335,8 +336,8 @@ def activate(t, slope):
     ``t``'s closure is wrapped to multiply the incoming gradient by it
     before the producing op's closure runs.  Safe only on a result that
     no other op has read yet and whose own closure does not read it, such
-    as the output of :func:`conv2d`, :func:`modulate` or
-    :func:`normalize`.  Returns ``t``.
+    as the output of :func:`conv2d`, :func:`normalize` or
+    ``sgs.network.SIModule.forward``.  Returns ``t``.
     """
     if not slope >= 0.0:
         raise ValueError(f"activate needs slope >= 0, got {slope}")
@@ -728,34 +729,6 @@ def normalize(x):
         _accumulate(x, _instance_norm_grad(g, y, s))
 
     return _result(_instance_norm(xd)[0], (x,), bw)
-
-
-def modulate(x, heads):
-    """Spatially-adaptive instance normalization, ``gamma * normalize(x)
-    + beta``, as one graph node.
-
-    ``x`` is ``[N, C, h, w]``; ``heads`` is ``[N, 2C, h, w]``, gamma's C
-    channels first, then beta's.  Backward writes the heads gradient as
-    one ``[g*y, g]`` array and the input gradient through the
-    instance-norm gradient of ``g*gamma``.
-    """
-    y, s = _instance_norm(x.data)
-    n, c, h, w = x.data.shape
-    if heads.data.shape != (n, 2 * c, h, w):
-        raise ShapeError(f"modulate wants heads of shape {(n, 2 * c, h, w)}, "
-                         f"got {heads.data.shape}")
-    gamma, beta = heads.data[:, :c], heads.data[:, c:]
-
-    def bw(g):
-        if heads.requires_grad:
-            gh = np.empty(heads.data.shape)
-            np.multiply(g, y, out=gh[:, :c])
-            gh[:, c:] = g
-            _accumulate(heads, gh)
-        if x.requires_grad:
-            _accumulate(x, _instance_norm_grad(g * gamma, y, s))
-
-    return _result(gamma * y + beta, (x, heads), bw)
 
 
 # ---------------------------------------------------------------------------

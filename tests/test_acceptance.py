@@ -56,7 +56,6 @@ from sgs.numerics import (
     activate,
     avg_pool2d,
     conv2d,
-    modulate,
     normalize,
     softmax,
     softplus,
@@ -212,22 +211,6 @@ def _case_normalize_instance(seed):
     w = const((seed, 13), 1, 3, 4, 4)
     x0 = np.random.default_rng(seed).normal(size=(1, 3, 4, 4))
     return gradcheck(lambda x: (normalize(x) * w).sum(), x0)
-
-
-def _case_modulate(seed):
-    """``modulate`` against both its input and its heads."""
-    x = const((seed, 35), 1, 3, 4, 4)
-    heads = const((seed, 36), 1, 6, 4, 4)
-    w = const((seed, 37), 1, 3, 4, 4)
-    x0 = np.random.default_rng(seed).normal(size=(1, 3, 4, 4))
-    h0 = np.random.default_rng([seed, 38]).normal(size=(1, 6, 4, 4))
-
-    def through_heads(t):
-        y = modulate(x, t)
-        return (y * y * w).sum()
-
-    return max(gradcheck(lambda t: (modulate(t, heads) * w).sum(), x0),
-               gradcheck(through_heads, h0))
 
 
 def _si_layout(seed, size):
@@ -403,7 +386,6 @@ GRADIENT_CASES = (
     ("upsample", _case_upsample),
     ("avg-pool", _case_avg_pool),
     ("normalize-instance", _case_normalize_instance),
-    ("modulate", _case_modulate),
     ("si-module-input", _case_si_module_input),
     ("si-module-params", _case_si_module_params),
     ("si-resblock-input", _case_si_resblock_input),

@@ -430,6 +430,15 @@ class TestEvalCommand:
         assert rows[0] == "id,ssim,fsim"
         assert len(rows) == 9
 
+    def test_direction_flag_is_unknown(self, tmp_path, capsys):
+        """A model's input channel count fixes its direction, so eval takes
+        no ``--direction``."""
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", str(tmp_path / "m"), "--data", str(tmp_path / "d"),
+                  "--out", str(tmp_path / "e"), "--direction", "k"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --direction k" in capsys.readouterr().err
+
     def test_one_sample_writes_null_proxy(self, cli_corpus, trained_run, tmp_path):
         """Below two pairs there is no Frechet proxy: val_metrics.json says
         null, and stays JSON a strict parser accepts."""
@@ -684,6 +693,22 @@ class TestGraphDumpCommand:
         assert rc == 3
         assert capsys.readouterr().err == (
             f"error: data: {manifest}:1: manifest key 'photo' is not a file name\n")
+
+    @pytest.mark.parametrize("header", [b"P5\n#c", b"P5\n0 0\n11\n"],
+                             ids=["unended_comment", "zero_size"])
+    def test_bad_layout_header_is_data_error(self, cli_corpus, tmp_path, capsys, header):
+        """A layout whose header ends inside a comment, or declares a 0x0
+        image, is one data error that names the file."""
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header)
+        row = absolute_rows(read_manifest(cli_corpus["manifest"])[:1], cli_corpus["root"])[0]
+        row["layout_photo"] = str(bad)
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        rc = main(["graph-dump", "--data", str(manifest), "--id", row["id"]])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: data: {bad}: ")
 
 
 def load_desk_script():

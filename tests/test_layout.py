@@ -1,5 +1,6 @@
 """Layout, saliency, paired-sample, and Netpbm/manifest IO tests."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,16 @@ class TestNetpbmIO:
         path.write_bytes(b"P5\n# a comment\n2 2\n255\n" + raster)
         arr, maxval = read_pnm(str(path))
         assert maxval == 255 and np.array_equal(arr, [[0, 1], [2, 3]])
+
+    @pytest.mark.parametrize("header", [b"P5\n#c", b"P5\n0 0\n11\n", b"P5\n3 0\n11\n"],
+                             ids=["unended_comment", "zero_size", "zero_height"])
+    def test_bad_header_rejected(self, tmp_path, header):
+        """A comment with no end of line, or a zero width or height, is a
+        DataError that names the file."""
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            read_pnm(str(path))
 
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"

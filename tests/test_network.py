@@ -1,4 +1,6 @@
 """Generator, discriminator, and SI-module behavior tests."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from sgs import layout as layout_mod
 from sgs import numerics
 from sgs.datagen import generate_corpus
 from sgs.layout import N_CLASSES, SaliencyMap, SemanticLayout, load_corpus
-from sgs.network import (Generator, Module, PatchDiscriminator, SIModule, SIResBlock,
-                         layout_heads)
+from sgs.network import Generator, Module, PatchDiscriminator, SIModule, SIResBlock
 from sgs.numerics import Parameter, ShapeError, Tensor, activate, conv2d, normalize
 
 from conftest import relative_error, spot_check_param
@@ -146,16 +147,13 @@ class TestSIModule:
             assert np.allclose(fused, ref, rtol=0.0, atol=1e-12)
 
     def test_one_node_after_head_conv(self):
-        """The module records two nodes: the heads field, one node whose
-        parents are the four SI parameters themselves, and the modulation
-        on top of it."""
+        """The module records one node, whose parents are the input and
+        the four SI parameters themselves."""
         si = SIModule(2, np.random.default_rng(10), hidden=3)
         x = Tensor(np.random.default_rng(11).random((1, 2, 4, 4)), requires_grad=True)
         out = si.forward(x, SemanticLayout(rand_layout(4, seed=5)))
-        assert out._parents[0] is x
-        heads = out._parents[1]
-        assert heads._parents == (si.shared.w, si.shared.b, si.heads.w, si.heads.b)
-        assert len(numerics._toposort(out)) == len(numerics._toposort(heads)) + 2 == 7
+        assert out._parents == (x, si.shared.w, si.shared.b, si.heads.w, si.heads.b)
+        assert len(numerics._toposort(out)) == 6
 
     def test_param_names_and_order_unchanged(self):
         """Checkpoints are keyed by these names, in this order."""
@@ -180,23 +178,39 @@ def reference_heads(layout, si):
     return si.heads.forward(si.shared.forward(planes))
 
 
+def reference_si(x, layout, si):
+    """:meth:`SIModule.forward` from plain ops: the field of
+    :func:`reference_heads`, split into gamma and beta, and ``gamma *
+    normalize(x) + beta``."""
+    heads = reference_heads(layout, si)
+    c = si.channels
+    # 1x1 convs that pick gamma's channels and beta's out of the field
+    pick = np.eye(2 * c)[:, :, None, None]
+    gamma = conv2d(heads, Tensor(pick[:c]))
+    beta = conv2d(heads, Tensor(pick[c:]))
+    return gamma * normalize(x) + beta
+
+
 class TestLayoutHeads:
-    """``layout_heads`` against the conv stack it replaces, in value and
-    in all four parameter gradients."""
+    """The layout-driven gamma/beta heads inside :meth:`SIModule.forward`
+    against the plain-op stack they replace, in value, in the input
+    gradient and in all four parameter gradients."""
 
     def check_against_convs(self, layout, channels=3, hidden=4, seed=0):
         rng = np.random.default_rng(seed)
         si = SIModule(channels, rng, hidden=hidden)
         for p in si.params():
             p.data = rng.normal(size=p.data.shape)
-        w = Tensor(rng.normal(size=(1, 2 * channels, layout.height, layout.width)))
+        shape = (1, channels, layout.height, layout.width)
+        x0 = rng.normal(size=shape)
+        w = Tensor(rng.normal(size=shape))
         results = []
-        for heads in (lambda: layout_heads(layout, si.shared, si.heads),
-                      lambda: reference_heads(layout, si)):
+        for fn in (si.forward, lambda x, lay: reference_si(x, lay, si)):
             si.zero_grad()
-            out = heads()
+            x = Tensor(x0, requires_grad=True)
+            out = fn(x, layout)
             (out * w).sum().backward()
-            results.append([out.data] + [p.grad for p in si.params()])
+            results.append([out.data, x.grad] + [p.grad for p in si.params()])
         for got, ref in zip(*results):
             assert got.shape == ref.shape
             assert np.allclose(got, ref, rtol=0.0, atol=1e-12 * max(1.0, np.abs(ref).max()))
@@ -225,8 +239,32 @@ class TestLayoutHeads:
     def test_frozen_parameters_record_no_graph(self):
         si = SIModule(2, np.random.default_rng(5), hidden=3)
         si.freeze()
-        out = layout_heads(SemanticLayout(rand_layout(4)), si.shared, si.heads)
+        layout = SemanticLayout(rand_layout(4))
+        x0 = np.random.default_rng(6).normal(size=(1, 2, 4, 4))
+        out = si.forward(Tensor(x0), layout)
         assert not out.requires_grad and out._parents == () and out._backward is None
+        x = Tensor(x0, requires_grad=True)
+        (si.forward(x, layout) * 1.0).sum().backward()
+        assert x.grad is not None and all(p.grad is None for p in si.params())
+
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_forward_keeps_no_field(self, tmp_path, channels):
+        """After one forward at 128 px the module holds, beyond its
+        output, the instance norm's ``y`` and per-neighbourhood tables:
+        under two ``[1, C, h, w]`` arrays, where a kept [1, 2C, h, w]
+        gamma/beta field alone would be two."""
+        layout = load_corpus(generate_corpus(str(tmp_path), 1, 128, seed=1))[0].layout_photo
+        layout.si_tables()  # cached on the layout, not held by the module
+        si = SIModule(channels, np.random.default_rng(7), hidden=16)
+        x = Tensor(np.random.default_rng(8).normal(size=(1, channels, 128, 128)),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = si.forward(x, layout)
+            held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * channels * 128 * 128 * 8
 
     def test_generator_forward_builds_no_one_hot(self, monkeypatch):
         def refuse(layout):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sgs import numerics
+from sgs.layout import N_CLASSES, SemanticLayout
+from sgs.network import SIModule
 from sgs.numerics import (
     Adam,
     Parameter,
@@ -24,7 +26,6 @@ from sgs.numerics import (
     conv2d,
     load_checkpoint,
     lr_at_epoch,
-    modulate,
     normalize,
     restore_params,
     save_checkpoint,
@@ -607,7 +608,7 @@ class TestUpsampleAndPooling:
 
 
 class TestFusedOps:
-    """Subtraction, normalize and modulate each record one graph node."""
+    """Subtraction and normalize each record one graph node."""
 
     @staticmethod
     def added_nodes(out, *inputs):
@@ -625,17 +626,6 @@ class TestFusedOps:
         assert self.added_nodes(a - b, a, b) == 1
         assert self.added_nodes(2.0 - a, a) == 1
         assert self.added_nodes(a - 2.0, a) == 1
-
-    def test_modulate_is_one_node(self):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
-        heads = Tensor(rng.normal(size=(1, 4, 3, 3)), requires_grad=True)
-        assert self.added_nodes(modulate(x, heads), x, heads) == 1
-
-    def test_modulate_rejects_heads_shape(self):
-        x = Tensor(np.ones((1, 2, 3, 3)))
-        with pytest.raises(ShapeError):
-            modulate(x, Tensor(np.ones((1, 2, 3, 3))))
 
 
 def relu_reference(x):
@@ -671,10 +661,13 @@ def _conv_case(stride, trainable_kernel):
     return make
 
 
-def _modulate_case(rng):
-    leaves = [Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True),
-              Tensor(rng.normal(size=(1, 6, 6, 6)), requires_grad=True)]
-    return leaves, modulate
+def _si_module_case(rng):
+    si = SIModule(3, rng, hidden=4)
+    for p in si.params():
+        p.data = rng.normal(size=p.data.shape)
+    layout = SemanticLayout(rng.integers(0, N_CLASSES, size=(6, 6)))
+    x = Tensor(rng.normal(size=(1, 3, 6, 6)), requires_grad=True)
+    return [x] + si.params(), lambda x, *params: si.forward(x, layout)
 
 
 def _normalize_case(rng):
@@ -686,7 +679,7 @@ ACTIVATED_OPS = {
     "conv-s1-frozen": _conv_case(1, False),
     "conv-s2-trainable": _conv_case(2, True),
     "conv-s2-frozen": _conv_case(2, False),
-    "modulate": _modulate_case,
+    "modulate": _si_module_case,  # SIModule.forward: gamma * normalize(x) + beta
     "normalize": _normalize_case,
 }
 
