@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .layout import (
     BACKGROUND,
@@ -40,7 +39,7 @@ from .layout import (
     write_manifest,
     write_photo,
 )
-from .metrics import LUMA_WEIGHTS
+from .metrics import LUMA_WEIGHTS, gradient_magnitude, separable_filter
 
 # Painting order: later entries overwrite earlier ones.
 LAYER_ORDER = (
@@ -255,26 +254,12 @@ def _anchor(prim):
     return 0.5, prim.y0
 
 
-def _scharr_magnitude(img):
-    p = np.pad(img, 1, mode="edge")
-    gx = (3.0 * (p[:-2, 2:] - p[:-2, :-2]) + 10.0 * (p[1:-1, 2:] - p[1:-1, :-2])
-          + 3.0 * (p[2:, 2:] - p[2:, :-2])) / 16.0
-    gy = (3.0 * (p[2:, :-2] - p[:-2, :-2]) + 10.0 * (p[2:, 1:-1] - p[:-2, 1:-1])
-          + 3.0 * (p[2:, 2:] - p[:-2, 2:])) / 16.0
-    return np.sqrt(gx * gx + gy * gy)
-
-
 def _box_blur(img, radius, passes=3):
-    """Repeated edge-padded box filter of a 2-D image, columns then rows."""
-    out = img.astype(np.float64)
-    k = 2 * radius + 1
-    kernel = np.ones(k) / k
+    """Repeated edge-padded box filter of a 2-D image."""
+    box = np.full(2 * radius + 1, 1.0 / (2 * radius + 1))
     for _ in range(passes):
-        for axis in (0, 1):
-            pad = [(0, 0), (0, 0)]
-            pad[axis] = (radius, radius)
-            out = sliding_window_view(np.pad(out, pad, mode="edge"), k, axis=axis) @ kernel
-    return out
+        img = separable_filter(np.pad(img, radius, mode="edge"), box, box)
+    return img
 
 
 def render_photo(spec, layout, rng):
@@ -292,7 +277,7 @@ def render_photo(spec, layout, rng):
 def render_sketch(spec, layout, rng):
     """Edge-stroke rendering of the class structure, in [0, 1]."""
     luma = spec.palette[layout.classes] @ np.array(LUMA_WEIGHTS)
-    edges = _scharr_magnitude(luma)
+    edges = gradient_magnitude(luma, "edge")
     peak = edges.max()
     strokes = edges / peak if peak > 0 else edges
     texture = 0.75 + 0.25 * _box_blur(rng.random(luma.shape), radius=2, passes=2)

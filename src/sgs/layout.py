@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor
+from .numerics import Tensor, atomic_open
 
 CLASS_NAMES = (
     "eyes",
@@ -336,7 +336,7 @@ def read_layout(path):
 
 
 def write_manifest(path, rows):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for row in rows:
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
@@ -346,7 +346,7 @@ def read_manifest(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read manifest {path}: {err}") from err
     first_line = {}  # sample id -> the line that named it first
     for lineno, line in enumerate(lines, start=1):

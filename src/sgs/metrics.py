@@ -52,20 +52,34 @@ def _gaussian_window(size, sigma):
     return g / g.sum()
 
 
-def _separable_filter(img, g):
-    """Valid-mode correlation of ``img`` with ``outer(g, g)``, as a pass
-    of ``g`` down the columns and then one along the rows."""
-    k = g.shape[0]
+def separable_filter(img, gv, gh):
+    """Valid-mode correlation of ``img`` with ``outer(gv, gh)``, as a pass
+    of ``gv`` down the columns and then one of ``gh`` along the rows.
+    Every image filter here is this one: SSIM's Gaussian window, the
+    Scharr gradients of FSIM and the sketch renderer, and the corpus
+    box blur."""
     h, w = img.shape
-    cols = sum(g[t] * img[t : h - k + 1 + t] for t in range(k))
-    return sum(g[t] * cols[:, t : w - k + 1 + t] for t in range(k))
+    cols = gv[0] * img[: h - len(gv) + 1]
+    for t in range(1, len(gv)):
+        cols += gv[t] * img[t : h - len(gv) + 1 + t]
+    out = gh[0] * cols[:, : w - len(gh) + 1]
+    for t in range(1, len(gh)):
+        out += gh[t] * cols[:, t : w - len(gh) + 1 + t]
+    return out
 
 
-def _window_filter(img, window):
-    """Valid-mode correlation of ``img`` with a small 2-D window."""
-    k = window.shape[0]
-    view = np.lib.stride_tricks.sliding_window_view(img, (k, k))
-    return np.tensordot(view, window, axes=((2, 3), (0, 1)))
+_SCHARR_SMOOTH = np.array([3.0, 10.0, 3.0]) / 16.0
+_SCHARR_DIFF = np.array([-1.0, 0.0, 1.0])
+
+
+def gradient_magnitude(img, pad_mode):
+    """Same-size Scharr gradient magnitude of a 2-D image, padded by one
+    pixel with ``np.pad(img, 1, mode=pad_mode)``; each derivative is a
+    smoothing pass across it and a central difference along it."""
+    p = np.pad(img, 1, mode=pad_mode)
+    gx = separable_filter(p, _SCHARR_SMOOTH, _SCHARR_DIFF)
+    gy = separable_filter(p, _SCHARR_DIFF, _SCHARR_SMOOTH)
+    return np.sqrt(gx * gx + gy * gy)
 
 
 def ssim(x, y):
@@ -80,11 +94,11 @@ def ssim(x, y):
     c1 = (SSIM_K1 * SSIM_L) ** 2
     c2 = (SSIM_K2 * SSIM_L) ** 2
 
-    mu_a = _separable_filter(a, g)
-    mu_b = _separable_filter(b, g)
-    var_a = _separable_filter(a * a, g) - mu_a * mu_a
-    var_b = _separable_filter(b * b, g) - mu_b * mu_b
-    cov = _separable_filter(a * b, g) - mu_a * mu_b
+    mu_a = separable_filter(a, g, g)
+    mu_b = separable_filter(b, g, g)
+    var_a = separable_filter(a * a, g, g) - mu_a * mu_a
+    var_b = separable_filter(b * b, g, g) - mu_b * mu_b
+    cov = separable_filter(a * b, g, g) - mu_a * mu_b
 
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
@@ -94,13 +108,6 @@ def ssim(x, y):
 # ---------------------------------------------------------------------------
 # phase congruency and FSIM
 # ---------------------------------------------------------------------------
-
-
-def _lowpass(shape, cutoff=0.45, order=15):
-    fy = np.fft.fftfreq(shape[0])[:, None]
-    fx = np.fft.fftfreq(shape[1])[None, :]
-    radius = np.sqrt(fx * fx + fy * fy)
-    return 1.0 / (1.0 + (radius / cutoff) ** (2 * order))
 
 
 def phase_congruency(img):
@@ -120,11 +127,14 @@ def phase_congruency(img):
     fy = np.fft.fftfreq(rows)[:, None]
     fx = np.fft.fftfreq(cols)[None, :]
     radius = np.sqrt(fx * fx + fy * fy)
+    # Butterworth low-pass (cutoff 0.45, order 15) keeps the bank off the
+    # frequency-square corners; taken before the DC entry, which every
+    # filter zeroes anyway, is set to 1 for the log below.
+    lp = 1.0 / (1.0 + (radius / 0.45) ** 30)
     radius[0, 0] = 1.0
     theta = np.arctan2(-fy, fx)
     sintheta = np.sin(theta)
     costheta = np.cos(theta)
-    lp = _lowpass((rows, cols))
 
     log_gabor = []
     for s in range(nscale):
@@ -188,21 +198,6 @@ def phase_congruency(img):
     return total_pc
 
 
-_SCHARR_X = np.array([[3.0, 0.0, -3.0], [10.0, 0.0, -10.0], [3.0, 0.0, -3.0]]) / 16.0
-_SCHARR_Y = _SCHARR_X.T
-
-
-def _conv_same(img, kernel):
-    """Same-size convolution (flipped-kernel correlation, zero padded)."""
-    return _window_filter(np.pad(img, kernel.shape[0] // 2), kernel[::-1, ::-1])
-
-
-def _gradient_magnitude(img):
-    gx = _conv_same(img, _SCHARR_X)
-    gy = _conv_same(img, _SCHARR_Y)
-    return np.sqrt(gx * gx + gy * gy)
-
-
 def fsim(x, y):
     """Feature similarity: phase congruency and gradient agreement,
     weighted by the stronger phase-congruency map."""
@@ -224,8 +219,8 @@ def fsim(x, y):
 
     pc_a = phase_congruency(a)
     pc_b = phase_congruency(b)
-    g_a = _gradient_magnitude(a)
-    g_b = _gradient_magnitude(b)
+    g_a = gradient_magnitude(a, "constant")
+    g_b = gradient_magnitude(b, "constant")
 
     s_pc = (2.0 * pc_a * pc_b + FSIM_T1) / (pc_a * pc_a + pc_b * pc_b + FSIM_T1)
     s_g = (2.0 * g_a * g_b + FSIM_T2) / (g_a * g_a + g_b * g_b + FSIM_T2)

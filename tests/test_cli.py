@@ -680,6 +680,19 @@ class TestGraphDumpCommand:
         assert capsys.readouterr().err == (
             f"error: data: {manifest}:1: manifest row is not a JSON object\n")
 
+    def test_non_utf8_manifest_is_data_error(self, cli_corpus, tmp_path, capsys):
+        """A manifest that is not UTF-8 is one data error naming the file."""
+        blob = bytearray(open(cli_corpus["manifest"], "rb").read())
+        blob[10] = 0xD8
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_bytes(bytes(blob))
+        rc = main(["graph-dump", "--data", str(manifest), "--id", "0000"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: data: cannot read manifest {manifest}: ")
+        assert "can't decode byte 0xd8" in err[0]
+
     @pytest.mark.parametrize("value", [5, None, ["a.ppm"], ""],
                              ids=["number", "null", "list", "empty"])
     def test_file_key_not_a_name_is_data_error(self, tmp_path, capsys, value):

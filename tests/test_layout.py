@@ -1,5 +1,6 @@
 """Layout, saliency, paired-sample, and Netpbm/manifest IO tests."""
 import json
+import os
 import re
 
 import numpy as np
@@ -310,6 +311,19 @@ class TestManifests:
         assert len(lines) == 3
         for line in lines:
             json.loads(line)
+
+    def test_failed_write_keeps_previous_manifest(self, tmp_path):
+        """A row that cannot be serialized leaves the previous manifest
+        byte for byte and no temp file beside it."""
+        path = tmp_path / "m.jsonl"
+        write_manifest(str(path), self._rows(2))
+        before = path.read_bytes()
+        rows = self._rows(3)
+        rows[0]["photo"] = object()
+        with pytest.raises(TypeError):
+            write_manifest(str(path), rows)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.jsonl"]
 
     def test_empty_manifest_reads_as_no_rows(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -20,7 +20,9 @@ from sgs.metrics import (
     frechet_distance,
     frechet_from_stats,
     fsim,
+    gradient_magnitude,
     phase_congruency,
+    separable_filter,
     ssim,
     to_luminance,
 )
@@ -28,6 +30,20 @@ from sgs.metrics import (
 
 def rand_gray(rng, size):
     return rng.uniform(0.0, 1.0, size=(size, size))
+
+
+# The 2-D Scharr x-derivative kernel, for convolution (flip to correlate).
+SCHARR_X = np.array([[3.0, 0.0, -3.0], [10.0, 0.0, -10.0], [3.0, 0.0, -3.0]]) / 16.0
+
+
+def correlate_oracle(img, window):
+    """Valid-mode 2-D correlation by an explicit loop over windows."""
+    kh, kw = window.shape
+    out = np.empty((img.shape[0] - kh + 1, img.shape[1] - kw + 1))
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
+            out[i, j] = np.sum(img[i:i + kh, j:j + kw] * window)
+    return out
 
 
 def ssim_oracle(a, b):
@@ -82,10 +98,45 @@ class TestToLuminance:
             to_luminance(np.zeros(7))
 
 
+class TestSeparableFilter:
+    @pytest.mark.parametrize("shape", [(5, 5), (9, 14), (32, 32)])
+    def test_matches_window_loop(self, shape):
+        """A 3-tap pass down the columns and a different 5-tap one along
+        the rows equal correlation with their outer product."""
+        rng = np.random.default_rng(sum(shape))
+        img = rng.normal(size=shape)
+        gv, gh = rng.normal(size=3), rng.normal(size=5)
+        got = separable_filter(img, gv, gh)
+        want = correlate_oracle(img, np.outer(gv, gh))
+        assert got.shape == (shape[0] - 2, shape[1] - 4)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestGradientMagnitude:
+    @pytest.mark.parametrize("pad_mode", ["constant", "edge"])
+    @pytest.mark.parametrize("size", [16, 33])
+    def test_matches_2d_scharr_loop(self, pad_mode, size):
+        """Two separable passes give the 2-D Scharr kernel's magnitude."""
+        img = rand_gray(np.random.default_rng(size), size)
+        p = np.pad(img, 1, mode=pad_mode)
+        gx = correlate_oracle(p, SCHARR_X[::-1, ::-1])
+        gy = correlate_oracle(p, SCHARR_X.T[::-1, ::-1])
+        got = gradient_magnitude(img, pad_mode)
+        assert got.shape == img.shape
+        assert np.max(np.abs(got - np.sqrt(gx * gx + gy * gy))) <= 1e-12
+
+    def test_pad_modes_differ_only_at_the_border(self):
+        img = rand_gray(np.random.default_rng(5), 16)
+        zero = gradient_magnitude(img, "constant")
+        edge = gradient_magnitude(img, "edge")
+        assert np.array_equal(zero[1:-1, 1:-1], edge[1:-1, 1:-1])
+        assert not np.array_equal(zero, edge)
+
+
 class TestSsim:
     def test_self_similarity_is_one(self):
         x = rand_gray(np.random.default_rng(10), 16)
-        assert abs(ssim(x, x) - 1.0) < 1e-12
+        assert ssim(x, x) == 1.0
 
     def test_symmetric(self):
         rng = np.random.default_rng(11)
@@ -182,8 +233,9 @@ class TestPhaseCongruency:
 
 class TestFsim:
     def test_self_similarity_is_one(self):
-        x = rand_gray(np.random.default_rng(30), 32)
-        assert abs(fsim(x, x) - 1.0) < 1e-12
+        for size in (16, 32, 64, 256):
+            x = rand_gray(np.random.default_rng(30), size)
+            assert fsim(x, x) == 1.0, size
 
     def test_constant_pair_degenerates_to_one(self):
         a = np.full((32, 32), 0.3)
