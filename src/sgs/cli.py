@@ -84,7 +84,7 @@ def read_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ from .numerics import (
     Adam,
     adam_step,
     atomic_open,
+    checkpoint_entry,
     load_checkpoint,
     lr_at_epoch,
     restore_params,
@@ -200,14 +202,29 @@ def save_generator(gen, out_dir):
     return bin_path
 
 
+def _checkpoint_widths(blob, bin_path):
+    """The widths of ``MODEL_JSON_KEYS`` that ``model.bin``'s entries fix:
+    ``depth`` counts the ``enc.<i>.w`` entries, the first encoder conv
+    holds ``base_channels`` and ``in_channels`` + 1 (the saliency plane),
+    the first SI module's shared conv ``si_hidden`` and the output conv
+    ``out_channels``."""
+    base, cin = checkpoint_entry(blob, "enc.0.w", bin_path).shape[:2]
+    return {"depth": sum(re.fullmatch(r"enc\.\d+\.w", name) is not None for name in blob),
+            "base_channels": base, "in_channels": cin - 1,
+            "si_hidden": checkpoint_entry(blob, "blocks.0.si1.shared.w", bin_path).shape[0],
+            "out_channels": checkpoint_entry(blob, "out.w", bin_path).shape[0]}
+
+
 def load_generator(model_dir):
     """Rebuild a generator from model.json + model.bin.
 
     ``model.json`` holds every constructor argument (``MODEL_JSON_KEYS``),
     so the generator is built from it alone; ``model.bin`` then restores
-    its weights, and the generator is returned frozen.  Anything missing,
-    mistyped or inconsistent, such as a checkpoint saved by an older
-    version, raises ``DataError``.
+    its weights, and the generator is returned frozen.  The widths
+    ``model.json`` declares are first checked against ``model.bin``'s
+    entry shapes, so no generator wider than its weights is built.
+    Anything missing, mistyped or inconsistent, such as a checkpoint
+    saved by an older version, raises ``DataError``.
     """
     json_path = os.path.join(model_dir, "model.json")
     bin_path = os.path.join(model_dir, "model.bin")
@@ -230,8 +247,13 @@ def load_generator(model_dir):
     if mistyped:
         raise DataError(f"{json_path}: wrong value type for {mistyped}")
     try:
+        blob = load_checkpoint(bin_path)
+        wrong = [f"{k} {cfg[k]} (model.bin: {v})"
+                 for k, v in _checkpoint_widths(blob, bin_path).items() if cfg[k] != v]
+        if wrong:
+            raise ValueError(f"{json_path}: widths differ from model.bin: {', '.join(wrong)}")
         gen = Generator(**{k: cfg[k] for k in MODEL_JSON_KEYS})
-        restore_params(load_checkpoint(bin_path), gen.named_params(), bin_path)
+        restore_params(blob, gen.named_params(), bin_path)
     except (KeyError, IndexError, TypeError, ValueError) as err:
         # str() of a KeyError quotes its message; print the message itself.
         msg = err.args[0] if isinstance(err, KeyError) and err.args else err

@@ -205,7 +205,7 @@ def sample_scene(rng, with_glasses):
 def sample_warp(rng):
     """Smooth displacement field with total amplitude under MAX_WARP."""
     amp = rng.uniform(0.3, 0.85) * MAX_WARP
-    a1, a2 = amp * rng.uniform(0.3, 0.7), 0.0
+    a1 = amp * rng.uniform(0.3, 0.7)
     a2 = amp - a1
     f1, f2 = rng.uniform(0.5, 1.5, 2)
     p = rng.uniform(0.0, 2.0 * np.pi, 4)

@@ -1,11 +1,12 @@
 """Region-statistics graphs over semantic layouts.
 
 An image (or any feature map) is summarized per layout class by a mean
-node and a variance node.  Two graph views are built on top: cosine
+node and a variance node.  Two graphs are built on top, each with one
+view over the mean nodes and one over the variance nodes: cosine
 similarities between the pooled global feature vector and each node
 (the intra-class graph), and pairwise Euclidean distances between nodes
-(the inter-class graph).  Squared-difference losses over matched graph
-pairs keep a synthesized image's regional statistics tied to its target.
+(the inter-class graph).  One squared-difference loss over matched graph
+pairs keeps a synthesized image's regional statistics tied to its target.
 
 Everything here is differentiable through the image argument, so the
 losses can train a generator; targets are detached by the caller.
@@ -29,27 +30,22 @@ _OFF_DIAGONAL = 1.0 - np.eye(N_CLASSES)
 
 @dataclass
 class GraphNodes:
-    """Per-class mean/variance feature nodes plus a presence mask."""
+    """Per-class mean/variance feature nodes, the pooled feature vector
+    and a presence mask."""
 
     mu: Tensor  # [12, Cf]
     nu: Tensor  # [12, Cf]
+    fbar: Tensor  # [Cf], f averaged over the whole image
     present: np.ndarray  # [12] bool
 
 
 @dataclass
-class IntraClassGraph:
-    """Cosine similarity of the pooled feature vector with each node."""
+class Graph:
+    """One Representational Graph: its view over the mean nodes and its
+    view over the variance nodes."""
 
-    c1: Tensor  # [12] against mean nodes
-    c2: Tensor  # [12] against variance nodes
-
-
-@dataclass
-class InterClassGraph:
-    """Pairwise Euclidean distances between nodes of each kind."""
-
-    e1: Tensor  # [12, 12] between mean nodes
-    e2: Tensor  # [12, 12] between variance nodes
+    mu: Tensor  # [12] intra-class, [12, 12] inter-class
+    nu: Tensor  # same shape, over the variance nodes
 
 
 def compute_nodes(f, layout, variance="literal"):
@@ -120,27 +116,21 @@ def compute_nodes(f, layout, variance="literal"):
         _accumulate(f, gf.reshape(f.data.shape))
 
     return GraphNodes(mu=_result(mu, (f,), mu_bw), nu=_result(nu, (f,), nu_bw),
-                      present=present)
+                      fbar=f.mean(axis=(1, 2)), present=present)
 
 
 def _guarded_norm(x, axis=None):
     return ((x * x).sum(axis=axis) + NORM_GUARD) ** 0.5
 
 
-def intra_graph(f, nodes):
-    """Cosine of the pooled global feature vector with every node.
+def intra_graph(nodes):
+    """Cosine of the pooled feature vector with every node: [12] per view.
 
     Absent classes have zero nodes, and the epsilon in the denominator
     maps exactly-zero vectors to similarity zero rather than NaN.
     """
-    if f.data.ndim != 3:
-        raise ValueError(f"feature map must be [Cf, H, W], got {f.data.shape}")
-    cf = f.data.shape[0]
-    if nodes.mu.data.shape != (N_CLASSES, cf):
-        raise ValueError(
-            f"nodes have width {nodes.mu.data.shape}, feature map has {cf} channels"
-        )
-    fbar = f.mean(axis=(1, 2))  # [Cf]
+    fbar = nodes.fbar
+    cf = fbar.data.shape[0]
     norm_f = _guarded_norm(fbar)
 
     def cosine(node):
@@ -148,11 +138,11 @@ def intra_graph(f, nodes):
         norms = _guarded_norm(node, axis=(1,))
         return dots / (norm_f * norms + COSINE_EPS)
 
-    return IntraClassGraph(c1=cosine(nodes.mu), c2=cosine(nodes.nu))
+    return Graph(mu=cosine(nodes.mu), nu=cosine(nodes.nu))
 
 
 def inter_graph(nodes):
-    """Symmetric pairwise Euclidean distance matrices over the nodes."""
+    """Pairwise Euclidean distances between nodes: [12, 12] per view."""
 
     def pairwise(node):
         cf = node.data.shape[1]
@@ -167,24 +157,14 @@ def inter_graph(nodes):
         mask = _OFF_DIAGONAL * (sq.data > 0.0)
         return ((sq + NORM_GUARD) ** 0.5) * Tensor(mask)
 
-    return InterClassGraph(e1=pairwise(nodes.mu), e2=pairwise(nodes.nu))
+    return Graph(mu=pairwise(nodes.mu), nu=pairwise(nodes.nu))
 
 
-def intra_graph_loss(target, fake):
-    """Sum of squared per-class differences across both cosine rows."""
-    d1 = target.c1 - fake.c1
-    d2 = target.c2 - fake.c2
-    return (d1 * d1).sum() + (d2 * d2).sum()
-
-
-def inter_graph_loss(target, fake):
-    """Sum over classes of squared edge-row distances, for both matrices.
-
-    Summing squared row norms touches every entry once, so this equals
-    the squared Frobenius norm of each matrix difference.
-    """
-    d1 = target.e1 - fake.e1
-    d2 = target.e2 - fake.e2
+def graph_loss(target, fake):
+    """Sum of squared entry differences over both views of a graph:
+    the squared Frobenius norm of each view's difference."""
+    d1 = target.mu - fake.mu
+    d2 = target.nu - fake.nu
     return (d1 * d1).sum() + (d2 * d2).sum()
 
 
@@ -193,14 +173,14 @@ def graph_dump(f, layout):
     image and layout."""
     fc = f if isinstance(f, Tensor) else Tensor(f)
     nodes = compute_nodes(fc, layout)
-    intra = intra_graph(fc, nodes)
+    intra = intra_graph(nodes)
     inter = inter_graph(nodes)
     return {
         "mu": nodes.mu.data.tolist(),
         "nu": nodes.nu.data.tolist(),
-        "c1": intra.c1.data.tolist(),
-        "c2": intra.c2.data.tolist(),
-        "e1": inter.e1.data.tolist(),
-        "e2": inter.e2.data.tolist(),
+        "c1": intra.mu.data.tolist(),
+        "c2": intra.nu.data.tolist(),
+        "e1": inter.mu.data.tolist(),
+        "e2": inter.nu.data.tolist(),
         "present": [bool(p) for p in nodes.present],
     }

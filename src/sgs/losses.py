@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .graphs import compute_nodes, inter_graph, inter_graph_loss, intra_graph, intra_graph_loss
+from .graphs import Graph, compute_nodes, graph_loss, inter_graph, intra_graph
 from .layout import N_CLASSES
 from .numerics import (
     ShapeError,
@@ -223,8 +223,8 @@ class Target:
     variance: str
     taps: list
     probs: Tensor
-    intra: object
-    inter: object
+    intra: Graph
+    inter: Graph
     teacher: object = None
     tap_names: tuple = ()
     teacher_taps: dict = None
@@ -242,7 +242,7 @@ def target_record(views, extractor, oracle, variance="literal", teacher=None,
         teacher_taps = {name: real[name].detach() for name in tap_names}
     return Target(views, extractor, oracle, variance,
                   taps=[t.detach() for t in extractor.features(tgt)],
-                  probs=oracle.probs(tgt).detach(), intra=intra_graph(tgt, nodes),
+                  probs=oracle.probs(tgt).detach(), intra=intra_graph(nodes),
                   inter=inter_graph(nodes), teacher=teacher, tap_names=tuple(tap_names),
                   teacher_taps=teacher_taps)
 
@@ -262,8 +262,8 @@ def objective(fake, d, target, weights):
              "l_perc": tap_mse(target.taps, target.extractor.features(fake)),
              "l_bce": binary_cross_entropy(target.probs, target.oracle.probs(fake))}
     nodes = compute_nodes(fake, lay_src, variance=target.variance)
-    terms["l_iag"] = intra_graph_loss(target.intra, intra_graph(fake, nodes))
-    terms["l_itg"] = inter_graph_loss(target.inter, inter_graph(nodes))
+    terms["l_iag"] = graph_loss(target.intra, intra_graph(nodes))
+    terms["l_itg"] = graph_loss(target.inter, inter_graph(nodes))
     if target.teacher is None:
         terms["l_ict"] = Tensor(0.0)
     else:

@@ -895,6 +895,14 @@ def save_params(path, named_params):
     save_checkpoint(path, [(name, p.data) for name, p in named_params])
 
 
+def checkpoint_entry(blob, name, path):
+    """The entry ``name`` of a :func:`load_checkpoint` dict; ``KeyError``
+    naming ``path`` if it is missing."""
+    if name not in blob:
+        raise KeyError(f"{path}: checkpoint missing parameter {name!r}")
+    return blob[name]
+
+
 def restore_params(blob, named_params, path):
     """Restore parameters saved by :func:`save_params`, by name, from the
     dict :func:`load_checkpoint` read; ``path`` names it in errors.
@@ -907,9 +915,7 @@ def restore_params(blob, named_params, path):
     names = set()
     for name, p in named_params:
         names.add(name)
-        if name not in blob:
-            raise KeyError(f"{path}: checkpoint missing parameter {name!r}")
-        arr = blob[name]
+        arr = checkpoint_entry(blob, name, path)
         if arr.shape != p.data.shape:
             raise ShapeError(
                 f"{path}: checkpoint entry {name!r} has shape {arr.shape}, "

@@ -32,13 +32,7 @@ from test_graphs import (
 from sgs.cli import main as cli_main
 from sgs.cycletrain import DEFAULT_ICT_TAPS, TrainConfig, run_iterative, train_direction
 from sgs.datagen import generate_corpus
-from sgs.graphs import (
-    compute_nodes,
-    inter_graph,
-    inter_graph_loss,
-    intra_graph,
-    intra_graph_loss,
-)
+from sgs.graphs import compute_nodes, graph_loss, inter_graph, intra_graph
 from sgs.layout import SaliencyMap, SemanticLayout, load_corpus
 from sgs.losses import (
     FeatureExtractor,
@@ -343,27 +337,27 @@ def _graph_setup(seed, variance):
     layout = rand_classes(rng, 4, hi=6)
     f_t, _ = random_instance(seed + 1000, size=4)
     target_nodes = compute_nodes(Tensor(f_t), layout, variance=variance)
-    return layout, f_t, target_nodes
+    return layout, target_nodes
 
 
 def _case_intra_path(seed, variance="literal"):
-    layout, f_t, tn = _graph_setup(seed, variance)
-    target = intra_graph(Tensor(f_t), tn)
+    layout, tn = _graph_setup(seed, variance)
+    target = intra_graph(tn)
 
     def build(leaf):
         nodes = compute_nodes(leaf, layout, variance=variance)
-        return intra_graph_loss(target, intra_graph(leaf, nodes))
+        return graph_loss(target, intra_graph(nodes))
 
     x0 = np.random.default_rng(seed).uniform(0.1, 1.0, size=(3, 4, 4))
     return gradcheck(build, x0)
 
 
 def _case_inter_path(seed, variance="literal"):
-    layout, f_t, tn = _graph_setup(seed, variance)
+    layout, tn = _graph_setup(seed, variance)
     target = inter_graph(tn)
 
     def build(leaf):
-        return inter_graph_loss(target, inter_graph(compute_nodes(
+        return graph_loss(target, inter_graph(compute_nodes(
             leaf, layout, variance=variance)))
 
     x0 = np.random.default_rng(seed).uniform(0.1, 1.0, size=(3, 4, 4))
@@ -440,9 +434,7 @@ def test_criterion_2_graph_oracles():
         for seed in (1000 + idx, 5000 + idx):
             f, classes = random_instance(seed=seed, empty_classes=empty)
             layout = SemanticLayout(classes.astype(np.uint8))
-            ft = Tensor(f)
-
-            nodes = compute_nodes(ft, layout)
+            nodes = compute_nodes(Tensor(f), layout)
             mu_o, nu_o, present_o = nodes_oracle(f, classes)
             worst = max(worst,
                         np.abs(nodes.mu.data - mu_o).max(),
@@ -450,28 +442,28 @@ def test_criterion_2_graph_oracles():
             assert np.array_equal(nodes.present, present_o)
 
             mu, nu = nodes.mu.data, nodes.nu.data
-            intra = intra_graph(ft, nodes)
+            intra = intra_graph(nodes)
             c1_o, c2_o = intra_oracle(f, mu, nu, nodes.present)
-            worst = max(worst, np.abs(intra.c1.data - c1_o).max(),
-                        np.abs(intra.c2.data - c2_o).max())
+            worst = max(worst, np.abs(intra.mu.data - c1_o).max(),
+                        np.abs(intra.nu.data - c2_o).max())
 
             inter = inter_graph(nodes)
             e1_o, e2_o = inter_oracle(mu, nu)
-            worst = max(worst, np.abs(inter.e1.data - e1_o).max(),
-                        np.abs(inter.e2.data - e2_o).max())
+            worst = max(worst, np.abs(inter.mu.data - e1_o).max(),
+                        np.abs(inter.nu.data - e2_o).max())
             pair.append((intra, inter))
         (intra, inter), (intra2, inter2) = pair
-        if not (np.count_nonzero(intra.c1.data) == 12
-                and np.count_nonzero(intra2.c1.data) == 12):
+        if not (np.count_nonzero(intra.mu.data) == 12
+                and np.count_nonzero(intra2.mu.data) == 12):
             n_empty += 1
 
-        iag = intra_graph_loss(intra, intra2).item()
-        itg = inter_graph_loss(inter, inter2).item()
+        iag = graph_loss(intra, intra2).item()
+        itg = graph_loss(inter, inter2).item()
         worst = max(worst,
-                    abs(iag - loss_oracle_rows(intra.c1.data, intra.c2.data,
-                                               intra2.c1.data, intra2.c2.data)),
-                    abs(itg - loss_oracle_rows(inter.e1.data, inter.e2.data,
-                                               inter2.e1.data, inter2.e2.data)))
+                    abs(iag - loss_oracle_rows(intra.mu.data, intra.nu.data,
+                                               intra2.mu.data, intra2.nu.data)),
+                    abs(itg - loss_oracle_rows(inter.mu.data, inter.nu.data,
+                                               inter2.mu.data, inter2.nu.data)))
     ok = worst <= 1e-10 and n_empty >= 10
     verdict(2, "graph oracle suite", ok,
             f"50 instances, {n_empty} with empty classes, worst abs err {worst:.2e}")

@@ -192,6 +192,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="cannot read"):
             read_config_file(str(tmp_path / "absent.cfg"))
 
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"epochs = 2\n# caf\xe9\n")
+        rc = main(["train", "--data", str(tmp_path / "absent.jsonl"),
+                   "--out", str(tmp_path / "r"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
+
     def test_cli_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 4\nlr = 0.5\n")
@@ -511,6 +521,23 @@ class TestEvalCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("error: data: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["base_channels", "si_hidden", "in_channels"])
+    def test_absurd_width_is_data_error(self, cli_corpus, trained_run, tmp_path,
+                                        capsys, key):
+        """A width model.bin does not hold is refused before the generator
+        is built, not allocated."""
+        model = tmp_path / "model"
+        shutil.copytree(trained_run["model"], model)
+        cfg = json.loads((model / "model.json").read_text())
+        cfg[key] = 10**9
+        (model / "model.json").write_text(json.dumps(cfg))
+        rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
+                   "--out", str(tmp_path / "e")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+        assert f"model.json: widths differ from model.bin: {key} 1000000000" in err
 
     def test_non_finite_weight_is_data_error(self, cli_corpus, trained_run,
                                              tmp_path, capsys):

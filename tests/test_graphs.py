@@ -6,15 +6,13 @@ import pytest
 
 from sgs.graphs import (
     COSINE_EPS,
+    Graph,
     GraphNodes,
-    InterClassGraph,
-    IntraClassGraph,
     compute_nodes,
     graph_dump,
+    graph_loss,
     inter_graph,
-    inter_graph_loss,
     intra_graph,
-    intra_graph_loss,
 )
 from sgs.layout import N_CLASSES, SemanticLayout
 from sgs.numerics import Tensor
@@ -170,50 +168,49 @@ class TestIntraGraph:
         layout = SemanticLayout((np.arange(16).reshape(4, 4) % 2).astype(int))
         f = Tensor(np.full((3, 4, 4), 0.5))
         nodes = compute_nodes(f, layout)
-        intra = intra_graph(f, nodes)
-        assert abs(intra.c1.data[0] - 1.0) < 1e-9
-        assert abs(intra.c1.data[1] - 1.0) < 1e-9
+        intra = intra_graph(nodes)
+        assert abs(intra.mu.data[0] - 1.0) < 1e-9
+        assert abs(intra.mu.data[1] - 1.0) < 1e-9
 
     def test_orthogonal_vectors_give_zero(self):
-        fbar = np.array([1.0, 0.0])
         nodes = GraphNodes(
             mu=Tensor(np.vstack([[0.0, 1.0]] * N_CLASSES)),
             nu=Tensor(np.zeros((N_CLASSES, 2))),
+            fbar=Tensor(np.array([1.0, 0.0])),
             present=np.ones(N_CLASSES, dtype=bool),
         )
-        f = Tensor(np.broadcast_to(fbar[:, None, None], (2, 2, 2)).copy())
-        intra = intra_graph(f, nodes)
-        assert np.allclose(intra.c1.data, 0.0, atol=1e-9)
+        intra = intra_graph(nodes)
+        assert np.allclose(intra.mu.data, 0.0, atol=1e-9)
 
     def test_absent_class_is_zero(self):
         f, classes = random_instance(5, empty_classes=True)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
-        intra = intra_graph(Tensor(f), nodes)
-        assert np.array_equal(intra.c1.data[~nodes.present],
+        intra = intra_graph(nodes)
+        assert np.array_equal(intra.mu.data[~nodes.present],
                               np.zeros((~nodes.present).sum()))
 
     def test_entries_in_unit_interval(self):
         f, classes = random_instance(9)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
-        intra = intra_graph(Tensor(f), nodes)
-        for row in (intra.c1.data, intra.c2.data):
+        intra = intra_graph(nodes)
+        for row in (intra.mu.data, intra.nu.data):
             assert (row >= -1.0 - 1e-12).all() and (row <= 1.0 + 1e-12).all()
 
     def test_scale_invariance_of_cosines(self):
         f, classes = random_instance(13)
         layout = SemanticLayout(classes)
-        a = intra_graph(Tensor(f), compute_nodes(Tensor(f), layout))
-        b = intra_graph(Tensor(4.0 * f), compute_nodes(Tensor(4.0 * f), layout))
-        assert np.allclose(a.c1.data, b.c1.data, atol=1e-9)
+        a = intra_graph(compute_nodes(Tensor(f), layout))
+        b = intra_graph(compute_nodes(Tensor(4.0 * f), layout))
+        assert np.allclose(a.mu.data, b.mu.data, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_vector_algebra_oracle(self, seed):
         f, classes = random_instance(seed + 20, empty_classes=seed < 2, size=4)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
-        intra = intra_graph(Tensor(f), nodes)
+        intra = intra_graph(nodes)
         c1, c2 = intra_oracle(f, nodes.mu.data, nodes.nu.data, nodes.present)
-        assert np.allclose(intra.c1.data, c1, atol=1e-10)
-        assert np.allclose(intra.c2.data, c2, atol=1e-10)
+        assert np.allclose(intra.mu.data, c1, atol=1e-10)
+        assert np.allclose(intra.nu.data, c2, atol=1e-10)
 
 
 class TestInterGraph:
@@ -221,32 +218,33 @@ class TestInterGraph:
         nodes = GraphNodes(
             mu=Tensor(np.ones((N_CLASSES, 3))),
             nu=Tensor(np.ones((N_CLASSES, 3))),
+            fbar=Tensor(np.ones(3)),
             present=np.ones(N_CLASSES, dtype=bool),
         )
         inter = inter_graph(nodes)
-        assert np.allclose(inter.e1.data, 0.0, atol=1e-10)
+        assert np.allclose(inter.mu.data, 0.0, atol=1e-10)
 
     def test_three_four_five_triangle(self):
         mu = np.zeros((N_CLASSES, 2))
         mu[1] = [3.0, 4.0]
         nodes = GraphNodes(mu=Tensor(mu), nu=Tensor(np.zeros((N_CLASSES, 2))),
-                           present=np.ones(N_CLASSES, dtype=bool))
+                           fbar=Tensor(np.ones(2)), present=np.ones(N_CLASSES, dtype=bool))
         inter = inter_graph(nodes)
-        assert abs(inter.e1.data[0, 1] - 5.0) < 1e-10
-        assert abs(inter.e1.data[1, 0] - 5.0) < 1e-10
+        assert abs(inter.mu.data[0, 1] - 5.0) < 1e-10
+        assert abs(inter.mu.data[1, 0] - 5.0) < 1e-10
 
     def test_diagonal_exactly_zero(self):
         f, classes = random_instance(31)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
         inter = inter_graph(nodes)
-        assert np.array_equal(np.diag(inter.e1.data), np.zeros(N_CLASSES))
-        assert np.array_equal(np.diag(inter.e2.data), np.zeros(N_CLASSES))
+        assert np.array_equal(np.diag(inter.mu.data), np.zeros(N_CLASSES))
+        assert np.array_equal(np.diag(inter.nu.data), np.zeros(N_CLASSES))
 
     def test_symmetry(self):
         f, classes = random_instance(37)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
         inter = inter_graph(nodes)
-        assert np.allclose(inter.e1.data, inter.e1.data.T, atol=1e-15)
+        assert np.allclose(inter.mu.data, inter.mu.data.T, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_pairwise_loop_oracle(self, seed):
@@ -254,8 +252,8 @@ class TestInterGraph:
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
         inter = inter_graph(nodes)
         e1, e2 = inter_oracle(nodes.mu.data, nodes.nu.data)
-        assert np.allclose(inter.e1.data, e1, atol=1e-10)
-        assert np.allclose(inter.e2.data, e2, atol=1e-10)
+        assert np.allclose(inter.mu.data, e1, atol=1e-10)
+        assert np.allclose(inter.nu.data, e2, atol=1e-10)
 
 
 def perturbed_graphs(seed=0):
@@ -264,52 +262,51 @@ def perturbed_graphs(seed=0):
     layout = SemanticLayout(classes)
     nt = compute_nodes(Tensor(f), layout)
     nf = compute_nodes(Tensor(g), layout)
-    return (intra_graph(Tensor(f), nt), intra_graph(Tensor(g), nf),
+    return (intra_graph(nt), intra_graph(nf),
             inter_graph(nt), inter_graph(nf))
 
 
 class TestGraphLosses:
     def test_zero_at_equality(self):
         ia_t, _, it_t, _ = perturbed_graphs()
-        assert intra_graph_loss(ia_t, ia_t).item() == 0.0
-        assert inter_graph_loss(it_t, it_t).item() == 0.0
+        assert graph_loss(ia_t, ia_t).item() == 0.0
+        assert graph_loss(it_t, it_t).item() == 0.0
 
     def test_single_cosine_difference(self):
-        base = IntraClassGraph(c1=Tensor(np.zeros(N_CLASSES)),
-                               c2=Tensor(np.zeros(N_CLASSES)))
+        base = Graph(mu=Tensor(np.zeros(N_CLASSES)), nu=Tensor(np.zeros(N_CLASSES)))
         c1 = np.zeros(N_CLASSES)
         c1[4] = 1.0
-        moved = IntraClassGraph(c1=Tensor(c1), c2=Tensor(np.zeros(N_CLASSES)))
-        assert abs(intra_graph_loss(base, moved).item() - 1.0) < 1e-15
+        moved = Graph(mu=Tensor(c1), nu=Tensor(np.zeros(N_CLASSES)))
+        assert abs(graph_loss(base, moved).item() - 1.0) < 1e-15
 
     def test_single_edge_difference_counts_symmetrically(self):
         """One unique edge moved by d in both matrices costs 2*2*d^2."""
         zero = np.zeros((N_CLASSES, N_CLASSES))
-        base = InterClassGraph(e1=Tensor(zero), e2=Tensor(zero))
+        base = Graph(mu=Tensor(zero), nu=Tensor(zero))
         d = 0.75
         edge = zero.copy()
         edge[2, 5] = edge[5, 2] = d
-        moved = InterClassGraph(e1=Tensor(edge), e2=Tensor(edge))
+        moved = Graph(mu=Tensor(edge), nu=Tensor(edge))
         expected = 2 * 2 * d * d
-        assert abs(inter_graph_loss(base, moved).item() - expected) < 1e-12
+        assert abs(graph_loss(base, moved).item() - expected) < 1e-12
 
     def test_symmetric_in_arguments(self):
         ia_t, ia_f, it_t, it_f = perturbed_graphs(3)
-        assert abs(intra_graph_loss(ia_t, ia_f).item()
-                   - intra_graph_loss(ia_f, ia_t).item()) < 1e-12
-        assert abs(inter_graph_loss(it_t, it_f).item()
-                   - inter_graph_loss(it_f, it_t).item()) < 1e-12
+        assert abs(graph_loss(ia_t, ia_f).item()
+                   - graph_loss(ia_f, ia_t).item()) < 1e-12
+        assert abs(graph_loss(it_t, it_f).item()
+                   - graph_loss(it_f, it_t).item()) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_row_loop_oracles(self, seed):
         ia_t, ia_f, it_t, it_f = perturbed_graphs(seed + 50)
-        got_intra = intra_graph_loss(ia_t, ia_f).item()
-        ref_intra = loss_oracle_rows(ia_t.c1.data[:, None], ia_t.c2.data[:, None],
-                                     ia_f.c1.data[:, None], ia_f.c2.data[:, None])
+        got_intra = graph_loss(ia_t, ia_f).item()
+        ref_intra = loss_oracle_rows(ia_t.mu.data[:, None], ia_t.nu.data[:, None],
+                                     ia_f.mu.data[:, None], ia_f.nu.data[:, None])
         assert abs(got_intra - ref_intra) < 1e-10
-        got_inter = inter_graph_loss(it_t, it_f).item()
-        ref_inter = loss_oracle_rows(it_t.e1.data, it_t.e2.data,
-                                     it_f.e1.data, it_f.e2.data)
+        got_inter = graph_loss(it_t, it_f).item()
+        ref_inter = loss_oracle_rows(it_t.mu.data, it_t.nu.data,
+                                     it_f.mu.data, it_f.nu.data)
         assert abs(got_inter - ref_inter) < 1e-10
 
 
@@ -343,7 +340,7 @@ class TestGraphGradients:
         tgt, _ = random_instance(77, size=classes.shape[0])
         layout = SemanticLayout(classes)
         nodes = compute_nodes(Tensor(tgt), layout)
-        return intra_graph(Tensor(tgt), nodes), inter_graph(nodes), layout
+        return intra_graph(nodes), inter_graph(nodes), layout
 
     @pytest.mark.parametrize("variance", ["literal", "masked"])
     def test_intra_loss_gradient(self, variance):
@@ -352,7 +349,7 @@ class TestGraphGradients:
 
         def build(t):
             nodes = compute_nodes(t, layout, variance=variance)
-            return intra_graph_loss(ia_t, intra_graph(t, nodes))
+            return graph_loss(ia_t, intra_graph(nodes))
 
         gradcheck(build, f, rtol=1e-4, h=1e-6)
 
@@ -363,7 +360,7 @@ class TestGraphGradients:
 
         def build(t):
             nodes = compute_nodes(t, layout, variance=variance)
-            return inter_graph_loss(it_t, inter_graph(nodes))
+            return graph_loss(it_t, inter_graph(nodes))
 
         gradcheck(build, f, rtol=1e-4, h=1e-6)
 
@@ -373,8 +370,8 @@ class TestGraphGradients:
 
         def build(t):
             nodes = compute_nodes(t, layout)
-            return (intra_graph_loss(ia_t, intra_graph(t, nodes))
-                    + inter_graph_loss(it_t, inter_graph(nodes)))
+            return (graph_loss(ia_t, intra_graph(nodes))
+                    + graph_loss(it_t, inter_graph(nodes)))
 
         gradcheck(build, f, rtol=1e-4, h=1e-6)
 
