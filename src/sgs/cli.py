@@ -46,36 +46,18 @@ _TRAIN_KEYS = {f.name: f for f in dc_fields(TrainConfig) if f.name != "weights"}
 _TRAIN_KEYS.update({f"weight_{f.name}": f for f in dc_fields(LossWeights)})
 
 
-def _parse_bool(value, key):
-    if isinstance(value, bool):
-        return value
-    word = str(value).strip().lower()
-    if word not in _BOOL_WORDS:
-        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-    return _BOOL_WORDS[word]
-
-
-def _parse_taps(value, key):
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v) for v in value)
-    return tuple(p.strip() for p in str(value).split(",") if p.strip())
-
-
-def _coerce(key, value):
+def _coerce(key, text):
+    """``text``, a flag's or a config line's value, as ``key``'s type."""
     if key not in _TRAIN_KEYS:
         raise ConfigError(f"unknown config key {key!r}")
     typ = type(_TRAIN_KEYS[key].default)
+    if typ is tuple:
+        return tuple(p.strip() for p in text.split(",") if p.strip())
     try:
-        if typ is bool:
-            return _parse_bool(value, key)
-        if typ is tuple:
-            return _parse_taps(value, key)
-        if typ in (int, float) and isinstance(value, bool) or (
-                typ is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError(value)
-        return typ(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{key}: cannot parse {value!r} as {typ.__name__}") from err
+        return _BOOL_WORDS[text.strip().lower()] if typ is bool else typ(text)
+    except (KeyError, ValueError) as err:
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise ConfigError(f"{key}: cannot parse {shown!r} as {typ.__name__}") from err
 
 
 def read_config_file(path):
@@ -92,14 +74,8 @@ def read_config_file(path):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        try:
-            parsed = json.loads(val)
-        except json.JSONDecodeError:
-            parsed = val
-        values[key] = _coerce(key, parsed)
+        key, _, val = (part.strip() for part in line.partition("="))
+        values[key] = _coerce(key, val)
     return values
 
 
@@ -123,11 +99,7 @@ def build_train_config(args, defaults=None):
 def _add_train_flags(parser):
     parser.add_argument("--config", help="key = value config file")
     for key, f in _TRAIN_KEYS.items():
-        flag = "--" + key.replace("_", "-")
-        if type(f.default) is bool:
-            parser.add_argument(flag, choices=["true", "false"], help=f.metadata["help"])
-        else:
-            parser.add_argument(flag, type=str, help=f.metadata["help"])
+        parser.add_argument("--" + key.replace("_", "-"), help=f.metadata["help"])
 
 
 def _split_corpus(manifest, cfg):

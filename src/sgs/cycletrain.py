@@ -99,14 +99,15 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {beta}")
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.image_size % (1 << self.depth):
-            raise ConfigError(
-                f"image_size {self.image_size} must divide by 2**depth = {1 << self.depth}"
-            )
         if self.image_size < 32:
             # The patch discriminator's five k=4 convolutions shrink the
             # map below 1x1 for anything smaller.
             raise ConfigError(f"image_size must be >= 32, got {self.image_size}")
+        # Bounded before the shift: 2**depth above image_size cannot divide it.
+        if self.depth >= self.image_size.bit_length() or self.image_size % (1 << self.depth):
+            raise ConfigError(
+                f"image_size {self.image_size} must divide by 2**depth, got depth {self.depth}"
+            )
         if self.base_channels < 1:
             raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.si_hidden < 1:

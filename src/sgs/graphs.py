@@ -1,12 +1,13 @@
 """Region-statistics graphs over semantic layouts.
 
 An image (or any feature map) is summarized per layout class by a mean
-node and a variance node.  Two graphs are built on top, each with one
-view over the mean nodes and one over the variance nodes: cosine
-similarities between the pooled global feature vector and each node
-(the intra-class graph), and pairwise Euclidean distances between nodes
-(the inter-class graph).  One squared-difference loss over matched graph
-pairs keeps a synthesized image's regional statistics tied to its target.
+node and a variance node, held as one ``[2, 12, Cf]`` tensor: the mean
+nodes, then the variance nodes.  Two graphs are built on top, each one
+tensor whose leading axis holds the same two views: cosine similarities
+between the pooled global feature vector and each node (the intra-class
+graph), and pairwise Euclidean distances between nodes (the inter-class
+graph).  One squared-difference loss over matched graph pairs keeps a
+synthesized image's regional statistics tied to its target.
 
 Everything here is differentiable through the image argument, so the
 losses can train a generator; targets are detached by the caller.
@@ -33,19 +34,9 @@ class GraphNodes:
     """Per-class mean/variance feature nodes, the pooled feature vector
     and a presence mask."""
 
-    mu: Tensor  # [12, Cf]
-    nu: Tensor  # [12, Cf]
+    stats: Tensor  # [2, 12, Cf]: the mean nodes, then the variance nodes
     fbar: Tensor  # [Cf], f averaged over the whole image
     present: np.ndarray  # [12] bool
-
-
-@dataclass
-class Graph:
-    """One Representational Graph: its view over the mean nodes and its
-    view over the variance nodes."""
-
-    mu: Tensor  # [12] intra-class, [12, 12] inter-class
-    nu: Tensor  # same shape, over the variance nodes
 
 
 def compute_nodes(f, layout, variance="literal"):
@@ -59,10 +50,10 @@ def compute_nodes(f, layout, variance="literal"):
     nodes and present=False.
 
     The layout is a partition, so per-class sums are one ``np.bincount``
-    per channel over the class map, and each of ``mu`` and ``nu`` is one
-    graph node over ``f`` with a closed-form backward.  Neither closure
-    keeps anything pixel-sized: the ``nu`` backward recomputes the
-    deviations from ``f.data``.
+    per channel over the class map, and the stacked statistics are one
+    graph node over ``f`` with a closed-form backward.  Its closure keeps
+    nothing pixel-sized: the backward recomputes the deviations from
+    ``f.data``.
     """
     if f.data.ndim != 3:
         raise ValueError(f"feature map must be [Cf, H, W], got {f.data.shape}")
@@ -104,18 +95,17 @@ def compute_nodes(f, layout, variance="literal"):
     else:
         outside = None
 
-    def mu_bw(g):
-        _accumulate(f, per_pixel(g / denom).reshape(f.data.shape))
-
-    def nu_bw(g):
-        a = 2.0 * g / denom
+    def bw(g):  # g[0] reaches f through mu, g[1] through nu
+        a = 2.0 * g[1] / denom
         gf = deviations()
         gf *= per_pixel(a)
+        through_mu = g[0] / denom
         if outside is not None:
-            gf += per_pixel(a * outside * mu)
+            through_mu += a * outside * mu
+        gf += per_pixel(through_mu)
         _accumulate(f, gf.reshape(f.data.shape))
 
-    return GraphNodes(mu=_result(mu, (f,), mu_bw), nu=_result(nu, (f,), nu_bw),
+    return GraphNodes(stats=_result(np.stack([mu, nu]), (f,), bw),
                       fbar=f.mean(axis=(1, 2)), present=present)
 
 
@@ -124,48 +114,36 @@ def _guarded_norm(x, axis=None):
 
 
 def intra_graph(nodes):
-    """Cosine of the pooled feature vector with every node: [12] per view.
+    """Cosine of the pooled feature vector with every node: [2, 12].
 
     Absent classes have zero nodes, and the epsilon in the denominator
     maps exactly-zero vectors to similarity zero rather than NaN.
     """
-    fbar = nodes.fbar
-    cf = fbar.data.shape[0]
-    norm_f = _guarded_norm(fbar)
-
-    def cosine(node):
-        dots = (node * fbar.reshape((1, cf))).sum(axis=(1,))
-        norms = _guarded_norm(node, axis=(1,))
-        return dots / (norm_f * norms + COSINE_EPS)
-
-    return Graph(mu=cosine(nodes.mu), nu=cosine(nodes.nu))
+    stats, fbar = nodes.stats, nodes.fbar
+    dots = (stats * fbar.reshape((1, 1, fbar.data.shape[0]))).sum(axis=(2,))
+    norms = _guarded_norm(stats, axis=(2,))
+    return dots / (_guarded_norm(fbar) * norms + COSINE_EPS)
 
 
 def inter_graph(nodes):
-    """Pairwise Euclidean distances between nodes: [12, 12] per view."""
-
-    def pairwise(node):
-        cf = node.data.shape[1]
-        a = node.reshape((N_CLASSES, 1, cf))
-        b = node.reshape((1, N_CLASSES, cf))
-        d = a - b
-        sq = (d * d).sum(axis=(2,))
-        # The mask pins the diagonal — and any exactly-coincident node
-        # pair, whose true distance is zero and whose gradient already
-        # vanishes — to exactly zero; the guard keeps sqrt differentiable
-        # where distances merely approach zero.
-        mask = _OFF_DIAGONAL * (sq.data > 0.0)
-        return ((sq + NORM_GUARD) ** 0.5) * Tensor(mask)
-
-    return Graph(mu=pairwise(nodes.mu), nu=pairwise(nodes.nu))
+    """Pairwise Euclidean distances between nodes: [2, 12, 12]."""
+    stats = nodes.stats
+    cf = stats.data.shape[2]
+    d = stats.reshape((2, N_CLASSES, 1, cf)) - stats.reshape((2, 1, N_CLASSES, cf))
+    sq = (d * d).sum(axis=(3,))
+    # The mask pins the diagonal — and any exactly-coincident node pair,
+    # whose true distance is zero and whose gradient already vanishes —
+    # to exactly zero; the guard keeps sqrt differentiable where
+    # distances merely approach zero.
+    mask = _OFF_DIAGONAL * (sq.data > 0.0)
+    return ((sq + NORM_GUARD) ** 0.5) * Tensor(mask)
 
 
 def graph_loss(target, fake):
     """Sum of squared entry differences over both views of a graph:
-    the squared Frobenius norm of each view's difference."""
-    d1 = target.mu - fake.mu
-    d2 = target.nu - fake.nu
-    return (d1 * d1).sum() + (d2 * d2).sum()
+    the squared Frobenius norm of the difference."""
+    d = target - fake
+    return (d * d).sum()
 
 
 def graph_dump(f, layout):
@@ -173,14 +151,7 @@ def graph_dump(f, layout):
     image and layout."""
     fc = f if isinstance(f, Tensor) else Tensor(f)
     nodes = compute_nodes(fc, layout)
-    intra = intra_graph(nodes)
-    inter = inter_graph(nodes)
-    return {
-        "mu": nodes.mu.data.tolist(),
-        "nu": nodes.nu.data.tolist(),
-        "c1": intra.mu.data.tolist(),
-        "c2": intra.nu.data.tolist(),
-        "e1": inter.mu.data.tolist(),
-        "e2": inter.nu.data.tolist(),
-        "present": [bool(p) for p in nodes.present],
-    }
+    (mu, nu), (c1, c2), (e1, e2) = (
+        t.data.tolist() for t in (nodes.stats, intra_graph(nodes), inter_graph(nodes)))
+    return {"mu": mu, "nu": nu, "c1": c1, "c2": c2, "e1": e1, "e2": e2,
+            "present": [bool(p) for p in nodes.present]}

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .graphs import Graph, compute_nodes, graph_loss, inter_graph, intra_graph
+from .graphs import compute_nodes, graph_loss, inter_graph, intra_graph
 from .layout import N_CLASSES
 from .numerics import (
     ShapeError,
@@ -223,8 +223,8 @@ class Target:
     variance: str
     taps: list
     probs: Tensor
-    intra: Graph
-    inter: Graph
+    intra: Tensor
+    inter: Tensor
     teacher: object = None
     tap_names: tuple = ()
     teacher_taps: dict = None

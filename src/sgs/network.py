@@ -243,9 +243,9 @@ class Generator(Module):
                  si_hidden=32, use_saliency=True, image_size=64, seed=0):
         if depth < 1:
             raise ShapeError(f"depth must be >= 1, got {depth}")
-        if image_size % (1 << depth):
+        if depth >= image_size.bit_length() or image_size % (1 << depth):
             raise ShapeError(
-                f"image size {image_size} must be divisible by 2**depth = {1 << depth}"
+                f"image size {image_size} must be divisible by 2**depth, got depth {depth}"
             )
         rng = np.random.default_rng(seed)
         self.in_channels = in_channels

@@ -436,34 +436,30 @@ def test_criterion_2_graph_oracles():
             layout = SemanticLayout(classes.astype(np.uint8))
             nodes = compute_nodes(Tensor(f), layout)
             mu_o, nu_o, present_o = nodes_oracle(f, classes)
-            worst = max(worst,
-                        np.abs(nodes.mu.data - mu_o).max(),
-                        np.abs(nodes.nu.data - nu_o).max())
+            mu, nu = nodes.stats.data
+            worst = max(worst, np.abs(mu - mu_o).max(), np.abs(nu - nu_o).max())
             assert np.array_equal(nodes.present, present_o)
 
-            mu, nu = nodes.mu.data, nodes.nu.data
             intra = intra_graph(nodes)
             c1_o, c2_o = intra_oracle(f, mu, nu, nodes.present)
-            worst = max(worst, np.abs(intra.mu.data - c1_o).max(),
-                        np.abs(intra.nu.data - c2_o).max())
+            worst = max(worst, np.abs(intra.data[0] - c1_o).max(),
+                        np.abs(intra.data[1] - c2_o).max())
 
             inter = inter_graph(nodes)
             e1_o, e2_o = inter_oracle(mu, nu)
-            worst = max(worst, np.abs(inter.mu.data - e1_o).max(),
-                        np.abs(inter.nu.data - e2_o).max())
+            worst = max(worst, np.abs(inter.data[0] - e1_o).max(),
+                        np.abs(inter.data[1] - e2_o).max())
             pair.append((intra, inter))
         (intra, inter), (intra2, inter2) = pair
-        if not (np.count_nonzero(intra.mu.data) == 12
-                and np.count_nonzero(intra2.mu.data) == 12):
+        if not (np.count_nonzero(intra.data[0]) == 12
+                and np.count_nonzero(intra2.data[0]) == 12):
             n_empty += 1
 
         iag = graph_loss(intra, intra2).item()
         itg = graph_loss(inter, inter2).item()
         worst = max(worst,
-                    abs(iag - loss_oracle_rows(intra.mu.data, intra.nu.data,
-                                               intra2.mu.data, intra2.nu.data)),
-                    abs(itg - loss_oracle_rows(inter.mu.data, inter.nu.data,
-                                               inter2.mu.data, inter2.nu.data)))
+                    abs(iag - loss_oracle_rows(*intra.data, *intra2.data)),
+                    abs(itg - loss_oracle_rows(*inter.data, *inter2.data)))
     ok = worst <= 1e-10 and n_empty >= 10
     verdict(2, "graph oracle suite", ok,
             f"50 instances, {n_empty} with empty classes, worst abs err {worst:.2e}")

@@ -202,6 +202,39 @@ class TestConfigFile:
         assert err.startswith(f"error: config: cannot read config file {cfg}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key,text,code", [
+        ("epochs", "2.0", 2),
+        ("use_saliency", "yes", 3),
+        ("epochs", "9" * 5000, 2),
+    ], ids=["int-from-fraction-text", "bool-word", "huge-int"])
+    def test_file_and_flag_parse_alike(self, tmp_path, capsys, key, text, code):
+        """A config line and a flag holding the same text give the same
+        exit code and the same one short error line.  The corpus is
+        absent, so a value that parses exits 3 before any training."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        train = ["train", "--data", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "r")]
+        errs = []
+        for extra in (["--config", str(cfg)], ["--" + key.replace("_", "-"), text]):
+            assert main(train + extra) == code
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"error: config: {key}: " if code == 2 else "error: data: ")
+        assert errs[0].count("\n") == 1 and len(errs[0].replace(str(tmp_path), "")) < 200
+
+    @pytest.mark.parametrize("depth", [20000, 10000])
+    def test_huge_depth_is_named(self, tmp_path, capsys, depth):
+        """A depth far past the image size exits 2 with one short line
+        naming it, from a config file and from a flag."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"depth = {depth}\n")
+        train = ["train", "--data", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "r")]
+        for extra in (["--config", str(cfg)], ["--depth", str(depth)]):
+            assert main(train + extra) == 2
+            err = capsys.readouterr().err
+            assert err == (f"error: config: image_size 64 must divide by 2**depth, "
+                           f"got depth {depth}\n")
+
     def test_cli_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 4\nlr = 0.5\n")

@@ -6,7 +6,6 @@ import pytest
 
 from sgs.graphs import (
     COSINE_EPS,
-    Graph,
     GraphNodes,
     compute_nodes,
     graph_dump,
@@ -101,8 +100,8 @@ class TestComputeNodes:
     def test_uniform_region_value(self):
         layout = SemanticLayout(np.zeros((4, 4), dtype=int))
         nodes = compute_nodes(Tensor(np.full((1, 4, 4), 5.0)), layout)
-        assert nodes.mu.data[0, 0] == 5.0
-        assert nodes.nu.data[0, 0] == 0.0
+        assert nodes.stats.data[0, 0, 0] == 5.0
+        assert nodes.stats.data[1, 0, 0] == 0.0
         assert nodes.present[0] and not nodes.present[1]
 
     def test_empty_class_convention(self):
@@ -113,8 +112,8 @@ class TestComputeNodes:
             if c == 3:
                 continue
             assert not nodes.present[c]
-            assert np.array_equal(nodes.mu.data[c], np.zeros(2))
-            assert np.array_equal(nodes.nu.data[c], np.zeros(2))
+            assert np.array_equal(nodes.stats.data[0, c], np.zeros(2))
+            assert np.array_equal(nodes.stats.data[1, c], np.zeros(2))
 
     @pytest.mark.parametrize("variance", ["literal", "masked"])
     @pytest.mark.parametrize("seed", range(5))
@@ -122,22 +121,22 @@ class TestComputeNodes:
         f, classes = random_instance(seed, empty_classes=seed % 2 == 0, size=4)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes), variance=variance)
         mu, nu, present = nodes_oracle(f, classes, variance)
-        assert np.allclose(nodes.mu.data, mu, atol=1e-12)
-        assert np.allclose(nodes.nu.data, nu, atol=1e-12)
+        assert np.allclose(nodes.stats.data[0], mu, atol=1e-12)
+        assert np.allclose(nodes.stats.data[1], nu, atol=1e-12)
         assert np.array_equal(nodes.present, present)
 
     def test_nu_nonnegative(self):
         f, classes = random_instance(7)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
-        assert (nodes.nu.data >= 0.0).all()
+        assert (nodes.stats.data[1] >= 0.0).all()
 
     def test_mu_scale_equivariance(self):
         f, classes = random_instance(11)
         layout = SemanticLayout(classes)
         base = compute_nodes(Tensor(f), layout)
         scaled = compute_nodes(Tensor(3.0 * f), layout)
-        assert np.allclose(scaled.mu.data, 3.0 * base.mu.data, atol=1e-12)
-        assert np.allclose(scaled.nu.data, 9.0 * base.nu.data, atol=1e-12)
+        assert np.allclose(scaled.stats.data[0], 3.0 * base.stats.data[0], atol=1e-12)
+        assert np.allclose(scaled.stats.data[1], 9.0 * base.stats.data[1], atol=1e-12)
 
     def test_mu_invariant_to_region_duplication(self):
         """Doubling a region with identical values leaves its mean node fixed."""
@@ -146,8 +145,8 @@ class TestComputeNodes:
         f[0, :, 2:] = 0.2
         half = np.array([[0, 0, 1, 1], [2, 2, 1, 1]])
         full = np.array([[0, 0, 1, 1], [0, 0, 1, 1]])
-        mu_half = compute_nodes(Tensor(f), SemanticLayout(half)).mu.data
-        mu_full = compute_nodes(Tensor(f), SemanticLayout(full)).mu.data
+        mu_half = compute_nodes(Tensor(f), SemanticLayout(half)).stats.data[0]
+        mu_full = compute_nodes(Tensor(f), SemanticLayout(full)).stats.data[0]
         assert np.allclose(mu_half[0], mu_full[0], atol=1e-12)
 
     def test_size_mismatch_rejected(self):
@@ -169,31 +168,31 @@ class TestIntraGraph:
         f = Tensor(np.full((3, 4, 4), 0.5))
         nodes = compute_nodes(f, layout)
         intra = intra_graph(nodes)
-        assert abs(intra.mu.data[0] - 1.0) < 1e-9
-        assert abs(intra.mu.data[1] - 1.0) < 1e-9
+        assert abs(intra.data[0, 0] - 1.0) < 1e-9
+        assert abs(intra.data[0, 1] - 1.0) < 1e-9
 
     def test_orthogonal_vectors_give_zero(self):
         nodes = GraphNodes(
-            mu=Tensor(np.vstack([[0.0, 1.0]] * N_CLASSES)),
-            nu=Tensor(np.zeros((N_CLASSES, 2))),
+            stats=Tensor(np.stack([np.vstack([[0.0, 1.0]] * N_CLASSES),
+                                   np.zeros((N_CLASSES, 2))])),
             fbar=Tensor(np.array([1.0, 0.0])),
             present=np.ones(N_CLASSES, dtype=bool),
         )
         intra = intra_graph(nodes)
-        assert np.allclose(intra.mu.data, 0.0, atol=1e-9)
+        assert np.allclose(intra.data[0], 0.0, atol=1e-9)
 
     def test_absent_class_is_zero(self):
         f, classes = random_instance(5, empty_classes=True)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
         intra = intra_graph(nodes)
-        assert np.array_equal(intra.mu.data[~nodes.present],
+        assert np.array_equal(intra.data[0, ~nodes.present],
                               np.zeros((~nodes.present).sum()))
 
     def test_entries_in_unit_interval(self):
         f, classes = random_instance(9)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
         intra = intra_graph(nodes)
-        for row in (intra.mu.data, intra.nu.data):
+        for row in intra.data:
             assert (row >= -1.0 - 1e-12).all() and (row <= 1.0 + 1e-12).all()
 
     def test_scale_invariance_of_cosines(self):
@@ -201,59 +200,58 @@ class TestIntraGraph:
         layout = SemanticLayout(classes)
         a = intra_graph(compute_nodes(Tensor(f), layout))
         b = intra_graph(compute_nodes(Tensor(4.0 * f), layout))
-        assert np.allclose(a.mu.data, b.mu.data, atol=1e-9)
+        assert np.allclose(a.data[0], b.data[0], atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_vector_algebra_oracle(self, seed):
         f, classes = random_instance(seed + 20, empty_classes=seed < 2, size=4)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
         intra = intra_graph(nodes)
-        c1, c2 = intra_oracle(f, nodes.mu.data, nodes.nu.data, nodes.present)
-        assert np.allclose(intra.mu.data, c1, atol=1e-10)
-        assert np.allclose(intra.nu.data, c2, atol=1e-10)
+        c1, c2 = intra_oracle(f, *nodes.stats.data, nodes.present)
+        assert np.allclose(intra.data[0], c1, atol=1e-10)
+        assert np.allclose(intra.data[1], c2, atol=1e-10)
 
 
 class TestInterGraph:
     def test_identical_nodes_zero_matrix(self):
         nodes = GraphNodes(
-            mu=Tensor(np.ones((N_CLASSES, 3))),
-            nu=Tensor(np.ones((N_CLASSES, 3))),
+            stats=Tensor(np.ones((2, N_CLASSES, 3))),
             fbar=Tensor(np.ones(3)),
             present=np.ones(N_CLASSES, dtype=bool),
         )
         inter = inter_graph(nodes)
-        assert np.allclose(inter.mu.data, 0.0, atol=1e-10)
+        assert np.allclose(inter.data[0], 0.0, atol=1e-10)
 
     def test_three_four_five_triangle(self):
-        mu = np.zeros((N_CLASSES, 2))
-        mu[1] = [3.0, 4.0]
-        nodes = GraphNodes(mu=Tensor(mu), nu=Tensor(np.zeros((N_CLASSES, 2))),
-                           fbar=Tensor(np.ones(2)), present=np.ones(N_CLASSES, dtype=bool))
+        stats = np.zeros((2, N_CLASSES, 2))
+        stats[0, 1] = [3.0, 4.0]
+        nodes = GraphNodes(stats=Tensor(stats), fbar=Tensor(np.ones(2)),
+                           present=np.ones(N_CLASSES, dtype=bool))
         inter = inter_graph(nodes)
-        assert abs(inter.mu.data[0, 1] - 5.0) < 1e-10
-        assert abs(inter.mu.data[1, 0] - 5.0) < 1e-10
+        assert abs(inter.data[0, 0, 1] - 5.0) < 1e-10
+        assert abs(inter.data[0, 1, 0] - 5.0) < 1e-10
 
     def test_diagonal_exactly_zero(self):
         f, classes = random_instance(31)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
         inter = inter_graph(nodes)
-        assert np.array_equal(np.diag(inter.mu.data), np.zeros(N_CLASSES))
-        assert np.array_equal(np.diag(inter.nu.data), np.zeros(N_CLASSES))
+        assert np.array_equal(np.diag(inter.data[0]), np.zeros(N_CLASSES))
+        assert np.array_equal(np.diag(inter.data[1]), np.zeros(N_CLASSES))
 
     def test_symmetry(self):
         f, classes = random_instance(37)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
         inter = inter_graph(nodes)
-        assert np.allclose(inter.mu.data, inter.mu.data.T, atol=1e-15)
+        assert np.allclose(inter.data[0], inter.data[0].T, atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_pairwise_loop_oracle(self, seed):
         f, classes = random_instance(seed + 40, empty_classes=seed < 2, size=4)
         nodes = compute_nodes(Tensor(f), SemanticLayout(classes))
         inter = inter_graph(nodes)
-        e1, e2 = inter_oracle(nodes.mu.data, nodes.nu.data)
-        assert np.allclose(inter.mu.data, e1, atol=1e-10)
-        assert np.allclose(inter.nu.data, e2, atol=1e-10)
+        e1, e2 = inter_oracle(*nodes.stats.data)
+        assert np.allclose(inter.data[0], e1, atol=1e-10)
+        assert np.allclose(inter.data[1], e2, atol=1e-10)
 
 
 def perturbed_graphs(seed=0):
@@ -273,20 +271,20 @@ class TestGraphLosses:
         assert graph_loss(it_t, it_t).item() == 0.0
 
     def test_single_cosine_difference(self):
-        base = Graph(mu=Tensor(np.zeros(N_CLASSES)), nu=Tensor(np.zeros(N_CLASSES)))
-        c1 = np.zeros(N_CLASSES)
-        c1[4] = 1.0
-        moved = Graph(mu=Tensor(c1), nu=Tensor(np.zeros(N_CLASSES)))
+        base = Tensor(np.zeros((2, N_CLASSES)))
+        c = np.zeros((2, N_CLASSES))
+        c[0, 4] = 1.0
+        moved = Tensor(c)
         assert abs(graph_loss(base, moved).item() - 1.0) < 1e-15
 
     def test_single_edge_difference_counts_symmetrically(self):
         """One unique edge moved by d in both matrices costs 2*2*d^2."""
-        zero = np.zeros((N_CLASSES, N_CLASSES))
-        base = Graph(mu=Tensor(zero), nu=Tensor(zero))
+        zero = np.zeros((2, N_CLASSES, N_CLASSES))
+        base = Tensor(zero)
         d = 0.75
         edge = zero.copy()
-        edge[2, 5] = edge[5, 2] = d
-        moved = Graph(mu=Tensor(edge), nu=Tensor(edge))
+        edge[:, 2, 5] = edge[:, 5, 2] = d
+        moved = Tensor(edge)
         expected = 2 * 2 * d * d
         assert abs(graph_loss(base, moved).item() - expected) < 1e-12
 
@@ -301,12 +299,10 @@ class TestGraphLosses:
     def test_against_row_loop_oracles(self, seed):
         ia_t, ia_f, it_t, it_f = perturbed_graphs(seed + 50)
         got_intra = graph_loss(ia_t, ia_f).item()
-        ref_intra = loss_oracle_rows(ia_t.mu.data[:, None], ia_t.nu.data[:, None],
-                                     ia_f.mu.data[:, None], ia_f.nu.data[:, None])
+        ref_intra = loss_oracle_rows(*ia_t.data[:, :, None], *ia_f.data[:, :, None])
         assert abs(got_intra - ref_intra) < 1e-10
         got_inter = graph_loss(it_t, it_f).item()
-        ref_inter = loss_oracle_rows(it_t.mu.data, it_t.nu.data,
-                                     it_f.mu.data, it_f.nu.data)
+        ref_inter = loss_oracle_rows(*it_t.data, *it_f.data)
         assert abs(got_inter - ref_inter) < 1e-10
 
 
@@ -316,7 +312,7 @@ class TestGraphGradients:
     @pytest.mark.parametrize("variance", ["literal", "masked"])
     @pytest.mark.parametrize("layout_kind", ["extreme", "random"])
     def test_node_gradient(self, layout_kind, variance):
-        """Every ``mu`` and ``nu`` entry carries its own random weight, so
+        """Every mean and variance entry carries its own random weight, so
         no entry's gradient hides behind a cosine or a distance."""
         rng = np.random.default_rng(63)
         if layout_kind == "extreme":
@@ -327,12 +323,10 @@ class TestGraphGradients:
             _, classes = random_instance(64, empty_classes=True, size=4)
         classes[1, 2] = 7
         layout = SemanticLayout(classes)
-        w1 = Tensor(rng.standard_normal((N_CLASSES, 3)))
-        w2 = Tensor(rng.standard_normal((N_CLASSES, 3)))
+        w = Tensor(rng.standard_normal((2, N_CLASSES, 3)))
 
         def build(t):
-            nodes = compute_nodes(t, layout, variance=variance)
-            return (nodes.mu * w1).sum() + (nodes.nu * w2).sum()
+            return (compute_nodes(t, layout, variance=variance).stats * w).sum()
 
         gradcheck(build, rng.uniform(0.1, 1.0, size=(3, 4, 4)), rtol=1e-4, h=1e-6)
 
@@ -390,14 +384,13 @@ class TestComputeNodesMemory:
         rng = np.random.default_rng(cf)
         layout = SemanticLayout(rng.integers(0, N_CLASSES, size=(size, size)))
         f = Tensor(rng.random((cf, size, size)), requires_grad=True)
-        w1 = Tensor(rng.standard_normal((N_CLASSES, cf)))
-        w2 = Tensor(rng.standard_normal((N_CLASSES, cf)))
+        w = Tensor(rng.standard_normal((2, N_CLASSES, cf)))
         unit = cf * size * size * 8
         tracemalloc.start()
         try:
             nodes = compute_nodes(f, layout, variance=variance)
             held, _ = tracemalloc.get_traced_memory()
-            ((nodes.mu * w1).sum() + (nodes.nu * w2).sum()).backward()
+            (nodes.stats * w).sum().backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

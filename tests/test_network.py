@@ -414,6 +414,12 @@ class TestGenerator:
         with pytest.raises(ShapeError):
             tiny_generator(image_size=24, depth=4)
 
+    def test_huge_depth_rejected_by_name(self):
+        """A depth whose 2**depth exceeds the image size is named, not
+        printed as 2**depth."""
+        with pytest.raises(ShapeError, match="depth 20000$"):
+            Generator(3, 1, depth=20000, image_size=64)
+
     def test_layout_size_mismatch_rejected(self):
         gen = tiny_generator()
         x, m, _ = gen_inputs(32)
