@@ -49,6 +49,12 @@ DEFAULT_ICT_TAPS = (
     "enc_bottleneck", "dec_block1", "dec_block2", "dec_block3", "dec_block4",
 )
 
+# Upper bound of ``base_channels`` and ``si_hidden``, checked before any
+# weight is drawn, so a mistyped width is one config error rather than an
+# allocation failure.  A base of 1024 already gives the generator 3x3
+# convs of 8192 x 8192 channels, 4.5 GiB of weights each.
+MAX_WIDTH = 1024
+
 MODEL_JSON_KEYS = (
     "depth", "base_channels", "si_hidden", "in_channels", "out_channels",
     "use_saliency", "image_size", "seed",
@@ -108,10 +114,10 @@ class TrainConfig:
             raise ConfigError(
                 f"image_size {self.image_size} must divide by 2**depth, got depth {self.depth}"
             )
-        if self.base_channels < 1:
-            raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
-        if self.si_hidden < 1:
-            raise ConfigError(f"si_hidden must be >= 1, got {self.si_hidden}")
+        for name in ("base_channels", "si_hidden"):
+            width = getattr(self, name)
+            if not 1 <= width <= MAX_WIDTH:
+                raise ConfigError(f"{name} must be in [1, {MAX_WIDTH}], got {width}")
         if self.variance_mode not in ("literal", "masked"):
             raise ConfigError(f"unknown variance mode {self.variance_mode!r}")
         try:

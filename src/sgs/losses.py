@@ -111,15 +111,18 @@ class ParsingOracle:
         self.w1 = _he_conv(rng, 16, in_channels, 3)
         self.w2 = _he_conv(rng, N_CLASSES, 16, 3)
 
-    def probs(self, img):
-        """Soft class assignment [1, 12, H, W]; sums to one per pixel."""
+    def logits(self, img):
+        """Per-pixel class logits [1, 12, H, W] of ``img`` ([C, H, W])."""
         if img.data.ndim != 3 or img.data.shape[0] != self.in_channels:
             raise ShapeError(
                 f"parser expects [{self.in_channels}, H, W], got {img.data.shape}"
             )
         h = activate(conv2d(img.reshape((1,) + img.data.shape), self.w1, padding=1), 0.0)
-        logits = conv2d(h, self.w2, padding=1)
-        return softmax(logits, axis=1)
+        return conv2d(h, self.w2, padding=1)
+
+    def probs(self, img):
+        """Soft class assignment [1, 12, H, W]; sums to one per pixel."""
+        return softmax(self.logits(img), axis=1)
 
 
 def gan_term(logits, real):
@@ -179,29 +182,62 @@ def _clipped(q):
     return np.clip(q, PROB_EPS, 1.0), np.clip(1.0 - q, PROB_EPS, 1.0)
 
 
-def binary_cross_entropy(target_probs, probs):
-    """Elementwise-mean BCE of ``probs`` against (constant) target probs.
+def softmax_bce(target_probs, logits):
+    """Elementwise-mean BCE of ``softmax(logits, axis=1)`` against
+    (constant) target probs, as one graph node from the logits.
 
     Probabilities are clamped away from {0, 1} before the logs, so exact
-    one-hot inputs evaluate to exactly zero loss against themselves.  One
-    graph node whose backward is the gradient of the clipped logs: zero
-    for a term whose bound clips.  Backward clips ``probs`` again rather
-    than keep the clipped copies.  No gradient reaches the target.
+    one-hot probabilities evaluate to exactly zero loss against
+    themselves.  The gradient is that of the clipped logs, zero for a
+    term whose bound clips, taken back through the softmax.  The
+    elementwise ops are :func:`sgs.numerics.softmax`'s and the clipped
+    BCE's, in their order, so the loss and gradient are bit for bit
+    those of the two ops composed; the log terms and their gradient run
+    one class plane of axis 1 at a time.  Between forward and backward
+    the closure keeps only the probabilities.  No gradient reaches the
+    target.
     """
-    if target_probs.data.shape != probs.data.shape:
+    if target_probs.data.shape != logits.data.shape:
         raise ShapeError(
-            f"BCE shapes differ: {target_probs.data.shape} vs {probs.data.shape}"
+            f"BCE shapes differ: {target_probs.data.shape} vs {logits.data.shape}"
         )
-    p, q = target_probs.data, probs.data
-    qc, rc = _clipped(q)
-    loss = -(p * np.log(qc) + (1.0 - p) * np.log(rc)).mean()
+    p, x = target_probs.data, logits.data
+    q = x - x.max(axis=1, keepdims=True)
+    np.exp(q, out=q)
+    q /= q.sum(axis=1, keepdims=True)
+    terms = np.empty_like(q)
+    for c in range(q.shape[1]):
+        qc, rc = _clipped(q[:, c])
+        pc = p[:, c]
+        np.log(qc, out=qc)
+        np.log(rc, out=rc)
+        qc *= pc
+        rc *= 1.0 - pc
+        np.add(qc, rc, out=terms[:, c])
+    np.negative(terms, out=terms)
+    loss = terms.mean()
 
     def bw(g):
-        qc, rc = _clipped(q)
-        d = (1.0 - p) / rc * (rc == 1.0 - q) - p / qc * (qc == q)
-        _accumulate(probs, d * (g / q.size))
+        scale = g / q.size
+        gq = np.empty_like(q)
+        for c in range(q.shape[1]):
+            qp, pc = q[:, c], p[:, c]
+            qc, rc = _clipped(qp)
+            d = (1.0 - pc) / rc
+            d *= rc == 1.0 - qp
+            qc_ok = qc == qp
+            np.divide(pc, qc, out=qc)
+            qc *= qc_ok
+            d -= qc
+            np.multiply(d, scale, out=gq[:, c])
+        dot = gq[:, 0] * q[:, 0]
+        for c in range(1, q.shape[1]):
+            dot += gq[:, c] * q[:, c]
+        gq -= dot[:, None]
+        gq *= q
+        _accumulate(logits, gq)
 
-    return _result(loss, (probs,), bw)
+    return _result(loss, (logits,), bw)
 
 
 @dataclass(frozen=True)
@@ -260,7 +296,7 @@ def objective(fake, d, target, weights):
     terms = {"l_gan_g": gan_term(d.forward(src, m_src, fake), True),
              "l_content": content_loss(tgt.detach(), fake),
              "l_perc": tap_mse(target.taps, target.extractor.features(fake)),
-             "l_bce": binary_cross_entropy(target.probs, target.oracle.probs(fake))}
+             "l_bce": softmax_bce(target.probs, target.oracle.logits(fake))}
     nodes = compute_nodes(fake, lay_src, variance=target.variance)
     terms["l_iag"] = graph_loss(target.intra, intra_graph(nodes))
     terms["l_itg"] = graph_loss(target.inter, inter_graph(nodes))

@@ -26,6 +26,7 @@ from .numerics import (
     _accumulate,
     _instance_norm,
     _instance_norm_grad,
+    _instance_norm_output,
     _result,
     activate,
     concat,
@@ -98,6 +99,22 @@ class Conv(Module):
         return out if self.slope is None else activate(out, self.slope)
 
 
+def _shared_rows(w, b, p3):
+    """``R = relu(b + sum_t w[:, p3[:, t], t])`` of :class:`SIModule`,
+    one row per distinct 3x3 layout neighbourhood, and a zero row
+    appended for a neighbour in the heads conv's zero padding."""
+    hidden = w.shape[0]
+    # [9, 13, hidden]: the shared kernel's tap t for class code c; zero
+    # for code N_CLASSES, a tap in the shared conv's zero padding.
+    taps = np.zeros((9, N_CLASSES + 1, hidden))
+    taps[:, :N_CLASSES] = w.reshape(hidden, N_CLASSES, 9).T
+    r = np.zeros((len(p3) + 1, hidden))
+    taps[np.arange(9), p3].sum(axis=1, out=r[:-1])
+    r[:-1] += b
+    np.maximum(r, 0.0, out=r)
+    return r
+
+
 class SIModule(Module):
     """Layout-conditioned modulation of a normalized activation.
 
@@ -131,8 +148,11 @@ class SIModule(Module):
         and ``g`` into ``Q``'s columns with ``np.bincount`` over ``inv``,
         gives the heads gradients from that and ``R[n5]``, and sums ``R``'s
         gradient over ``n5`` and the shared kernel's over ``p3`` the same
-        way.  The closure keeps the instance norm's ``y`` and ``s``, ``Q``,
-        ``R``, ``heads_mat`` and the tables, and no [1, 2C, h, w] field.
+        way.  The closure keeps the instance norm's ``[1, C, 1, 1]`` mean
+        and scale, ``Q``, ``heads_mat`` and the tables, and no [1, C, h, w]
+        array beyond the input the graph already holds: backward rebuilds
+        the normalized input from ``x``, and ``R`` from the shared conv's
+        weights, which the optimizer rebinds and never writes.
         """
         c = self.channels
         if x.data.shape[1] != c:
@@ -144,30 +164,27 @@ class SIModule(Module):
             )
         shared, heads = self.shared, self.heads
         p3, n5, inv = layout.si_tables()
-        hidden = shared.w.data.shape[0]
+        sw, sb = shared.w.data, shared.b.data
+        hidden = sw.shape[0]
         u3, u5 = len(p3), len(n5)
-        # [9, 13, hidden]: the shared kernel's tap t for class code c; zero
-        # for code N_CLASSES, a tap in the shared conv's zero padding.
-        taps = np.zeros((9, N_CLASSES + 1, hidden))
-        taps[:, :N_CLASSES] = shared.w.data.reshape(hidden, N_CLASSES, 9).T
-        r = np.zeros((u3 + 1, hidden))
-        taps[np.arange(9), p3].sum(axis=1, out=r[:u3])
-        r[:u3] += shared.b.data
-        np.maximum(r, 0.0, out=r)
+        r = _shared_rows(sw, sb, p3)
         # [2C, 9*hidden], columns in the (tap, channel) order of R[n5] rows.
         hmat = heads.w.data.transpose(0, 2, 3, 1).reshape(2 * c, 9 * hidden)
         q = hmat @ r[n5].reshape(u5, 9 * hidden).T  # [2C, U5]
         q += heads.b.data[:, None]
-        y, s = _instance_norm(x.data)
+        xd = x.data
+        y, m, s = _instance_norm(xd)
         field_shape = (1, c, layout.height, layout.width)
         params = (shared.w, shared.b, heads.w, heads.b)
 
         def bw(g):
+            y = _instance_norm_output(xd, m, s)
             if x.requires_grad:
                 gamma = q[:c, inv].reshape(field_shape)
                 _accumulate(x, _instance_norm_grad(g * gamma, y, s))
             if not any(p.requires_grad for p in params):
                 return
+            r = _shared_rows(sw, sb, p3)
             cols = (inv + (np.arange(c) * u5)[:, None]).ravel()
             gq = np.empty((2 * c, u5))
             gq[:c] = np.bincount(cols, weights=(g * y).ravel(),
@@ -190,10 +207,11 @@ class SIModule(Module):
             gw = np.bincount(idx.ravel(), weights=np.repeat(gr, 9, axis=0).ravel(),
                              minlength=9 * (N_CLASSES + 1) * hidden)
             gw = gw.reshape(9, N_CLASSES + 1, hidden)[:, :N_CLASSES].T
-            _accumulate(shared.w, np.ascontiguousarray(gw).reshape(shared.w.data.shape))
+            _accumulate(shared.w, np.ascontiguousarray(gw).reshape(sw.shape))
 
-        out = q[:c, inv].reshape(field_shape) * y + q[c:, inv].reshape(field_shape)
-        return _result(out, (x, *params), bw)
+        y *= q[:c, inv].reshape(field_shape)
+        y += q[c:, inv].reshape(field_shape)
+        return _result(y, (x, *params), bw)
 
 
 class SIResBlock(Module):

@@ -11,7 +11,8 @@ walk and only tensors the caller still holds keep their ``.grad``.
 Some compositions are fused into single ops with a closed-form
 backward, so each records one node and saves one set of arrays:
 subtraction (``a - b`` and ``2.0 - a``) and :func:`normalize` (instance
-normalization).  ``sgs.losses.binary_cross_entropy`` and
+normalization).  ``sgs.losses.softmax_bce`` (a softmax over the class
+axis followed by the clipped binary cross-entropy) and
 ``sgs.network.SIModule.forward`` (``gamma * normalize(x) + beta`` with
 the gamma/beta convs over the layout) are single nodes built the same
 way, the latter sharing :func:`normalize`'s instance-norm forward and
@@ -19,10 +20,11 @@ backward.
 
 A backward closure keeps only the arrays its formula reads, as
 references taken at forward time, never copies: what it can recompute
-from those in one pass (the sign of ``abs``, the clipped probabilities
-of the BCE, the instance-norm output of :func:`normalize`) it
-recomputes.  :func:`conv2d` keeps no padded copy of its input; see its
-docstring for which tiles feed its kernel gradient.
+from those in one or two passes (the sign of ``abs``, the clipped
+probabilities of the BCE, the instance-norm output from its input and
+kept ``[N, C, 1, 1]`` mean and scale) it recomputes.  :func:`conv2d`
+keeps no padded copy of its input; see its docstring for which tiles
+feed its kernel gradient.
 
 Desk scale keeps the design deliberately small: 64-bit floats, a single
 thread, no in-place mutation of anything that participates in a recorded
@@ -692,15 +694,25 @@ def avg_pool2d(x, factor):
 
 
 def _instance_norm(x):
-    """``(y, s)``: ``y = (x - mean) / s`` with ``s = sqrt(var + 1e-5)``,
-    both statistics taken per (sample, channel) over axes (2, 3)."""
+    """``(y, m, s)``: ``y = (x - m) / s`` with ``m`` the mean and ``s =
+    sqrt(var + 1e-5)``, both statistics taken per (sample, channel) over
+    axes (2, 3) and shaped ``[N, C, 1, 1]``."""
     if x.ndim != 4:
         raise ShapeError(f"normalize wants 4-D input, got {x.shape}")
-    centered = x - x.mean(axis=(2, 3), keepdims=True)
+    m = x.mean(axis=(2, 3), keepdims=True)
+    centered = x - m
     v = (centered * centered).mean(axis=(2, 3), keepdims=True)
     s = (v + 1e-5) ** 0.5
     centered /= s
-    return centered, s
+    return centered, m, s
+
+
+def _instance_norm_output(x, m, s):
+    """:func:`_instance_norm`'s ``y`` rebuilt from its input and kept
+    statistics in two passes, bit for bit the forward's."""
+    y = x - m
+    y /= s
+    return y
 
 
 def _instance_norm_grad(g, y, s):
@@ -718,17 +730,18 @@ def normalize(x):
 
     Each (sample, channel) slice is normalized with its own statistics.
     Constant slices map to exactly zero.  One graph node, whose backward
-    is the closed-form instance-norm gradient.  Backward recomputes the
-    output and statistics from the input, so the closure never reads the
-    output, which :func:`activate` may overwrite.
+    is the closed-form instance-norm gradient.  The closure keeps only
+    the ``[N, C, 1, 1]`` mean and scale and rebuilds the output from the
+    input, so it never reads the output, which :func:`activate` may
+    overwrite.
     """
     xd = x.data
+    y, m, s = _instance_norm(xd)
 
     def bw(g):
-        y, s = _instance_norm(xd)
-        _accumulate(x, _instance_norm_grad(g, y, s))
+        _accumulate(x, _instance_norm_grad(g, _instance_norm_output(xd, m, s), s))
 
-    return _result(_instance_norm(xd)[0], (x,), bw)
+    return _result(y, (x,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,18 @@ class TestConfigFile:
             assert err == (f"error: config: image_size 64 must divide by 2**depth, "
                            f"got depth {depth}\n")
 
+    @pytest.mark.parametrize("key", ["base_channels", "si_hidden"])
+    def test_huge_width_is_named(self, tmp_path, capsys, key):
+        """A width of 10**9 exits 2 with one line naming the key, from a
+        config file and from a flag, before any weight is drawn."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {10**9}\n")
+        train = ["train", "--data", str(tmp_path / "absent.jsonl"), "--out", str(tmp_path / "r")]
+        for extra in (["--config", str(cfg)], ["--" + key.replace("_", "-"), str(10**9)]):
+            assert main(train + extra) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: config: {key} must be in [1, 1024], got {10**9}\n"
+
     def test_cli_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 4\nlr = 0.5\n")

@@ -489,9 +489,10 @@ def test_every_bias_gets_a_gradient(tmp_path, direction):
 
 def test_generator_phase_graph_size(tmp_path):
     """One desk G-phase ``l_total`` graph (64 px, depth 5, D frozen) has
-    190 nodes: every relu and leaky relu is fused into the op that
+    189 nodes: every relu and leaky relu is fused into the op that
     produces its input, ``compute_nodes`` adds one node, the stacked
-    mean and variance statistics, and each of the ten SI modules one.
+    mean and variance statistics, the parsing term one, the softmax and
+    BCE together, and each of the ten SI modules one.
     The count is tied to the current op set."""
     sample = load_corpus(generate_corpus(str(tmp_path), 1, 64, seed=1))[0]
     cfg = TrainConfig()
@@ -505,7 +506,7 @@ def test_generator_phase_graph_size(tmp_path):
     target = target_record(views, FeatureExtractor(out_ch, seed=3),
                            ParsingOracle(out_ch, seed=4))
     total = objective(gen.forward(src, m_src, lay_src), disc, target, cfg.weights)["l_total"]
-    assert len(_toposort(total)) == 190
+    assert len(_toposort(total)) == 189
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,8 @@ feeds the generator is finite-difference checked through its fake-image
 argument.  Generator-side terms are read from the dict ``objective``
 returns, the same one training logs and steps on.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,18 +20,18 @@ from sgs.losses import (
     LossLog,
     LossWeights,
     ParsingOracle,
-    binary_cross_entropy,
     content_loss,
     discriminator_loss,
     gan_term,
     objective,
+    softmax_bce,
     tap_l1,
     tap_mse,
     target_record,
 )
 from sgs.layout import SaliencyMap, SemanticLayout
 from sgs.network import Generator, PatchDiscriminator
-from sgs.numerics import ShapeError, Tensor
+from sgs.numerics import ShapeError, Tensor, _accumulate, _result, softmax
 
 LN2 = float(np.log(2.0))
 
@@ -381,18 +383,52 @@ class TestPerceptualLoss:
         assert gradcheck(lambda leaf: perc(leaf, target), x0) < 1e-4
 
 
+def softmax_probs(logits):
+    """``softmax(logits, axis=1)`` as a plain array."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def composed_bce(target_probs, probs):
+    """The clipped BCE node that ``softmax_bce`` fuses with the softmax,
+    kept as the reference its loss and gradient must match bit for bit."""
+    p, q = target_probs.data, probs.data
+    qc, rc = np.clip(q, PROB_EPS, 1.0), np.clip(1.0 - q, PROB_EPS, 1.0)
+    loss = -(p * np.log(qc) + (1.0 - p) * np.log(rc)).mean()
+
+    def bw(g):
+        d = (1.0 - p) / rc * (rc == 1.0 - q) - p / qc * (qc == q)
+        _accumulate(probs, d * (g / q.size))
+
+    return _result(loss, (probs,), bw)
+
+
+def saturated_logits(rng, size):
+    """Random [1, 12, size, size] logits whose first two rows and the
+    first column below them push one class so far ahead that its
+    probability rounds to 1 and the others' to 0, so both clip bounds
+    fire there."""
+    x = rng.normal(0.0, 4.0, size=(1, 12, size, size))
+    x[0, 3, :2] = 900.0
+    x[0, 7, 2:, 0] = 900.0
+    return x
+
+
 class TestBinaryCrossEntropy:
+    """The parsing term ``softmax_bce``: BCE of the softmax of logits."""
+
     def test_one_hot_self_is_exactly_zero(self):
         p = np.zeros((1, 3, 2, 2))
         p[0, 0] = 1.0
-        t = Tensor(p)
-        assert binary_cross_entropy(t, Tensor(p.copy())).item() == 0.0
+        logits = np.where(p == 1.0, 1000.0, 0.0)
+        assert softmax_bce(Tensor(p), Tensor(logits)).item() == 0.0
 
     def test_self_bce_equals_entropy(self):
-        """BCE(p, p) is the mean elementwise binary entropy of p, not 0."""
-        rng = np.random.default_rng(50)
-        p = rng.uniform(0.05, 0.95, size=(1, 4, 3, 3))
-        got = binary_cross_entropy(Tensor(p), Tensor(p.copy())).item()
+        """BCE(p, softmax(x)) at p = softmax(x) is the mean elementwise
+        binary entropy of p, not 0."""
+        x = np.random.default_rng(50).normal(size=(1, 4, 3, 3))
+        p = softmax_probs(x)
+        got = softmax_bce(Tensor(p), Tensor(x)).item()
         want = -(p * np.log(p) + (1 - p) * np.log(1 - p)).mean()
         assert abs(got - want) < 1e-12
         assert got > 0
@@ -400,52 +436,89 @@ class TestBinaryCrossEntropy:
     def test_matches_scalar_formula(self):
         rng = np.random.default_rng(51)
         p = rng.uniform(0.05, 0.95, size=(2, 3, 4))
-        q = rng.uniform(0.05, 0.95, size=(2, 3, 4))
-        got = binary_cross_entropy(Tensor(p), Tensor(q)).item()
+        x = rng.normal(size=(2, 3, 4))
+        q = softmax_probs(x)
+        got = softmax_bce(Tensor(p), Tensor(x)).item()
         want = -(p * np.log(q) + (1 - p) * np.log(1 - q)).mean()
         assert abs(got - want) < 1e-12
 
     def test_self_is_minimum(self):
-        """Against a fixed target p, BCE is minimized at probs == p."""
+        """Against a fixed target p, BCE is minimized at softmax == p."""
         rng = np.random.default_rng(52)
-        p = rng.uniform(0.1, 0.9, size=(3, 3))
-        base = binary_cross_entropy(Tensor(p), Tensor(p.copy())).item()
+        x0 = rng.normal(size=(3, 3))
+        p = softmax_probs(x0)
+        base = softmax_bce(Tensor(p), Tensor(x0)).item()
         for k in range(5):
-            q = rng.uniform(0.05, 0.95, size=(3, 3))
-            assert base <= binary_cross_entropy(Tensor(p), Tensor(q)).item()
+            x = rng.normal(size=(3, 3))
+            assert base <= softmax_bce(Tensor(p), Tensor(x)).item()
 
     def test_target_detached(self):
         rng = np.random.default_rng(53)
         p = Tensor(rng.uniform(0.2, 0.8, size=(2, 2)), requires_grad=True)
-        q = Tensor(rng.uniform(0.2, 0.8, size=(2, 2)), requires_grad=True)
-        binary_cross_entropy(p, q).backward()
+        x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        softmax_bce(p, x).backward()
         assert p.grad is None or not np.any(p.grad)
-        assert np.any(q.grad)
+        assert np.any(x.grad)
 
     def test_clipped_probs_get_zero_gradient(self):
-        """At probs clipped to 0 or 1 against the opposite one-hot target,
-        each term's log is either clipped or weighted by zero."""
-        p = np.zeros((1, 3, 2, 2))
+        """At probs that round to 0 and 1 against the opposite one-hot
+        target, each term's log is either clipped or weighted by zero."""
+        p = np.zeros((1, 2, 2, 2))
         p[0, 0] = 1.0
-        q = Tensor(np.concatenate([np.full((1, 1, 2, 2), 0.1 * PROB_EPS),
-                                   np.ones((1, 2, 2, 2))], axis=1), requires_grad=True)
-        q.data[0, 0, 0, 0] = 0.0
-        binary_cross_entropy(Tensor(p), q).backward()
-        assert np.array_equal(q.grad, np.zeros_like(p))
+        x = Tensor(np.concatenate([np.full((1, 1, 2, 2), -1000.0),
+                                   np.zeros((1, 1, 2, 2))], axis=1), requires_grad=True)
+        softmax_bce(Tensor(p), x).backward()
+        assert np.array_equal(x.grad, np.zeros_like(p))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            binary_cross_entropy(Tensor(np.full((2, 2), 0.5)),
-                                 Tensor(np.full((2, 3), 0.5)))
+            softmax_bce(Tensor(np.full((2, 2), 0.5)), Tensor(np.zeros((2, 3))))
 
     def test_gradient_fd(self):
         target = Tensor(np.random.default_rng(54).uniform(0.2, 0.8, size=(3, 3)))
 
         def build(leaf):
-            return binary_cross_entropy(target, leaf)
+            return softmax_bce(target, leaf)
 
-        x0 = np.random.default_rng(55).uniform(0.2, 0.8, size=(3, 3))
+        x0 = np.random.default_rng(55).normal(size=(3, 3))
         assert gradcheck(build, x0) < 1e-4
+
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_equals_softmax_then_bce(self, size):
+        """Loss and logits gradient equal the softmax node followed by the
+        clipped BCE node byte for byte, saturated rows included."""
+        rng = np.random.default_rng(size)
+        x = saturated_logits(rng, size)
+        p = softmax_probs(rng.normal(0.0, 3.0, size=x.shape))
+        p[0, :, -1] = 0.0
+        p[0, 2, -1] = 1.0
+        q = softmax_probs(x)
+        assert np.any(q == 0.0) and np.any(q == 1.0)
+        fused, composed = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
+        a = softmax_bce(Tensor(p), fused)
+        b = composed_bce(Tensor(p), softmax(composed, axis=1))
+        a.backward()
+        b.backward()
+        assert a.data.tobytes() == b.data.tobytes()
+        assert fused.grad.tobytes() == composed.grad.tobytes()
+
+    def test_forward_backward_peak(self):
+        """Forward and backward at 128 px peak under three [1, 12, h, w]
+        arrays above the inputs, the logits gradient included: the kept
+        probabilities, one array of terms or gradient, and one class
+        plane's temporaries.  The softmax node followed by the BCE node
+        peaked at 6.0 arrays; this node peaks at 2.5."""
+        rng = np.random.default_rng(56)
+        p = Tensor(softmax_probs(rng.normal(size=(1, 12, 128, 128))))
+        x = Tensor(saturated_logits(rng, 128), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            softmax_bce(p, x).backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * x.data.nbytes
 
 
 def parsing(fake, target):

@@ -749,6 +749,22 @@ class TestNormalize:
         x0 = np.random.default_rng(4).normal(size=(1, 2, 3, 3))
         gradcheck(lambda t: (normalize(t) ** 2).sum(), x0)
 
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_forward_keeps_no_field(self, channels):
+        """After one forward at 128 px the node holds, beyond its output,
+        only the ``[1, C, 1, 1]`` mean and scale: under half of one
+        ``[1, C, h, w]`` array, where a kept normalized input would be
+        one."""
+        x = Tensor(np.random.default_rng(8).normal(size=(1, channels, 128, 128)),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = normalize(x)
+            held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 0.5 * channels * 128 * 128 * 8
+
 
 class TestAdam:
     def test_single_step_closed_form(self):
