@@ -103,18 +103,14 @@ def _add_train_flags(parser):
 
 
 def _split_corpus(manifest, cfg):
-    """(train, val) samples of a corpus whose one image size is ``cfg``'s."""
+    """(train, val) samples of a corpus, the last ``cfg.val_count`` held
+    out; ``train_direction`` checks their size against ``cfg``."""
     samples = load_corpus(manifest)
     if cfg.val_count < 2:
         raise ConfigError(f"val_count must be >= 2, got {cfg.val_count}")
     if cfg.val_count >= len(samples):
         raise ConfigError(f"val_count {cfg.val_count} leaves no training data "
                           f"(corpus has {len(samples)})")
-    actual = samples[0].photo.data.shape[1]
-    if actual != cfg.image_size:
-        raise ConfigError(
-            f"image_size {cfg.image_size} does not match corpus images ({actual}px)"
-        )
     return samples[:-cfg.val_count], samples[-cfg.val_count:]
 
 

@@ -9,6 +9,11 @@ differences over five tapped activations (encoder bottleneck plus the
 first four decoder blocks) tie the two branches together.  Frozen
 generators only ever shape gradients that flow through them; their own
 weights are never stepped.
+
+The checkpoint is the only hand-off between stages: each cycle stage
+reads its teacher back with ``load_generator`` from the checkpoint the
+previous stage recorded, digest checked, so a run holds one teacher at a
+time rather than every generator it trained.
 """
 from __future__ import annotations
 
@@ -154,7 +159,6 @@ class Checkpoint:
 
 @dataclass
 class StageResult:
-    generator: Generator
     checkpoint: Checkpoint
     epoch_total: list
     epoch_ict: list
@@ -222,7 +226,7 @@ def _checkpoint_widths(blob, bin_path):
             "out_channels": checkpoint_entry(blob, "out.w", bin_path).shape[0]}
 
 
-def load_generator(model_dir):
+def load_generator(model_dir, digest=None):
     """Rebuild a generator from model.json + model.bin.
 
     ``model.json`` holds every constructor argument (``MODEL_JSON_KEYS``),
@@ -231,13 +235,17 @@ def load_generator(model_dir):
     ``model.json`` declares are first checked against ``model.bin``'s
     entry shapes, so no generator wider than its weights is built.
     Anything missing, mistyped or inconsistent, such as a checkpoint
-    saved by an older version, raises ``DataError``.
+    saved by an older version, raises ``DataError``, as does a
+    ``model.bin`` whose sha256 differs from ``digest`` when one is given:
+    a flipped byte inside finite weights passes every other check.
     """
     json_path = os.path.join(model_dir, "model.json")
     bin_path = os.path.join(model_dir, "model.bin")
     for p in (json_path, bin_path):
         if not os.path.exists(p):
             raise DataError(f"missing checkpoint file {p}")
+    if digest is not None and _sha256(bin_path) != digest:
+        raise DataError(f"{bin_path}: sha256 differs from the recorded digest {digest}")
     with open(json_path, "r", encoding="utf-8") as f:
         try:
             cfg = json.load(f)
@@ -299,13 +307,23 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
     """Train one direction for one stage; writes the checkpoint directory.
 
     ``frozen_opp`` is the opposite-direction generator from the previous
-    stage (None at stage 0, where the cycle term is absent).  The Adam
-    state of both networks lives only for the call: the returned
-    generator holds its weights and nothing else, and is frozen.
+    stage (None at stage 0, where the cycle term is absent).  Every train
+    and val sample must be ``cfg.image_size`` square; that and the config
+    are checked before anything is written.  The trained generator, its
+    discriminator and their Adam state live only for the call: the
+    checkpoint directory holds the weights, and the returned records name
+    it with its digest.
     """
     cfg.validate()
     if not train_samples:
         raise ConfigError("no training samples")
+    for s in (*train_samples, *val_samples):
+        h, w = s.photo.data.shape[1:]
+        if (h, w) != (cfg.image_size, cfg.image_size):
+            actual = f"{h}px" if h == w else f"{h}x{w}px"
+            raise ConfigError(
+                f"image_size {cfg.image_size} does not match corpus images ({actual})"
+            )
     didx = _dir_index(direction)
     in_ch, out_ch = direction_channels(direction)
     if frozen_opp is not None:
@@ -382,16 +400,14 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
         epoch_total.append(sum(v["l_total"] for v in epoch_vals) / len(epoch_vals))
         epoch_ict.append(sum(v["l_ict"] for v in epoch_vals) / len(epoch_vals))
 
-    gen.freeze()  # the val forwards and the next stage's teacher record no graph
-    gen.zero_grad()  # the returned generator holds its weights only
+    gen.freeze()  # the val forwards record no graph
     save_generator(gen, out_dir)
     val = evaluate_direction(gen, val_samples, direction, extractor)
     with atomic_open(os.path.join(out_dir, "val_metrics.json")) as f:
         f.write(json.dumps(val, sort_keys=True) + "\n")
     ckpt = Checkpoint(stage=stage, direction=direction, path=out_dir, val=val,
                       digest=_sha256(os.path.join(out_dir, "model.bin")))
-    return StageResult(generator=gen, checkpoint=ckpt,
-                       epoch_total=epoch_total, epoch_ict=epoch_ict)
+    return StageResult(checkpoint=ckpt, epoch_total=epoch_total, epoch_ict=epoch_ict)
 
 
 def write_manifest(out_root, cfg, checkpoints):
@@ -409,24 +425,29 @@ def run_iterative(train_samples, val_samples, cfg, out_root):
     """Full iterative schedule: stage 0 plus ``cfg.stages`` cycle stages.
 
     Every stage trains both directions from scratch; stage i+1 distills
-    through the frozen stage-i generator of the opposite direction.
-    Returns per-direction checkpoint lists plus per-stage results.
+    through the stage-i generator of the opposite direction, read back
+    from the checkpoint stage i recorded and checked against its digest.
+    Only that teacher is alive while a task trains.  Returns
+    per-direction checkpoint lists plus per-stage results.
     """
     cfg.validate().validate_taps()
-    os.makedirs(out_root, exist_ok=True)
     checkpoints = {d: [] for d in DIRECTIONS}
     stage_results = []
-    frozen = dict.fromkeys(DIRECTIONS)  # stage 0 has no cycle term
+
+    def teacher(direction, stage):
+        if stage == 0:  # stage 0 has no cycle term
+            return None
+        prev = checkpoints[_other(direction)][stage - 1]
+        return load_generator(prev.path, prev.digest)
 
     for stage in range(cfg.stages + 1):
         results = {}
         for d in DIRECTIONS:
             out_dir = os.path.join(out_root, f"stage{stage}_{d}")
-            results[d] = train_direction(train_samples, val_samples, cfg, d,
-                                         stage, frozen[_other(d)], out_dir)
+            results[d] = train_direction(train_samples, val_samples, cfg, d, stage,
+                                         teacher(d, stage), out_dir)
             checkpoints[d].append(results[d].checkpoint)
         stage_results.append(results)
-        frozen = {d: results[d].generator for d in DIRECTIONS}
 
     write_manifest(out_root, cfg, checkpoints)
     return {"checkpoints": checkpoints, "stages": stage_results}

@@ -1,4 +1,6 @@
 """Shared fixtures and numerical test helpers."""
+import os
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,27 @@ def tiny_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus32")
     manifest = generate_corpus(str(root), 6, 32, seed=11)
     return {"manifest": manifest, "samples": load_corpus(manifest)}
+
+
+@pytest.fixture
+def flipped_teacher(monkeypatch):
+    """Wrap ``train_direction`` so that, once stage 0 has recorded its o
+    checkpoint, the lowest mantissa byte of the last weight in its
+    ``model.bin`` is flipped before stage 1 reads it back: every weight
+    stays finite, and only the recorded digest tells."""
+    import sgs.cycletrain as cycletrain
+    train = cycletrain.train_direction
+
+    def flipping(*args):
+        res = train(*args)
+        ckpt = res.checkpoint
+        if (ckpt.stage, ckpt.direction) == (0, "o"):
+            path = os.path.join(ckpt.path, "model.bin")
+            with open(path, "rb") as f:
+                blob = bytearray(f.read())
+            blob[-8] ^= 0x01
+            with open(path, "wb") as f:
+                f.write(blob)
+        return res
+
+    monkeypatch.setattr(cycletrain, "train_direction", flipping)

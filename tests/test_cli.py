@@ -340,6 +340,17 @@ class TestTrainCommand:
         assert err == "error: config: tap 'dec_block4' exceeds decoder depth 3\n"
         assert not (tmp_path / "r" / "stage0_k").exists()
 
+    def test_flipped_teacher_byte_is_data_error(self, cli_corpus, tmp_path, capsys,
+                                                flipped_teacher):
+        """A stage-0 checkpoint changed after it was recorded exits 3 when
+        stage 1 reads it back as its teacher."""
+        rc = main(["train-iterative", "--data", cli_corpus["manifest"], "--out",
+                   str(tmp_path / "r"), "--stages", "1"] + TRAIN_FLAGS)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ") and err.count("\n") == 1
+        assert "stage0_o" in err and "sha256 differs" in err
+
     def test_stdout_reports_val(self, cli_corpus, tmp_path, capsys):
         rc = main(["train", "--data", cli_corpus["manifest"], "--out",
                    str(tmp_path / "r"), "--direction", "o"] + TRAIN_FLAGS)

@@ -4,6 +4,8 @@ routing, checkpoint round-trips, the cycle-distillation term as
 determinism and frozen-weight checks.
 """
 import dataclasses
+import gc
+import hashlib
 import json
 import os
 import tempfile
@@ -21,6 +23,7 @@ from sgs.cycletrain import (
     TrainConfig,
     direction_channels,
     evaluate_direction,
+    feature_extractor,
     load_generator,
     run_iterative,
     sample_views,
@@ -264,6 +267,15 @@ class TestCheckpointRoundTrip:
         with pytest.raises(DataError, match="depth"):
             load_generator(str(tmp_path))
 
+    def test_digest_is_checked(self, tmp_path):
+        """A recorded digest that matches loads; one that differs from
+        ``model.bin``'s sha256 is a DataError naming the file."""
+        save_generator(self.make_gen(), str(tmp_path))
+        digest = hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()
+        load_generator(str(tmp_path), digest)
+        with pytest.raises(DataError, match=r"model\.bin: sha256 differs"):
+            load_generator(str(tmp_path), "0" * 64)
+
     def test_list_seed_round_trips(self, tmp_path):
         gen = self.make_gen(seed=[3, 0, 1, 0])
         save_generator(gen, str(tmp_path))
@@ -374,7 +386,6 @@ class TestTrainDirection:
             (tmp_path / "b" / "losses.csv").read_bytes()
 
     def test_checkpoint_digest_matches_file(self, tiny_corpus, tmp_path):
-        import hashlib
         cfg = tiny_config()
         res = train_direction(tiny_corpus["samples"][:3],
                               tiny_corpus["samples"][3:5], cfg, "k", 0, None,
@@ -383,22 +394,28 @@ class TestTrainDirection:
             assert res.checkpoint.digest == hashlib.sha256(f.read()).hexdigest()
 
     def test_saved_model_replays_final_generator(self, tiny_corpus, tmp_path):
+        """The checkpoint is the trained generator: reloaded, it scores the
+        val set exactly as training recorded."""
         cfg = tiny_config()
-        res = train_direction(tiny_corpus["samples"][:3],
-                              tiny_corpus["samples"][3:5], cfg, "k", 0, None,
+        val = tiny_corpus["samples"][3:5]
+        res = train_direction(tiny_corpus["samples"][:3], val, cfg, "k", 0, None,
                               str(tmp_path / "r"))
-        assert not any(p.requires_grad for p in res.generator.params())
         loaded = load_generator(str(tmp_path / "r"))
-        s = tiny_corpus["samples"][5]
-        assert np.array_equal(synthesize_sample(res.generator, s, "k"),
-                              synthesize_sample(loaded, s, "k"))
+        assert evaluate_direction(loaded, val, "k",
+                                  feature_extractor(cfg.seed, "k")) == res.checkpoint.val
 
-    def test_returned_generator_holds_no_gradients(self, tiny_corpus, tmp_path):
-        """The returned generator keeps its weights and nothing else, so
-        a run that retains every stage's generators holds no gradients."""
-        res = train_direction(tiny_corpus["samples"][:2], tiny_corpus["samples"][2:4],
-                              tiny_config(), "o", 0, None, str(tmp_path / "r"))
-        assert all(p.grad is None for p in res.generator.params())
+    @pytest.mark.parametrize("held_out", [False, True])
+    def test_image_size_mismatch_is_config_error(self, tiny_corpus, tmp_path, held_out):
+        """A train or val sample that is not ``image_size`` square is refused
+        before anything is written, rather than trained into a model.json
+        that declares another size."""
+        samples = tiny_corpus["samples"]
+        big = load_corpus(generate_corpus(str(tmp_path / "c"), 1, 64, seed=1))
+        train, val = (samples[:2], big) if held_out else (big, samples[2:4])
+        with pytest.raises(ConfigError,
+                           match=r"image_size 32 does not match corpus images \(64px\)"):
+            train_direction(train, val, tiny_config(), "k", 0, None, str(tmp_path / "r"))
+        assert not (tmp_path / "r").exists()
 
     def test_generator_phase_leaves_discriminator_grads_unset(self, tiny_corpus,
                                                               tmp_path, monkeypatch):
@@ -540,7 +557,6 @@ class TestRunIterative:
 
     def test_frozen_stage0_untouched_by_stage1(self, run):
         """Cycle distillation must never update the frozen generator."""
-        import hashlib
         for d in DIRECTIONS:
             recorded = run["out"]["checkpoints"][d][0].digest
             with open(run["root"] / f"stage0_{d}" / "model.bin", "rb") as f:
@@ -555,6 +571,44 @@ class TestRunIterative:
     def test_stage0_has_no_cycle_term(self, run):
         for d in DIRECTIONS:
             assert run["out"]["stages"][0][d].epoch_ict == [0.0, 0.0]
+
+
+def test_run_holds_one_teacher(tiny_corpus, tmp_path, monkeypatch):
+    """Each task starts with no generator alive but its teacher: none at
+    stage 0, the opposite direction's previous checkpoint afterwards."""
+    import sgs.cycletrain as cycletrain
+
+    def live():
+        gc.collect()
+        return sum(type(o) is Generator for o in gc.get_objects())
+
+    train, counts = cycletrain.train_direction, []
+
+    def counting(*args):
+        counts.append(live() - before)
+        return train(*args)
+
+    monkeypatch.setattr(cycletrain, "train_direction", counting)
+    before = live()
+    run_iterative(tiny_corpus["samples"][:3], tiny_corpus["samples"][3:5],
+                  tiny_config(stages=2), str(tmp_path / "r"))
+    assert counts == [0, 0, 1, 1, 1, 1]
+
+
+def test_flipped_teacher_byte_is_data_error(tiny_corpus, tmp_path, flipped_teacher):
+    """Stage 1 reads its teacher back only if ``model.bin`` still has the
+    digest stage 0 recorded."""
+    with pytest.raises(DataError, match=r"stage0_o[/\\]model\.bin: sha256 differs"):
+        run_iterative(tiny_corpus["samples"][:3], tiny_corpus["samples"][3:5],
+                      tiny_config(), str(tmp_path / "r"))
+    assert not (tmp_path / "r" / "stage1_k").exists()
+
+
+def test_size_mismatch_leaves_no_run_directory(tiny_corpus, tmp_path):
+    with pytest.raises(ConfigError, match="image_size 64 does not match"):
+        run_iterative(tiny_corpus["samples"][:3], tiny_corpus["samples"][3:5],
+                      tiny_config(image_size=64), str(tmp_path / "r"))
+    assert not (tmp_path / "r").exists()
 
 
 class TestSelectOptimal:
