@@ -5,7 +5,8 @@ Subcommands: ``datagen``, ``train``, ``train-iterative``, ``synthesize``,
 3 data error, 4 numerical failure.  Training options may come from a
 key=value config file (``--config``) with command-line flags taking
 precedence; every piece of randomness derives from ``--seed``.  The
-``SGS_THREADS`` environment variable caps the metric worker pool.
+``SGS_THREADS`` environment variable sizes ``eval``'s one metric worker
+pool (default 1).
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .cycletrain import (
     feature_extractor,
     load_generator,
     run_iterative,
+    size_text,
     synthesize_sample,
     train_direction,
     write_manifest,
@@ -114,19 +116,6 @@ def _split_corpus(manifest, cfg):
     return samples[:-cfg.val_count], samples[-cfg.val_count:]
 
 
-def _worker_map():
-    """map() honoring the SGS_THREADS cap; order-preserving either way."""
-    raw = os.environ.get("SGS_THREADS", "")
-    try:
-        n = int(raw) if raw else 1
-    except ValueError as err:
-        raise ConfigError(f"SGS_THREADS must be an integer, got {raw!r}") from err
-    if n <= 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=n)
-    return pool.map, pool
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -164,12 +153,10 @@ def _load_model_and_data(args):
     gen = load_generator(args.model)
     direction = "k" if gen.in_channels == 3 else "o"  # the input channels fix it
     samples = load_corpus(args.data)  # one image size throughout
-    actual = samples[0].photo.data.shape[1]
-    if actual != gen.image_size:
-        raise DataError(
-            f"corpus images are {actual}px but the model was trained at "
-            f"{gen.image_size}px"
-        )
+    h, w = samples[0].photo.data.shape[1:]
+    if (h, w) != (gen.image_size, gen.image_size):
+        raise DataError(f"corpus images are {size_text(h, w)} but the model was "
+                        f"trained at {gen.image_size}px")
     return gen, direction, samples
 
 
@@ -215,13 +202,14 @@ def cmd_eval(args):
     gen, direction, samples = _load_model_and_data(args)
     # model.json keeps the generator's seed list; the run seed leads it.
     seed = gen.seed[0] if isinstance(gen.seed, list) else gen.seed
-    map_fn, pool = _worker_map()
+    raw = os.environ.get("SGS_THREADS", "")
     try:
+        threads = int(raw) if raw else 1
+    except ValueError as err:
+        raise ConfigError(f"SGS_THREADS must be an integer, got {raw!r}") from err
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         report = eval_report(gen, samples, direction,
-                             feature_extractor(seed, direction), map_fn=map_fn)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                             feature_extractor(seed, direction), map_fn=pool.map)
 
     os.makedirs(args.out, exist_ok=True)
     with atomic_open(os.path.join(args.out, "val_metrics.json")) as f:

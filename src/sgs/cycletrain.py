@@ -46,7 +46,7 @@ from .numerics import (
     load_checkpoint,
     lr_at_epoch,
     restore_params,
-    save_params,
+    save_checkpoint,
 )
 
 DIRECTIONS = ("k", "o")  # k: photo -> sketch, o: sketch -> photo
@@ -194,6 +194,11 @@ def sample_views(sample, direction):
             sample.photo, sample.saliency_photo, sample.layout_photo)
 
 
+def size_text(h, w):
+    """An image size as messages print it: ``32px`` if square, else ``32x64px``."""
+    return f"{h}px" if h == w else f"{h}x{w}px"
+
+
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -204,7 +209,7 @@ def _sha256(path):
 def save_generator(gen, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     bin_path = os.path.join(out_dir, "model.bin")
-    save_params(bin_path, gen.named_params())
+    save_checkpoint(bin_path, [(name, p.data) for name, p in gen.named_params()])
     cfg = {k: getattr(gen, k) for k in MODEL_JSON_KEYS}
     if not isinstance(gen.seed, int):
         cfg["seed"] = list(gen.seed)
@@ -307,23 +312,23 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
     """Train one direction for one stage; writes the checkpoint directory.
 
     ``frozen_opp`` is the opposite-direction generator from the previous
-    stage (None at stage 0, where the cycle term is absent).  Every train
-    and val sample must be ``cfg.image_size`` square; that and the config
-    are checked before anything is written.  The trained generator, its
-    discriminator and their Adam state live only for the call: the
-    checkpoint directory holds the weights, and the returned records name
-    it with its digest.
+    stage (None at stage 0, where the cycle term is absent).  Both sample
+    lists must be non-empty and every sample ``cfg.image_size`` square;
+    that and the config are checked before anything is written.  The
+    trained generator, its discriminator and their Adam state live only
+    for the call: the checkpoint directory holds the weights, and the
+    returned records name it with its digest.
     """
     cfg.validate()
     if not train_samples:
         raise ConfigError("no training samples")
+    if not val_samples:
+        raise ConfigError("no validation samples")
     for s in (*train_samples, *val_samples):
         h, w = s.photo.data.shape[1:]
         if (h, w) != (cfg.image_size, cfg.image_size):
-            actual = f"{h}px" if h == w else f"{h}x{w}px"
-            raise ConfigError(
-                f"image_size {cfg.image_size} does not match corpus images ({actual})"
-            )
+            raise ConfigError(f"image_size {cfg.image_size} does not match corpus "
+                              f"images ({size_text(h, w)})")
     didx = _dir_index(direction)
     in_ch, out_ch = direction_channels(direction)
     if frozen_opp is not None:
@@ -427,8 +432,10 @@ def run_iterative(train_samples, val_samples, cfg, out_root):
     Every stage trains both directions from scratch; stage i+1 distills
     through the stage-i generator of the opposite direction, read back
     from the checkpoint stage i recorded and checked against its digest.
-    Only that teacher is alive while a task trains.  Returns
-    per-direction checkpoint lists plus per-stage results.
+    Only that teacher is alive while a task trains.  ``manifest.json`` is
+    rewritten after every task, so a run stopped part way lists the tasks
+    it finished.  Returns per-direction checkpoint lists plus per-stage
+    results.
     """
     cfg.validate().validate_taps()
     checkpoints = {d: [] for d in DIRECTIONS}
@@ -447,9 +454,9 @@ def run_iterative(train_samples, val_samples, cfg, out_root):
             results[d] = train_direction(train_samples, val_samples, cfg, d, stage,
                                          teacher(d, stage), out_dir)
             checkpoints[d].append(results[d].checkpoint)
+            write_manifest(out_root, cfg, checkpoints)
         stage_results.append(results)
 
-    write_manifest(out_root, cfg, checkpoints)
     return {"checkpoints": checkpoints, "stages": stage_results}
 
 

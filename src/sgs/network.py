@@ -148,11 +148,13 @@ class SIModule(Module):
         and ``g`` into ``Q``'s columns with ``np.bincount`` over ``inv``,
         gives the heads gradients from that and ``R[n5]``, and sums ``R``'s
         gradient over ``n5`` and the shared kernel's over ``p3`` the same
-        way.  The closure keeps the instance norm's ``[1, C, 1, 1]`` mean
-        and scale, ``Q``, ``heads_mat`` and the tables, and no [1, C, h, w]
-        array beyond the input the graph already holds: backward rebuilds
-        the normalized input from ``x``, and ``R`` from the shared conv's
-        weights, which the optimizer rebinds and never writes.
+        way: all four parameter gradients, or none, since
+        :meth:`Module.freeze` freezes a module whole.  The closure keeps the
+        instance norm's ``[1, C, 1, 1]`` mean and scale, ``Q``,
+        ``heads_mat`` and the tables, and no [1, C, h, w] array beyond the
+        input the graph already holds: backward rebuilds the normalized
+        input from ``x``, and ``R`` from the shared conv's weights, which
+        the optimizer rebinds and never writes.
         """
         c = self.channels
         if x.data.shape[1] != c:
@@ -191,12 +193,9 @@ class SIModule(Module):
                                  minlength=c * u5).reshape(c, u5)
             gq[c:] = np.bincount(cols, weights=g.ravel(), minlength=c * u5).reshape(c, u5)
             _accumulate(heads.b, gq.sum(axis=1))
-            if heads.w.requires_grad:
-                gw = gq @ r[n5].reshape(u5, 9 * hidden)
-                gw = gw.reshape(2 * c, 3, 3, hidden).transpose(0, 3, 1, 2)
-                _accumulate(heads.w, np.ascontiguousarray(gw))  # Adam runs faster on C order
-            if not (shared.w.requires_grad or shared.b.requires_grad):
-                return
+            gw = gq @ r[n5].reshape(u5, 9 * hidden)
+            gw = gw.reshape(2 * c, 3, 3, hidden).transpose(0, 3, 1, 2)
+            _accumulate(heads.w, np.ascontiguousarray(gw))  # Adam runs faster on C order
             gcols = (gq.T @ hmat).ravel()  # [U5, 9, hidden]
             gr = np.bincount((n5[:, :, None] * hidden + np.arange(hidden)).ravel(),
                              weights=gcols, minlength=(u3 + 1) * hidden)

@@ -527,14 +527,16 @@ def _conv_input_grad(g, kernel, stride, padding, h, w, x=None):
     zero-padded ``g`` with that phase's taps flipped and transposed to
     ``[Cin, Cout*th*tw]``.  The kernel is laid out once, its taps
     zero-padded to a multiple of the stride, so that each phase's matrix
-    is one contiguous block.  A phase with no taps gets zeros.
+    is one contiguous block.  A phase with no taps gets zeros.  Stride 1
+    has one phase, covering all of the padded ``g``, and one loop over its
+    tiles; larger strides loop over the phases.
 
     Returns ``(gx, gk)``.  ``gk`` is None unless ``x``, the conv's
     unpadded input, is given, which only a stride-1 conv may do: then the
-    same tiles of ``g``, ``cols`` ``[Cout*kh*kw, rows*W]``, also give the
-    kernel gradient with its taps flipped, ``cols @ x_rows.T`` summed
-    over the tiles, where ``x_rows`` ``[Cin, rows*W]`` are the input
-    rows the tile's gradient rows land on.
+    same loop's tiles of ``g``, ``cols`` ``[Cout*kh*kw, rows*W]``, also
+    give the kernel gradient with its taps flipped, ``cols @ x_rows.T``
+    summed over the tiles, where ``x_rows`` ``[Cin, rows*W]`` are the
+    input rows the tile's gradient rows land on.
     """
     n, cout, ho, wo = g.shape
     cin, kh, kw = kernel.shape[1:]
@@ -557,17 +559,20 @@ def _conv_input_grad(g, kernel, stride, padding, h, w, x=None):
     gp[:, :, r0 - rlo : r1 - rlo, c0 - clo : c1 - clo] = g[:, :, r0:r1, c0:c1]
 
     gx = np.empty((n, cin, h, w))
-    if x is not None:
-        # Stride 1: one phase, whose correlation covers all of gp.
-        gx3, x3 = gx.reshape(n, cin, h * w), x.reshape(n, cin, h * w)
-        kmat, gkf = km[0, 0].T, None
+    if s == 1:
+        # One phase, whose correlation covers all of gp.
+        gx3, kmat, gkf = gx.reshape(n, cin, h * w), km[0, 0].T, None
+        x3 = None if x is None else x.reshape(n, cin, h * w)
         for b, span, cols in _tiles(_windows(gp, kh, kw, 1, h, w)):
             np.matmul(kmat, cols, out=gx3[b, :, span])
-            part = cols @ x3[b, :, span].T
-            if gkf is None:
-                gkf = part
-            else:
-                gkf += part
+            if x3 is not None:
+                part = cols @ x3[b, :, span].T
+                if gkf is None:
+                    gkf = part
+                else:
+                    gkf += part
+        if gkf is None:
+            return gx, None
         gk = gkf.reshape(cout, kh, kw, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         return gx, np.ascontiguousarray(gk)
     for rh, (qh, nh) in enumerate(rspans):
@@ -579,10 +584,9 @@ def _conv_input_grad(g, kernel, stride, padding, h, w, x=None):
                 dst[...] = 0.0
                 continue
             src = gp[:, :, qh - th + 1 - rlo : qh + nh - rlo, qw - tw + 1 - clo : qw + nw - clo]
-            out = gx if s == 1 else np.empty((n, cin, nh, nw))
+            out = np.empty((n, cin, nh, nw))
             _correlate(src, km[rh, rw].T, th, tw, 1, out)
-            if s > 1:
-                dst[...] = out
+            dst[...] = out
     return gx, None
 
 
@@ -602,7 +606,8 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
     the shapes.  The input gradient is a gather, not a scatter-add:
     :func:`_conv_input_grad` correlates the zero-padded output gradient
     with the flipped, transposed kernel, one sub-pixel phase per stride x
-    stride offset, through the same tiled :func:`_correlate`, and returns
+    stride offset (a stride-1 conv has one phase and one loop over its
+    tiles) through the same tiles :func:`_correlate` builds, and returns
     only the unpadded ``[N, Cin, H, W]`` region as one C-contiguous array.
     The kernel gradient is summed tile by tile from one of two tile
     sources, chosen from the shapes and ``x.requires_grad`` alone: a
@@ -902,12 +907,6 @@ def load_checkpoint(path):
     return out
 
 
-def save_params(path, named_params):
-    """Persist the values of (name, Parameter) pairs, one entry each, in
-    the order given."""
-    save_checkpoint(path, [(name, p.data) for name, p in named_params])
-
-
 def checkpoint_entry(blob, name, path):
     """The entry ``name`` of a :func:`load_checkpoint` dict; ``KeyError``
     naming ``path`` if it is missing."""
@@ -917,8 +916,8 @@ def checkpoint_entry(blob, name, path):
 
 
 def restore_params(blob, named_params, path):
-    """Restore parameters saved by :func:`save_params`, by name, from the
-    dict :func:`load_checkpoint` read; ``path`` names it in errors.
+    """Restore (name, Parameter) pairs, by name, from the dict
+    :func:`load_checkpoint` read; ``path`` names it in errors.
 
     A missing entry raises ``KeyError``, as does the first entry that
     names no parameter (an Adam moment or ``.step`` entry that older

@@ -21,7 +21,7 @@ import pytest
 from sgs.cli import _TRAIN_KEYS, build_parser, build_train_config, main, read_config_file
 from sgs.cycletrain import Checkpoint, ConfigError, NumericalError, TrainConfig
 from sgs.datagen import generate_corpus
-from sgs.layout import MANIFEST_KEYS, read_manifest, read_pnm, write_manifest
+from sgs.layout import MANIFEST_KEYS, read_manifest, read_pnm, write_manifest, write_pnm
 from sgs.losses import LossWeights
 from sgs.numerics import load_checkpoint, save_checkpoint
 
@@ -53,6 +53,20 @@ def trained_run(cli_corpus, tmp_path_factory):
                "--direction", "k"] + TRAIN_FLAGS)
     assert rc == 0
     return {"out": out, "model": str(out / "stage0_k")}
+
+
+@pytest.fixture(scope="module")
+def wide_corpus(cli_corpus, tmp_path_factory):
+    """Three samples of ``cli_corpus``, every image laid twice side by side:
+    32 px high and 64 px wide."""
+    root = tmp_path_factory.mktemp("widecorpus")
+    rows = read_manifest(cli_corpus["manifest"])[:3]
+    for row in rows:
+        for key in MANIFEST_KEYS[1:]:
+            arr, maxval = read_pnm(str(cli_corpus["root"] / row[key]))
+            write_pnm(str(root / row[key]), np.concatenate([arr, arr], axis=1), maxval)
+    write_manifest(str(root / "manifest.jsonl"), rows)
+    return str(root / "manifest.jsonl")
 
 
 class TestParser:
@@ -473,6 +487,17 @@ class TestSynthesizeCommand:
         assert rc == 3
         assert capsys.readouterr().err == (
             "error: data: corpus images are 64px but the model was trained at 32px\n")
+
+    @pytest.mark.parametrize("command", ["synthesize", "eval"])
+    def test_corpus_not_square_is_data_error(self, trained_run, wide_corpus, tmp_path,
+                                             capsys, command):
+        """Both sides of the image are compared with the model's size."""
+        rc = main([command, "--model", trained_run["model"], "--data", wide_corpus,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: data: corpus images are 32x64px but the model was trained at 32px\n")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_checkpoint_is_data_error(self, cli_corpus, tmp_path, capsys):
         rc = main(["synthesize", "--model", str(tmp_path / "nope"),

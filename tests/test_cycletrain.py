@@ -375,6 +375,17 @@ class TestTrainDirection:
                             None, str(tmp_path / "r"))
         assert not (tmp_path / "r").exists()
 
+    def test_empty_val_set_is_config_error(self, tiny_corpus, tmp_path):
+        """No val sample means no val metrics: refused before anything is
+        written, rather than recorded as NaN in the JSON files."""
+        for train in (lambda out: train_direction(tiny_corpus["samples"][:2], [],
+                                                  tiny_config(), "k", 0, None, out),
+                      lambda out: run_iterative(tiny_corpus["samples"][:2], [],
+                                                tiny_config(), out)):
+            with pytest.raises(ConfigError, match="no validation samples"):
+                train(str(tmp_path / "r"))
+            assert not (tmp_path / "r").exists()
+
     def test_deterministic_given_seed(self, tiny_corpus, tmp_path):
         cfg = tiny_config()
         train = tiny_corpus["samples"][:3]
@@ -602,6 +613,31 @@ def test_flipped_teacher_byte_is_data_error(tiny_corpus, tmp_path, flipped_teach
         run_iterative(tiny_corpus["samples"][:3], tiny_corpus["samples"][3:5],
                       tiny_config(), str(tmp_path / "r"))
     assert not (tmp_path / "r" / "stage1_k").exists()
+
+
+def test_stopped_run_manifest_lists_finished_tasks(tiny_corpus, tmp_path, monkeypatch):
+    """The manifest is written after each task: a run stopped inside stage
+    1 k lists both stage-0 checkpoints, with the digests of their files."""
+    import sgs.cycletrain as cycletrain
+
+    train = cycletrain.train_direction
+
+    def stopping(*args):
+        if args[3:5] == ("k", 1):
+            raise KeyboardInterrupt
+        return train(*args)
+
+    monkeypatch.setattr(cycletrain, "train_direction", stopping)
+    root = tmp_path / "r"
+    with pytest.raises(KeyboardInterrupt):
+        run_iterative(tiny_corpus["samples"][:3], tiny_corpus["samples"][3:5],
+                      tiny_config(), str(root))
+    with open(root / "manifest.json") as f:
+        ckpts = json.load(f)["checkpoints"]
+    assert {d: [c["stage"] for c in ckpts[d]] for d in ckpts} == {"k": [0], "o": [0]}
+    for d in DIRECTIONS:
+        with open(root / f"stage0_{d}" / "model.bin", "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == ckpts[d][0]["digest"]
 
 
 def test_size_mismatch_leaves_no_run_directory(tiny_corpus, tmp_path):

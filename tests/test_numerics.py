@@ -29,7 +29,6 @@ from sgs.numerics import (
     normalize,
     restore_params,
     save_checkpoint,
-    save_params,
     softmax,
     softplus,
     tanh,
@@ -916,7 +915,7 @@ class TestCheckpointContainer:
         p.grad = rng.normal(size=(3,))
         adam_step(Adam([p]), lr=0.05)
         path = tmp_path / "params.bin"
-        save_params(str(path), [("w", p)])
+        save_checkpoint(str(path), [("w", p.data)])
         assert list(load_checkpoint(str(path))) == ["w"]
 
         q = Parameter(np.zeros(3))
@@ -928,7 +927,7 @@ class TestCheckpointContainer:
     def test_load_params_shape_mismatch(self, tmp_path):
         p = Parameter(np.ones(3))
         path = tmp_path / "p.bin"
-        save_params(str(path), [("w", p)])
+        save_checkpoint(str(path), [("w", p.data)])
         with pytest.raises(ShapeError):
             restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(4)))],
                            str(path))
@@ -961,7 +960,7 @@ class TestCheckpointContainer:
 
     def test_load_params_stray_entry_rejected(self, tmp_path):
         path = tmp_path / "p.bin"
-        save_params(str(path), [("w", Parameter(np.ones(3))), ("b", Parameter(np.zeros(3)))])
+        save_checkpoint(str(path), [("w", np.ones(3)), ("b", np.zeros(3))])
         with pytest.raises(KeyError, match="'b' names no parameter"):
             restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
                            str(path))
@@ -969,7 +968,7 @@ class TestCheckpointContainer:
     def test_load_params_missing_name(self, tmp_path):
         p = Parameter(np.ones(3))
         path = tmp_path / "p.bin"
-        save_params(str(path), [("w", p)])
+        save_checkpoint(str(path), [("w", p.data)])
         with pytest.raises(KeyError):
             restore_params(load_checkpoint(str(path)), [("other", Parameter(np.ones(3)))],
                            str(path))
