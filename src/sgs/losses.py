@@ -283,6 +283,34 @@ def target_record(views, extractor, oracle, variance="literal", teacher=None,
                   teacher_taps=teacher_taps)
 
 
+def _settled(fake, weight, score):
+    """``score(fake)``, a term weighted by ``weight`` in ``l_total``, with
+    its scorer backpropagated now rather than in ``l_total``'s backward.
+
+    The scorer runs on a detached copy of ``fake`` that records
+    gradients, ``weight * term`` is backpropagated at once, freeing the
+    scorer's graph, and only the copy's gradient ``kept`` is held.  The
+    term comes back as one node over ``fake`` whose backward adds ``(g /
+    weight) * kept``: ``kept`` itself under ``l_total``, where ``g ==
+    weight``, and the term's own gradient when backpropagated alone.  A
+    zero weight scores the detached fake for its value only.
+    """
+    if weight == 0.0:
+        return score(fake.detach()).detach()
+    leaf = fake.detach()
+    leaf.requires_grad = True
+    term = score(leaf)
+    (weight * term).backward()
+    kept = leaf.grad
+    if kept.base is not None and kept.base.size > kept.size:
+        kept = kept.copy()  # a view would keep the scorer's input gradient alive
+
+    def bw(g):
+        _accumulate(fake, (g / weight) * kept)
+
+    return _result(term.data, (fake,), bw)
+
+
 def objective(fake, d, target, weights):
     """Every generator-side loss term of one fake, keyed as in losses.csv.
 
@@ -290,21 +318,41 @@ def objective(fake, d, target, weights):
     reaches the generator.  The cycle term ``l_ict`` is the L1 agreement
     of the teacher's activations on the fake and on the real target, and
     is zero outside cycle stages.  ``l_total`` is the weighted sum.
+
+    The four terms whose scorers hold activations -- adversarial
+    (``d``), perceptual (the extractor), parsing (the parser) and cycle
+    (the teacher) -- are settled here: each is one node over ``fake``
+    that carries the term's weighted gradient at the fake, and no scorer
+    activation outlives the call.  So the parameters of ``d`` and of the
+    teacher receive their gradients while the call runs, unless frozen;
+    ``train_direction`` freezes ``d`` first.  A term whose weight is zero
+    runs no backward and has no parent.  Each settled node takes the
+    place of the one node by which its scorer reached ``fake``, so
+    ``l_total``'s backward adds the fake's contributions in the same
+    order, byte for byte.  Content and the two graph terms stay ordinary
+    nodes: they hold nothing image-sized, and the graph terms reach
+    ``fake`` through two shared nodes, so settling them would reorder
+    the sums.
     """
     weights.validate()
     src, m_src, lay_src, tgt, m_tgt, lay_tgt = target.views
-    terms = {"l_gan_g": gan_term(d.forward(src, m_src, fake), True),
+    terms = {"l_gan_g": _settled(fake, 1.0, lambda f: gan_term(d.forward(src, m_src, f), True)),
              "l_content": content_loss(tgt.detach(), fake),
-             "l_perc": tap_mse(target.taps, target.extractor.features(fake)),
-             "l_bce": softmax_bce(target.probs, target.oracle.logits(fake))}
+             "l_perc": _settled(fake, weights.perceptual,
+                                lambda f: tap_mse(target.taps, target.extractor.features(f))),
+             "l_bce": _settled(fake, weights.parsing,
+                               lambda f: softmax_bce(target.probs, target.oracle.logits(f)))}
     nodes = compute_nodes(fake, lay_src, variance=target.variance)
     terms["l_iag"] = graph_loss(target.intra, intra_graph(nodes))
     terms["l_itg"] = graph_loss(target.inter, inter_graph(nodes))
     if target.teacher is None:
         terms["l_ict"] = Tensor(0.0)
     else:
-        fake_taps = target.teacher.forward(fake, m_tgt, lay_tgt, want_taps=target.tap_names)
-        terms["l_ict"] = tap_l1(target.teacher_taps, fake_taps, target.tap_names)
+        def cycle(f):
+            taps = target.teacher.forward(f, m_tgt, lay_tgt, want_taps=target.tap_names)
+            return tap_l1(target.teacher_taps, taps, target.tap_names)
+
+        terms["l_ict"] = _settled(fake, weights.cycle, cycle)
     terms["l_total"] = (terms["l_gan_g"] + weights.content * terms["l_content"]
                         + weights.perceptual * terms["l_perc"]
                         + weights.parsing * terms["l_bce"]

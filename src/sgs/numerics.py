@@ -443,24 +443,39 @@ def _windows(xp, kh, kw, stride, ho, wo):
         (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
 
 
-def _tiles(win):
-    """Yield ``(b, span, cols)`` for each tile of the window view ``win``.
+def _tile_rows(kdim, ho, wo):
+    """Output rows per tile: as many as keep ``[kdim, rows*Wo]`` columns
+    within ``_TILE_BYTES``, at least one, at most ``ho``."""
+    return max(1, min(ho, _TILE_BYTES // (8 * kdim * wo)))
 
-    Each sample's output rows are cut into tiles whose channel-major
-    columns, ``cols`` ``[Cin*kh*kw, rows*Wo]``, fit ``_TILE_BYTES`` (at
-    least one row a tile); every tile is built into one reused scratch
-    buffer.  ``span`` slices the tile's rows out of a flat ``Ho*Wo`` axis.
+
+def _tiles(shape, window):
+    """Yield ``(b, span, cols)`` for each tile of a ``[N, Cin, kh, kw, Ho,
+    Wo]`` window view of the given ``shape``.
+
+    Each sample's output rows are cut into tiles of :func:`_tile_rows`
+    rows; ``window(b, r0, r)`` returns sample ``b``'s ``[Cin, kh, kw, r,
+    Wo]`` windows of output rows ``r0`` to ``r0 + r``, and its
+    channel-major columns, ``cols`` ``[Cin*kh*kw, r*Wo]``, are built into
+    one reused scratch buffer.  ``span`` slices the tile's rows out of a
+    flat ``Ho*Wo`` axis.
     """
-    n, cin, kh, kw, ho, wo = win.shape
+    n, cin, kh, kw, ho, wo = shape
     kdim = cin * kh * kw
-    rows = max(1, min(ho, _TILE_BYTES // (8 * kdim * wo)))
+    rows = _tile_rows(kdim, ho, wo)
     scratch = np.empty(kdim * rows * wo)
     for b in range(n):
         for r0 in range(0, ho, rows):
             r = min(rows, ho - r0)
             cols = scratch[: kdim * r * wo].reshape(kdim, r * wo)
-            cols.reshape(cin, kh, kw, r, wo)[...] = win[b, :, :, :, r0 : r0 + r]
+            cols.reshape(cin, kh, kw, r, wo)[...] = window(b, r0, r)
             yield b, slice(r0 * wo, (r0 + r) * wo), cols
+
+
+def _view_tiles(xp, kh, kw, stride, ho, wo):
+    """:func:`_tiles` of every kernel window of the padded input ``xp``."""
+    win = _windows(xp, kh, kw, stride, ho, wo)
+    return _tiles(win.shape, lambda b, r0, r: win[b, :, :, :, r0 : r0 + r])
 
 
 def _correlate(xp, kmat, kh, kw, stride, out):
@@ -469,7 +484,7 @@ def _correlate(xp, kmat, kh, kw, stride, out):
     ``kmat @ cols`` per tile, straight into its rows of ``out``."""
     n, cout, ho, wo = out.shape
     out3 = out.reshape(n, cout, ho * wo)
-    for b, span, cols in _tiles(_windows(xp, kh, kw, stride, ho, wo)):
+    for b, span, cols in _view_tiles(xp, kh, kw, stride, ho, wo):
         np.matmul(kmat, cols, out=out3[b, :, span])
 
 
@@ -508,7 +523,7 @@ def _conv_kernel_grad(g, x, kshape, stride, padding):
     n, cout, ho, wo = g.shape
     g3 = np.ascontiguousarray(g).reshape(n, cout, ho * wo)
     gk = None
-    for b, span, cols in _tiles(_windows(_pad(x, padding), *kshape[2:], stride, ho, wo)):
+    for b, span, cols in _view_tiles(_pad(x, padding), *kshape[2:], stride, ho, wo):
         part = g3[b, :, span] @ cols.T
         if gk is None:
             gk = part
@@ -527,9 +542,14 @@ def _conv_input_grad(g, kernel, stride, padding, h, w, x=None):
     zero-padded ``g`` with that phase's taps flipped and transposed to
     ``[Cin, Cout*th*tw]``.  The kernel is laid out once, its taps
     zero-padded to a multiple of the stride, so that each phase's matrix
-    is one contiguous block.  A phase with no taps gets zeros.  Stride 1
-    has one phase, covering all of the padded ``g``, and one loop over its
-    tiles; larger strides loop over the phases.
+    is one contiguous block.  A phase with no taps gets zeros.  Larger
+    strides pad ``g`` once and loop over the phases.  Stride 1 has one
+    phase, covering all of the padded ``g``, and one loop over its tiles,
+    but never builds the padded ``g``: each tile's rows of ``g`` are
+    copied into one small staging buffer, whose zero column borders are
+    written once and whose rows outside ``g`` are zeroed per tile, and
+    the tile's columns are cut from it.  The columns, and so the bytes,
+    are those of the padded ``g``'s tiles.
 
     Returns ``(gx, gk)``.  ``gk`` is None unless ``x``, the conv's
     unpadded input, is given, which only a stride-1 conv may do: then the
@@ -553,17 +573,25 @@ def _conv_input_grad(g, kernel, stride, padding, h, w, x=None):
 
     rspans, rlo, rhi = _phase_spans(h, padding, th, s)
     cspans, clo, chi = _phase_spans(w, padding, tw, s)
-    gp = np.zeros((n, cout, rhi - rlo + 1, chi - clo + 1))
-    r0, r1 = max(rlo, 0), min(rhi + 1, ho)
     c0, c1 = max(clo, 0), min(chi + 1, wo)
-    gp[:, :, r0 - rlo : r1 - rlo, c0 - clo : c1 - clo] = g[:, :, r0:r1, c0:c1]
-
     gx = np.empty((n, cin, h, w))
     if s == 1:
-        # One phase, whose correlation covers all of gp.
+        # Padded row i is g's row rlo + i, and gx's rows r0 to r0 + r read
+        # padded rows r0 to r0 + r + kh - 1: the rows staged for the tile.
+        stage = np.zeros((1, cout, _tile_rows(cout * kh * kw, h, w) + kh - 1, w + kw - 1))
+
+        def window(b, r0, r):
+            top, rows = r0 + rlo, r + kh - 1
+            lo = min(max(-top, 0), rows)
+            hi = max(min(ho - top, rows), lo)
+            stage[0, :, :lo] = 0.0
+            stage[0, :, lo:hi, c0 - clo : c1 - clo] = g[b, :, top + lo : top + hi, c0:c1]
+            stage[0, :, hi:rows] = 0.0
+            return _windows(stage[:, :, :rows], kh, kw, 1, r, w)[0]
+
         gx3, kmat, gkf = gx.reshape(n, cin, h * w), km[0, 0].T, None
         x3 = None if x is None else x.reshape(n, cin, h * w)
-        for b, span, cols in _tiles(_windows(gp, kh, kw, 1, h, w)):
+        for b, span, cols in _tiles((n, cout, kh, kw, h, w), window):
             np.matmul(kmat, cols, out=gx3[b, :, span])
             if x3 is not None:
                 part = cols @ x3[b, :, span].T
@@ -575,6 +603,9 @@ def _conv_input_grad(g, kernel, stride, padding, h, w, x=None):
             return gx, None
         gk = gkf.reshape(cout, kh, kw, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
         return gx, np.ascontiguousarray(gk)
+    gp = np.zeros((n, cout, rhi - rlo + 1, chi - clo + 1))
+    r0, r1 = max(rlo, 0), min(rhi + 1, ho)
+    gp[:, :, r0 - rlo : r1 - rlo, c0 - clo : c1 - clo] = g[:, :, r0:r1, c0:c1]
     for rh, (qh, nh) in enumerate(rspans):
         for rw, (qw, nw) in enumerate(cspans):
             if nh <= 0 or nw <= 0:
@@ -606,9 +637,11 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
     the shapes.  The input gradient is a gather, not a scatter-add:
     :func:`_conv_input_grad` correlates the zero-padded output gradient
     with the flipped, transposed kernel, one sub-pixel phase per stride x
-    stride offset (a stride-1 conv has one phase and one loop over its
-    tiles) through the same tiles :func:`_correlate` builds, and returns
-    only the unpadded ``[N, Cin, H, W]`` region as one C-contiguous array.
+    stride offset, through the same tiles :func:`_correlate` builds, and
+    returns only the unpadded ``[N, Cin, H, W]`` region as one
+    C-contiguous array.  A stride-1 conv has one phase and one loop over
+    its tiles, and stages each tile's rows of the output gradient instead
+    of padding all of it.
     The kernel gradient is summed tile by tile from one of two tile
     sources, chosen from the shapes and ``x.requires_grad`` alone: a
     stride-1 conv with ``Cout <= Cin`` whose input needs a gradient reads

@@ -9,6 +9,7 @@ import hashlib
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -515,26 +516,63 @@ def test_every_bias_gets_a_gradient(tmp_path, direction):
     assert not dead
 
 
-def test_generator_phase_graph_size(tmp_path):
-    """One desk G-phase ``l_total`` graph (64 px, depth 5, D frozen) has
-    189 nodes: every relu and leaky relu is fused into the op that
-    produces its input, ``compute_nodes`` adds one node, the stacked
-    mean and variance statistics, the parsing term one, the softmax and
-    BCE together, and each of the ten SI modules one.
-    The count is tied to the current op set."""
+def desk_generator_phase(tmp_path, teacher=False):
+    """Direction k at desk widths and 64 px: a trainable generator's fake,
+    a frozen discriminator and the sample's target record, with a frozen
+    opposite-direction teacher when ``teacher``."""
     sample = load_corpus(generate_corpus(str(tmp_path), 1, 64, seed=1))[0]
     cfg = TrainConfig()
     in_ch, out_ch = direction_channels("k")
-    gen = Generator(in_ch, out_ch, depth=cfg.depth, base_channels=cfg.base_channels,
-                    si_hidden=cfg.si_hidden, image_size=64, seed=1)
+    widths = dict(depth=cfg.depth, base_channels=cfg.base_channels,
+                  si_hidden=cfg.si_hidden, image_size=64)
+    gen = Generator(in_ch, out_ch, seed=1, **widths)
     disc = PatchDiscriminator(in_ch, out_ch, base_channels=cfg.base_channels, seed=2)
     disc.freeze()
+    opp = None
+    if teacher:
+        opp = Generator(out_ch, in_ch, seed=5, **widths)
+        opp.freeze()
     views = sample_views(sample, "k")
-    src, m_src, lay_src, _, _, _ = views
     target = target_record(views, FeatureExtractor(out_ch, seed=3),
-                           ParsingOracle(out_ch, seed=4))
-    total = objective(gen.forward(src, m_src, lay_src), disc, target, cfg.weights)["l_total"]
-    assert len(_toposort(total)) == 189
+                           ParsingOracle(out_ch, seed=4), teacher=opp,
+                           tap_names=cfg.ict_taps if teacher else ())
+    return gen.forward(*views[:3]), disc, target, cfg.weights
+
+
+def test_generator_phase_graph_size(tmp_path):
+    """One desk G-phase ``l_total`` graph (64 px, depth 5, D frozen) has
+    163 nodes.  The generator's graph is 116: 73 parameters and 43 ops,
+    with every relu and leaky relu fused into the op that produces its
+    input and each of the ten SI modules one node.  The content term adds
+    3, the two graph terms 29 (``compute_nodes`` one of them, the stacked
+    mean and variance statistics) and the weighted sum 12.  The
+    adversarial, perceptual and parsing terms add one node each:
+    ``objective`` has already walked their scorers' graphs and left one
+    node over the fake.  The count is tied to the current op set."""
+    fake, disc, target, weights = desk_generator_phase(tmp_path)
+    total = objective(fake, disc, target, weights)["l_total"]
+    assert len(_toposort(total)) == 163
+
+
+def test_objective_leaves_no_scorer_activation(tmp_path):
+    """Between ``objective`` and ``l_total``'s backward, a cycle stage's
+    loss graph holds six fake-sized arrays: the kept gradients of the
+    adversarial, perceptual, parsing and cycle terms, and the content
+    term's difference and its absolute value.  The graph terms keep
+    ``[2, 12, Cf]``-sized arrays, which with every node's Python objects
+    get a fixed 96 KiB.  No activation of D, the extractor, the parser or
+    the teacher is left; holding them until the backward left about 286
+    times the fake's size."""
+    fake, disc, target, weights = desk_generator_phase(tmp_path, teacher=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        terms = objective(fake, disc, target, weights)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert terms["l_ict"].item() > 0.0
+    assert held <= 6 * fake.data.nbytes + 96 * 1024
 
 
 @pytest.fixture(scope="module")

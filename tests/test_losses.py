@@ -13,6 +13,7 @@ import pytest
 
 from conftest import gradcheck, numerical_grad, relative_error
 
+from sgs.graphs import compute_nodes, graph_loss, inter_graph, intra_graph
 from sgs.losses import (
     LOSS_CSV_COLUMNS,
     PROB_EPS,
@@ -630,6 +631,113 @@ class TestTotalObjective:
         terms["l_total"].backward()
         grads = [float(terms[k].grad) for k in PARTS]
         assert grads == [1.0, 100.0, 10.0, 15.0, 100.0, 100.0, 5.0]
+
+
+def unsettled_objective(fake, d, target, weights, parsing=True):
+    """``objective``'s terms and ``l_total`` built as one graph from the
+    public pieces, every scorer's graph held until ``l_total``'s
+    backward; ``parsing=False`` leaves the parsing term out of
+    ``l_total``."""
+    src, m_src, lay_src, tgt, m_tgt, lay_tgt = target.views
+    terms = {"l_gan_g": gan_term(d.forward(src, m_src, fake), True),
+             "l_content": content_loss(tgt.detach(), fake),
+             "l_perc": tap_mse(target.taps, target.extractor.features(fake)),
+             "l_bce": softmax_bce(target.probs, target.oracle.logits(fake))}
+    nodes = compute_nodes(fake, lay_src, variance=target.variance)
+    terms["l_iag"] = graph_loss(target.intra, intra_graph(nodes))
+    terms["l_itg"] = graph_loss(target.inter, inter_graph(nodes))
+    if target.teacher is None:
+        terms["l_ict"] = Tensor(0.0)
+    else:
+        taps = target.teacher.forward(fake, m_tgt, lay_tgt, want_taps=target.tap_names)
+        terms["l_ict"] = tap_l1(target.teacher_taps, taps, target.tap_names)
+    w = weights
+    total = (terms["l_gan_g"] + w.content * terms["l_content"]
+             + w.perceptual * terms["l_perc"])
+    if parsing:
+        total = total + w.parsing * terms["l_bce"]
+    terms["l_total"] = (total + w.intra_graph * terms["l_iag"]
+                        + w.inter_graph * terms["l_itg"] + w.cycle * terms["l_ict"])
+    return terms
+
+
+class TestSettledObjective:
+    """``objective`` backpropagates each fixed scorer inside the call; the
+    generator must see the bytes of one walk over the whole graph."""
+
+    @staticmethod
+    def case(direction, teacher):
+        """A trainable 32 px generator, a frozen discriminator and one
+        sample's target record in ``direction``, with a frozen
+        opposite-direction teacher or none, at small widths."""
+        cin, cout = (3, 1) if direction == "k" else (1, 3)
+        rng = np.random.default_rng([90, cin, teacher])
+        gen = Generator(cin, cout, depth=3, base_channels=4, si_hidden=4,
+                        image_size=32, seed=91)
+        d = PatchDiscriminator(cin, cout, base_channels=4, seed=92)
+        d.freeze()
+        opp = None
+        if teacher:
+            opp = Generator(cout, cin, depth=3, base_channels=4, si_hidden=4,
+                            image_size=32, seed=93)
+            opp.freeze()
+        layout = SemanticLayout(rng.integers(0, 12, size=(32, 32)).astype(np.uint8))
+        m = rand_saliency(rng, 32)
+        views = (rand_image(rng, cin, 32), m, layout, rand_image(rng, cout, 32), m, layout)
+        target = target_record(views, FeatureExtractor(cout, seed=94),
+                               ParsingOracle(cout, seed=95), teacher=opp,
+                               tap_names=("enc_bottleneck", "dec_block1", "dec_block2"))
+        return gen, d, target
+
+    @staticmethod
+    def stepped(build, gen, d, target, weights, **kw):
+        """Term values, then the fake's and every generator parameter's
+        gradient after one ``l_total`` backward."""
+        gen.zero_grad()
+        fake = gen.forward(*target.views[:3])
+        terms = build(fake, d, target, weights, **kw)
+        terms["l_total"].backward()
+        return terms, fake.grad, [p.grad for p in gen.params()]
+
+    @pytest.mark.parametrize("teacher", [False, True], ids=["stage0", "cycle"])
+    @pytest.mark.parametrize("direction", ["k", "o"])
+    def test_bytes_of_the_unsettled_graph(self, direction, teacher):
+        """Every term value, the fake's gradient and every generator
+        gradient equal the one-graph walk's byte for byte: each settled
+        node adds its kept gradient where its scorer's one node into the
+        fake added it."""
+        gen, d, target = self.case(direction, teacher)
+        terms, gfake, grads = self.stepped(objective, gen, d, target, LossWeights())
+        ref, rfake, rgrads = self.stepped(unsettled_objective, gen, d, target, LossWeights())
+        assert list(terms) == list(ref)
+        for key in terms:
+            assert terms[key].data.tobytes() == ref[key].data.tobytes(), key
+        assert gfake.tobytes() == rfake.tobytes()
+        assert len(grads) == len(rgrads)
+        for i, (a, b) in enumerate(zip(grads, rgrads)):
+            assert a.tobytes() == b.tobytes(), f"generator param {i}"
+
+    @pytest.mark.parametrize("direction", ["k", "o"])
+    def test_settled_terms_hold_one_node_over_the_fake(self, direction):
+        gen, d, target = self.case(direction, True)
+        fake = gen.forward(*target.views[:3])
+        terms = objective(fake, d, target, LossWeights())
+        for key in ("l_gan_g", "l_perc", "l_bce", "l_ict"):
+            assert terms[key]._parents == (fake,), key
+
+    def test_zero_weight_runs_no_backward(self):
+        """A zero parsing weight scores the parser for the logged value
+        only: ``l_bce`` has no parent, and the generator's gradients are
+        those of the graph without the parsing term."""
+        gen, d, target = self.case("k", True)
+        weights = LossWeights(parsing=0.0)
+        terms, gfake, grads = self.stepped(objective, gen, d, target, weights)
+        ref, rfake, rgrads = self.stepped(unsettled_objective, gen, d, target, weights,
+                                          parsing=False)
+        assert terms["l_bce"]._parents == () and not terms["l_bce"].requires_grad
+        assert terms["l_bce"].item() == ref["l_bce"].item() > 0.0
+        assert np.array_equal(gfake, rfake)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, rgrads))
 
 
 class TestLossLog:

@@ -481,6 +481,24 @@ class TestConv2d:
                     f"trainable={trainable}: {held} bytes held")
                 del out
 
+    def test_stride1_input_gradient_stages_its_tiles(self):
+        """A stride-1 3x3 conv's backward peaks, above the input and kernel
+        gradients it returns, below one [1, Cout, 130, 130] padded output
+        gradient: each tile's rows of the gradient are staged, and no
+        padded copy of all of it is built."""
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(1, 16, 128, 128))
+        k = rng.normal(size=(16, 16, 3, 3))
+        g = rng.normal(size=(1, 16, 128, 128))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gx, gk = numerics._conv_input_grad(g, k, 1, 1, 128, 128, x)
+            peak = tracemalloc.get_traced_memory()[1] - before - gx.nbytes - gk.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 130 * 130 * 8
+
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
