@@ -240,7 +240,8 @@ def load_generator(model_dir, digest=None):
     ``model.json`` declares are first checked against ``model.bin``'s
     entry shapes, so no generator wider than its weights is built.
     Anything missing, mistyped or inconsistent, such as a checkpoint
-    saved by an older version, raises ``DataError``, as does a
+    saved by an older version, an empty seed list or channel counts that
+    are neither direction's, raises ``DataError``, as does a
     ``model.bin`` whose sha256 differs from ``digest`` when one is given:
     a flipped byte inside finite weights passes every other check.
     """
@@ -261,9 +262,11 @@ def load_generator(model_dir, digest=None):
     missing = [k for k in MODEL_JSON_KEYS if k not in cfg]
     if missing:
         raise DataError(f"{json_path}: missing keys {missing}")
-    # The seed (an int or a seed list) is checked by the generator's rng.
-    mistyped = [k for k in MODEL_JSON_KEYS if k != "seed"
-                and type(cfg[k]) is not (bool if k == "use_saliency" else int)]
+    # The seed may also be a non-empty list, whose entries the generator's
+    # rng checks.
+    mistyped = [k for k in MODEL_JSON_KEYS
+                if type(cfg[k]) is not (bool if k == "use_saliency" else int)
+                and not (k == "seed" and type(cfg[k]) is list and cfg[k])]
     if mistyped:
         raise DataError(f"{json_path}: wrong value type for {mistyped}")
     try:
@@ -278,6 +281,10 @@ def load_generator(model_dir, digest=None):
         # str() of a KeyError quotes its message; print the message itself.
         msg = err.args[0] if isinstance(err, KeyError) and err.args else err
         raise DataError(f"corrupt checkpoint in {model_dir}: {msg}") from err
+    if (gen.in_channels, gen.out_channels) not in (direction_channels("k"),
+                                                   direction_channels("o")):
+        raise DataError(f"{json_path}: in_channels {gen.in_channels} and out_channels "
+                        f"{gen.out_channels} map neither photo (3) to sketch (1) nor back")
     gen.freeze()
     return gen
 

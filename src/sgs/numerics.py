@@ -23,8 +23,9 @@ references taken at forward time, never copies: what it can recompute
 from those in one or two passes (the sign of ``abs``, the clipped
 probabilities of the BCE, the instance-norm output from its input and
 kept ``[N, C, 1, 1]`` mean and scale) it recomputes.  :func:`conv2d`
-keeps no padded copy of its input; see its docstring for which tiles
-feed its kernel gradient.
+pads nothing: every im2col tile, forward and backward, is cut from a
+bounded band of input rows staged with its zero border; see its
+docstring for which tiles feed its kernel gradient.
 
 Desk scale keeps the design deliberately small: 64-bit floats, a single
 thread, no in-place mutation of anything that participates in a recorded
@@ -428,19 +429,11 @@ def concat(tensors, axis=0):
     return _result(data, tuple(ts), bw)
 
 
-# Byte budget of one tile of im2col columns, ``[Cin*kh*kw, rows*Wo]``.
-# Sized from a sweep of the paper-scale (256 px, depth 7) and desk
-# (64 px, depth 5) conv shapes on a 2 MiB-L2 core; see CHANGES.md.
+# Byte budget of one tile of im2col columns, ``[C*kh*kw, rows*Wo]``, and
+# of the input rows a band of tiles stages.  Sized from a sweep of the
+# paper-scale (256 px, depth 7) and desk (64 px, depth 5) conv shapes on a
+# 2 MiB-L2 core; see CHANGES.md.
 _TILE_BYTES = 512 * 1024
-
-
-def _windows(xp, kh, kw, stride, ho, wo):
-    """Read-only ``[N, Cin, kh, kw, Ho, Wo]`` view of every kernel window
-    of the padded input ``xp``: the im2col columns, not yet copied."""
-    sn, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, xp.shape[:2] + (kh, kw, ho, wo),
-        (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
 
 
 def _tile_rows(kdim, ho, wo):
@@ -449,81 +442,94 @@ def _tile_rows(kdim, ho, wo):
     return max(1, min(ho, _TILE_BYTES // (8 * kdim * wo)))
 
 
-def _tiles(shape, window):
-    """Yield ``(b, span, cols)`` for each tile of a ``[N, Cin, kh, kw, Ho,
-    Wo]`` window view of the given ``shape``.
+def _tiles(src, top, left, kh, kw, stride, ho, wo):
+    """Yield ``(b, span, cols)`` for each tile of the im2col columns of
+    ``src``, ``[N, C, H, W]``, extended by zeros on every side.
 
-    Each sample's output rows are cut into tiles of :func:`_tile_rows`
-    rows; ``window(b, r0, r)`` returns sample ``b``'s ``[Cin, kh, kw, r,
-    Wo]`` windows of output rows ``r0`` to ``r0 + r``, and its
-    channel-major columns, ``cols`` ``[Cin*kh*kw, r*Wo]``, are built into
-    one reused scratch buffer.  ``span`` slices the tile's rows out of a
-    flat ``Ho*Wo`` axis.
+    Output ``(i, j)``'s ``kh x kw`` window starts at row ``top + i*stride``
+    and column ``left + j*stride`` of ``src``; a window row or column
+    outside ``src`` reads zeros.  Each sample's ``Ho`` output rows are cut
+    into tiles of :func:`_tile_rows` rows, and a tile's channel-major
+    columns, ``cols`` ``[C*kh*kw, r*Wo]``, are built into one reused
+    scratch buffer; ``span`` slices its rows out of a flat ``Ho*Wo`` axis.
+
+    No padded copy of ``src`` is built.  The tiles are taken a band at a
+    time, a band being a run of whole tiles (one at least) whose input
+    rows fit within ``_TILE_BYTES``.  Those rows are copied into one
+    staging buffer, whose zero column borders are written once and whose
+    rows outside ``src`` are zeroed per band, and each tile's columns are
+    cut from it.  An input row is copied once per band that reads it.
     """
-    n, cin, kh, kw, ho, wo = shape
-    kdim = cin * kh * kw
+    n, c, h, w = src.shape
+    kdim = c * kh * kw
     rows = _tile_rows(kdim, ho, wo)
+    width = (wo - 1) * stride + kw
+    fit = _TILE_BYTES // (8 * c * width)  # input rows within the budget
+    band = min(max(1, (fit - kh + stride) // (rows * stride)) * rows, ho)
+    stage = np.zeros((c, (band - 1) * stride + kh, width))
+    sc, sh, sw = stage.strides
+    win = np.lib.stride_tricks.as_strided(  # [C, kh, kw, band, Wo] windows
+        stage, (c, kh, kw, band, wo), (sc, sh, sw, stride * sh, stride * sw), writeable=False)
+    c0 = max(left, 0)
+    c1 = max(min(left + width, w), c0)
     scratch = np.empty(kdim * rows * wo)
     for b in range(n):
-        for r0 in range(0, ho, rows):
-            r = min(rows, ho - r0)
-            cols = scratch[: kdim * r * wo].reshape(kdim, r * wo)
-            cols.reshape(cin, kh, kw, r, wo)[...] = window(b, r0, r)
-            yield b, slice(r0 * wo, (r0 + r) * wo), cols
+        for b0 in range(0, ho, band):
+            # Stage row i is src row t + i; rows outside src are zeros.
+            t, nrows = top + b0 * stride, (min(band, ho - b0) - 1) * stride + kh
+            lo = min(max(-t, 0), nrows)
+            hi = max(min(h - t, nrows), lo)
+            stage[:, :lo] = 0.0
+            stage[:, lo:hi, c0 - left : c1 - left] = src[b, :, t + lo : t + hi, c0:c1]
+            stage[:, hi:nrows] = 0.0
+            for r0 in range(b0, min(b0 + band, ho), rows):
+                r = min(rows, ho - r0)
+                cols = scratch[: kdim * r * wo].reshape(kdim, r * wo)
+                cols.reshape(c, kh, kw, r, wo)[...] = win[:, :, :, r0 - b0 : r0 - b0 + r]
+                yield b, slice(r0 * wo, (r0 + r) * wo), cols
 
 
-def _view_tiles(xp, kh, kw, stride, ho, wo):
-    """:func:`_tiles` of every kernel window of the padded input ``xp``."""
-    win = _windows(xp, kh, kw, stride, ho, wo)
-    return _tiles(win.shape, lambda b, r0, r: win[b, :, :, :, r0 : r0 + r])
-
-
-def _correlate(xp, kmat, kh, kw, stride, out):
-    """Write the correlation of the padded input ``xp`` with ``kmat``,
-    ``[Cout, Cin*kh*kw]``, into ``out``, ``[N, Cout, Ho, Wo]``: one
-    ``kmat @ cols`` per tile, straight into its rows of ``out``."""
+def _correlate(src, top, left, kmat, kh, kw, stride, out, x=None):
+    """Write the correlation of ``src``, zero-extended as :func:`_tiles`
+    reads it, with ``kmat``, ``[Cout, C*kh*kw]``, into ``out``, ``[N,
+    Cout, Ho, Wo]``: one ``kmat @ cols`` per tile, straight into its rows
+    of ``out``.  Given ``x``, ``[N, Cx, Ho, Wo]``, also returns ``cols @
+    x_rows.T`` summed over the tiles, ``[C*kh*kw, Cx]``, where ``x_rows``
+    are the tile's rows of ``x``; otherwise None."""
     n, cout, ho, wo = out.shape
     out3 = out.reshape(n, cout, ho * wo)
-    for b, span, cols in _view_tiles(xp, kh, kw, stride, ho, wo):
+    x3 = None if x is None else x.reshape(n, -1, ho * wo)
+    acc = None
+    for b, span, cols in _tiles(src, top, left, kh, kw, stride, ho, wo):
         np.matmul(kmat, cols, out=out3[b, :, span])
+        if x3 is not None:
+            part = cols @ x3[b, :, span].T
+            if acc is None:
+                acc = part
+            else:
+                acc += part
+    return acc
 
 
-def _phase_spans(size, padding, taps, stride):
-    """One axis of the input gradient's sub-pixel phases.
-
-    Padded position ``q*stride + r`` is in phase ``r``.  Returns, per
-    phase, the first ``q`` inside the unpadded input and how many there
-    are, and the range ``(lo, hi)`` of output positions those need: a
-    phase's ``q`` reads outputs ``q - taps + 1`` to ``q``.
-    """
+def _phase_spans(size, padding, stride):
+    """One axis of the input gradient's sub-pixel phases: padded position
+    ``q*stride + r`` is in phase ``r``.  Returns, per phase, the first
+    ``q`` inside the unpadded input and how many there are."""
     spans = []
     for r in range(stride):
         q0 = (padding - r + stride - 1) // stride
         spans.append((q0, (padding + size - 1 - r) // stride + 1 - q0))
-    lo = min(q0 for q0, _ in spans) - taps + 1
-    hi = max(q0 + count for q0, count in spans) - 1
-    return spans, lo, hi
-
-
-def _pad(x, padding):
-    """``x``, ``[N, C, H, W]``, zero-padded by ``padding`` on each side of
-    both spatial axes (``x`` itself when ``padding`` is 0)."""
-    if not padding:
-        return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    xp[:, :, padding : padding + h, padding : padding + w] = x
-    return xp
+    return spans
 
 
 def _conv_kernel_grad(g, x, kshape, stride, padding):
     """Kernel gradient of a conv, ``[Cout, Cin, kh, kw]``, from the output
-    gradient ``g`` and the input ``x``: the input is padded here, and each
-    tile of its columns adds ``g_tile @ cols.T``."""
+    gradient ``g`` and the unpadded input ``x``: each tile of the padded
+    input's columns adds ``g_tile @ cols.T``."""
     n, cout, ho, wo = g.shape
     g3 = np.ascontiguousarray(g).reshape(n, cout, ho * wo)
     gk = None
-    for b, span, cols in _view_tiles(_pad(x, padding), *kshape[2:], stride, ho, wo):
+    for b, span, cols in _tiles(x, -padding, -padding, *kshape[2:], stride, ho, wo):
         part = g3[b, :, span] @ cols.T
         if gk is None:
             gk = part
@@ -538,25 +544,22 @@ def _conv_input_grad(g, kernel, stride, padding, h, w, x=None):
 
     Computed as a gather.  Along one axis, padded row ``q*stride + r``
     gets ``sum_t kernel[r + t*stride] * g[q - t]``: for each of the
-    stride x stride phases ``(r_h, r_w)`` a stride-1 correlation of the
-    zero-padded ``g`` with that phase's taps flipped and transposed to
-    ``[Cin, Cout*th*tw]``.  The kernel is laid out once, its taps
-    zero-padded to a multiple of the stride, so that each phase's matrix
-    is one contiguous block.  A phase with no taps gets zeros.  Larger
-    strides pad ``g`` once and loop over the phases.  Stride 1 has one
-    phase, covering all of the padded ``g``, and one loop over its tiles,
-    but never builds the padded ``g``: each tile's rows of ``g`` are
-    copied into one small staging buffer, whose zero column borders are
-    written once and whose rows outside ``g`` are zeroed per tile, and
-    the tile's columns are cut from it.  The columns, and so the bytes,
-    are those of the padded ``g``'s tiles.
+    stride x stride phases ``(r_h, r_w)`` a stride-1 correlation of ``g``,
+    zero-extended, with that phase's taps flipped and transposed to
+    ``[Cin, Cout*th*tw]``; the phase's windows of ``g`` are
+    :func:`_tiles` starting at ``q - th + 1``.  The kernel is laid out
+    once, its taps zero-padded to a multiple of the stride, so that each
+    phase's matrix is one contiguous block.  A phase with no taps gets
+    zeros.  Stride 1 has one phase, written straight into the gradient;
+    a larger stride's phases are written in turn into one buffer, each
+    then copied to its rows and columns of the gradient.
 
     Returns ``(gx, gk)``.  ``gk`` is None unless ``x``, the conv's
     unpadded input, is given, which only a stride-1 conv may do: then the
-    same loop's tiles of ``g``, ``cols`` ``[Cout*kh*kw, rows*W]``, also
+    one phase's tiles of ``g``, ``cols`` ``[Cout*kh*kw, rows*W]``, also
     give the kernel gradient with its taps flipped, ``cols @ x_rows.T``
-    summed over the tiles, where ``x_rows`` ``[Cin, rows*W]`` are the
-    input rows the tile's gradient rows land on.
+    summed over the tiles by :func:`_correlate`, where ``x_rows`` ``[Cin,
+    rows*W]`` are the input rows the tile's gradient rows land on.
     """
     n, cout, ho, wo = g.shape
     cin, kh, kw = kernel.shape[1:]
@@ -571,54 +574,27 @@ def _conv_input_grad(g, kernel, stride, padding, h, w, x=None):
     km = kp.reshape(cout, cin, th, s, tw, s)[:, :, ::-1, :, ::-1].transpose(3, 5, 0, 2, 4, 1)
     km = np.ascontiguousarray(km).reshape(s, s, cout * th * tw, cin)
 
-    rspans, rlo, rhi = _phase_spans(h, padding, th, s)
-    cspans, clo, chi = _phase_spans(w, padding, tw, s)
-    c0, c1 = max(clo, 0), min(chi + 1, wo)
     gx = np.empty((n, cin, h, w))
-    if s == 1:
-        # Padded row i is g's row rlo + i, and gx's rows r0 to r0 + r read
-        # padded rows r0 to r0 + r + kh - 1: the rows staged for the tile.
-        stage = np.zeros((1, cout, _tile_rows(cout * kh * kw, h, w) + kh - 1, w + kw - 1))
-
-        def window(b, r0, r):
-            top, rows = r0 + rlo, r + kh - 1
-            lo = min(max(-top, 0), rows)
-            hi = max(min(ho - top, rows), lo)
-            stage[0, :, :lo] = 0.0
-            stage[0, :, lo:hi, c0 - clo : c1 - clo] = g[b, :, top + lo : top + hi, c0:c1]
-            stage[0, :, hi:rows] = 0.0
-            return _windows(stage[:, :, :rows], kh, kw, 1, r, w)[0]
-
-        gx3, kmat, gkf = gx.reshape(n, cin, h * w), km[0, 0].T, None
-        x3 = None if x is None else x.reshape(n, cin, h * w)
-        for b, span, cols in _tiles((n, cout, kh, kw, h, w), window):
-            np.matmul(kmat, cols, out=gx3[b, :, span])
-            if x3 is not None:
-                part = cols @ x3[b, :, span].T
-                if gkf is None:
-                    gkf = part
-                else:
-                    gkf += part
-        if gkf is None:
-            return gx, None
-        gk = gkf.reshape(cout, kh, kw, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-        return gx, np.ascontiguousarray(gk)
-    gp = np.zeros((n, cout, rhi - rlo + 1, chi - clo + 1))
-    r0, r1 = max(rlo, 0), min(rhi + 1, ho)
-    gp[:, :, r0 - rlo : r1 - rlo, c0 - clo : c1 - clo] = g[:, :, r0:r1, c0:c1]
-    for rh, (qh, nh) in enumerate(rspans):
-        for rw, (qw, nw) in enumerate(cspans):
+    # A larger stride's phases take turns in one buffer: none has more than
+    # ceil(H/s) x ceil(W/s) positions.
+    buf = None if s == 1 else np.empty(n * cin * -(-h // s) * -(-w // s))
+    gkf = None
+    for rh, (qh, nh) in enumerate(_phase_spans(h, padding, s)):
+        for rw, (qw, nw) in enumerate(_phase_spans(w, padding, s)):
             if nh <= 0 or nw <= 0:
                 continue
             dst = gx[:, :, qh * s + rh - padding :: s, qw * s + rw - padding :: s]
             if rh >= kh or rw >= kw:
                 dst[...] = 0.0
                 continue
-            src = gp[:, :, qh - th + 1 - rlo : qh + nh - rlo, qw - tw + 1 - clo : qw + nw - clo]
-            out = np.empty((n, cin, nh, nw))
-            _correlate(src, km[rh, rw].T, th, tw, 1, out)
-            dst[...] = out
-    return gx, None
+            out = gx if s == 1 else buf[: n * cin * nh * nw].reshape(n, cin, nh, nw)
+            gkf = _correlate(g, qh - th + 1, qw - tw + 1, km[rh, rw].T, th, tw, 1, out, x)
+            if out is not gx:
+                dst[...] = out
+    if gkf is None:
+        return gx, None
+    gk = gkf.reshape(cout, kh, kw, cin)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+    return gx, np.ascontiguousarray(gk)
 
 
 def conv2d(x, kernel, bias=None, stride=1, padding=0):
@@ -626,28 +602,24 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
 
     Implemented as row-tiled im2col plus matrix products so that the
     heavy lifting stays inside BLAS while the column buffer stays small.
-    The input is padded into a zero-filled buffer that lives only for
-    the forward call, and :func:`_correlate` builds one tile of
-    channel-major columns at a time into a reused scratch buffer and
-    writes ``kmat @ cols`` straight into the ``[N, Cout, Ho, Wo]`` output.
+    Every tile of columns, forward and backward, comes from
+    :func:`_tiles`, which stages bounded bands of input rows and builds
+    no padded copy of anything; :func:`_correlate` writes ``kmat @ cols``
+    straight into the ``[N, Cout, Ho, Wo]`` output.
 
     The backward closure keeps references, never copies: the kernel's
     values and, when the kernel records a gradient, the input's values,
     both taken at forward time (``adam_step`` rebinds ``.data``), plus
     the shapes.  The input gradient is a gather, not a scatter-add:
-    :func:`_conv_input_grad` correlates the zero-padded output gradient
+    :func:`_conv_input_grad` correlates the zero-extended output gradient
     with the flipped, transposed kernel, one sub-pixel phase per stride x
-    stride offset, through the same tiles :func:`_correlate` builds, and
-    returns only the unpadded ``[N, Cin, H, W]`` region as one
-    C-contiguous array.  A stride-1 conv has one phase and one loop over
-    its tiles, and stages each tile's rows of the output gradient instead
-    of padding all of it.
-    The kernel gradient is summed tile by tile from one of two tile
-    sources, chosen from the shapes and ``x.requires_grad`` alone: a
-    stride-1 conv with ``Cout <= Cin`` whose input needs a gradient reads
-    it off the output-gradient tiles the input gradient already builds;
-    every other conv pads its input again in backward, for as long as
-    the closure runs, and builds tiles of it.
+    stride offset, and returns the ``[N, Cin, H, W]`` gradient as one
+    C-contiguous array.  The kernel gradient is summed tile by tile from
+    one of two tile sources, chosen from the shapes and
+    ``x.requires_grad`` alone: a stride-1 conv with ``Cout <= Cin`` whose
+    input needs a gradient reads it off the output-gradient tiles the
+    input gradient already builds; every other conv builds tiles of its
+    input again in backward.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(
@@ -672,7 +644,8 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
     wo = (w + 2 * padding - kw) // stride + 1
     kdata = kernel.data
     out = np.empty((n, cout, ho, wo))
-    _correlate(_pad(x.data, padding), kdata.reshape(cout, cin * kh * kw), kh, kw, stride, out)
+    kmat = kdata.reshape(cout, cin * kh * kw)
+    _correlate(x.data, -padding, -padding, kmat, kh, kw, stride, out)
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1)
 

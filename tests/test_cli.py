@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 from sgs.cli import _TRAIN_KEYS, build_parser, build_train_config, main, read_config_file
-from sgs.cycletrain import Checkpoint, ConfigError, NumericalError, TrainConfig
+from sgs.cycletrain import Checkpoint, ConfigError, NumericalError, TrainConfig, save_generator
 from sgs.datagen import generate_corpus
 from sgs.layout import MANIFEST_KEYS, read_manifest, read_pnm, write_manifest, write_pnm
 from sgs.losses import LossWeights
+from sgs.network import Generator
 from sgs.numerics import load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--epochs", "2", "--depth", "4", "--base-channels", "4",
@@ -499,6 +500,25 @@ class TestSynthesizeCommand:
             "error: data: corpus images are 32x64px but the model was trained at 32px\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["synthesize", "eval"])
+    @pytest.mark.parametrize("channels", [(3, 3), (1, 1), (2, 1)],
+                             ids=["3-to-3", "1-to-1", "2-to-1"])
+    def test_checkpoint_of_no_direction_is_data_error(self, cli_corpus, tmp_path,
+                                                      capsys, command, channels):
+        """A consistent checkpoint whose channel counts are neither 3 -> 1
+        (photo to sketch) nor 1 -> 3 is refused before anything is written:
+        the input channels could not tell its direction."""
+        gen = Generator(*channels, depth=4, base_channels=4, si_hidden=4, image_size=32,
+                        seed=3)
+        save_generator(gen, str(tmp_path / "model"))
+        rc = main([command, "--model", str(tmp_path / "model"),
+                   "--data", cli_corpus["manifest"], "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: data: {tmp_path / 'model' / 'model.json'}: in_channels {channels[0]} "
+            f"and out_channels {channels[1]} map neither photo (3) to sketch (1) nor back\n")
+        assert not (tmp_path / "o").exists()
+
     def test_missing_checkpoint_is_data_error(self, cli_corpus, tmp_path, capsys):
         rc = main(["synthesize", "--model", str(tmp_path / "nope"),
                    "--data", cli_corpus["manifest"], "--out", str(tmp_path / "s")])
@@ -582,9 +602,10 @@ class TestEvalCommand:
         (None, "image_size", 32.0),
         (None, "use_saliency", "no"),
         (None, "seed", "x"),
+        (None, "seed", []),
         (None, "si_hidden", None),
     ], ids=["invalid-json", "not-an-object", "depth-str", "size-float",
-            "saliency-str", "seed-str", "missing-key"])
+            "saliency-str", "seed-str", "seed-empty-list", "missing-key"])
     def test_malformed_model_json_is_data_error(self, cli_corpus, trained_run,
                                                 tmp_path, capsys, text, key, value):
         model = tmp_path / "model"

@@ -481,20 +481,32 @@ class TestConv2d:
                     f"trainable={trainable}: {held} bytes held")
                 del out
 
-    def test_stride1_input_gradient_stages_its_tiles(self):
-        """A stride-1 3x3 conv's backward peaks, above the input and kernel
-        gradients it returns, below one [1, Cout, 130, 130] padded output
-        gradient: each tile's rows of the gradient are staged, and no
-        padded copy of all of it is built."""
+    @pytest.mark.parametrize("cout,k,stride,backward", [
+        (16, 3, 1, False),
+        (16, 3, 1, True),   # input and kernel gradients from the g tiles
+        (16, 4, 2, True),   # phases of g's tiles; kernel gradient from x's
+        (32, 3, 1, True),   # Cout > Cin: kernel gradient from x's tiles
+    ], ids=["forward", "stride1-backward", "stride2-backward", "cout-gt-cin-backward"])
+    def test_no_padded_copy(self, cout, k, stride, backward):
+        """A conv of a [1, 16, 128, 128] input, padding 1, peaks, above the
+        arrays it returns, below one [1, 16, 130, 130] padded copy of the
+        array its tiles read, in the forward and in a backward with a
+        trainable kernel: every tile is cut from a staged band of rows."""
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(1, 16, 128, 128))
-        k = rng.normal(size=(16, 16, 3, 3))
-        g = rng.normal(size=(1, 16, 128, 128))
+        x = Tensor(rng.normal(size=(1, 16, 128, 128)), requires_grad=True)
+        kernel = Tensor(rng.normal(size=(cout, 16, k, k)), requires_grad=True)
+        if backward:
+            out = conv2d(x, kernel, None, stride, 1)
+            g = rng.normal(size=out.data.shape)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            gx, gk = numerics._conv_input_grad(g, k, 1, 1, 128, 128, x)
-            peak = tracemalloc.get_traced_memory()[1] - before - gx.nbytes - gk.nbytes
+            if backward:
+                out._backward(g)
+                kept = x.grad.nbytes + kernel.grad.nbytes
+            else:
+                kept = conv2d(x, kernel, None, stride, 1).data.nbytes
+            peak = tracemalloc.get_traced_memory()[1] - before - kept
         finally:
             tracemalloc.stop()
         assert peak < 16 * 130 * 130 * 8
@@ -565,6 +577,36 @@ class TestTiledConv2d(TestConv2d):
         gradcheck(lambda t: (conv2d(t, Tensor(k0), Tensor(b0), 1, 1) * w).sum(), x0)
         gradcheck(lambda t: (conv2d(Tensor(x0), t, Tensor(b0), 1, 1) * w).sum(), k0)
         gradcheck(lambda t: (conv2d(Tensor(x0), Tensor(k0), t, 1, 1) * w).sum(), b0)
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-frozen"])
+    @pytest.mark.parametrize("shape,kshape,stride,budget", [
+        ((2, 4, 25, 6), (2, 4, 3, 3), 1, 3460),
+        ((2, 2, 22, 5), (3, 2, 4, 4), 2, 1028),
+    ], ids=["stride1", "stride2"])
+    def test_band_boundaries(self, shape, kshape, stride, budget, x_grad, monkeypatch):
+        """Budgets under which every tile source spans several bands of
+        several tiles, the last band short.  Stride 1, 25 output rows: the
+        input's tiles of 2 rows come in bands of 5 + 5 + 3 tiles, the
+        output gradient's tiles of 4 rows in bands of 6 + 1, and with
+        ``x-grad`` the latter also give the kernel gradient.  Stride 2, 11
+        output rows: the input's tiles of 2 rows in bands of 2 + 2 + 2,
+        the last tile 1 row; each gradient phase's tiles of 5 rows in
+        bands of 2 + 1, or of 3 rows in bands of 3 + 1."""
+        monkeypatch.setattr(numerics, "_TILE_BYTES", budget)
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=shape), requires_grad=x_grad)
+        k = Tensor(rng.normal(size=kshape), requires_grad=True)
+        b = rng.normal(size=kshape[0])
+        out = conv2d(x, k, Tensor(b), stride, 1)
+        assert np.allclose(out.data, conv2d_reference(x.data, k.data, b, stride, 1),
+                           atol=1e-12)
+        g = rng.normal(size=out.data.shape)
+        out._backward(g)
+        ref = conv2d_kernel_grad_reference(x.data, kshape, g, stride, 1)
+        assert np.allclose(k.grad, ref, atol=1e-12)
+        if x_grad:
+            ref = conv2d_input_grad_reference(shape, k.data, g, stride, 1)
+            assert np.allclose(x.grad, ref, atol=1e-12)
 
     @staticmethod
     def _grads(x_grad, k_grad):
