@@ -377,7 +377,7 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
             src, m_src, lay_src, tgt, _, _ = target.views
 
             # Discriminator phase: the fake is detached so only D learns here.
-            disc.zero_grad()
+            # Every gradient is None: adam_step releases those it applies.
             fake = gen.forward(src, m_src, lay_src)
             loss_d = discriminator_loss(disc, src, m_src, tgt, fake)
             if not np.isfinite(loss_d.data):
@@ -390,8 +390,6 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
 
             # Generator phase, scored by the discriminator just updated.
             # D is frozen for it: its convs compute input gradients only.
-            gen.zero_grad()
-            disc.zero_grad()
             disc.freeze()
             terms = objective(fake, disc, target, cfg.weights)
             if not np.isfinite(terms["l_total"].data):

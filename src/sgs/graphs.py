@@ -78,11 +78,12 @@ def compute_nodes(f, layout, variance="literal"):
         return np.take(v.T, classes, axis=1)
 
     # An absent class has no pixels, so its sums and nodes are exact zeros.
-    mu = class_means(f.data.reshape(cf, h * w))
+    nf, fd = f._node, f.data
+    mu = class_means(fd.reshape(cf, h * w))
 
     def deviations():  # f - mu[classes], [Cf, HW]
         dev = per_pixel(mu)
-        np.subtract(f.data.reshape(cf, h * w), dev, out=dev)
+        np.subtract(fd.reshape(cf, h * w), dev, out=dev)
         return dev
 
     sq = deviations()
@@ -103,9 +104,9 @@ def compute_nodes(f, layout, variance="literal"):
         if outside is not None:
             through_mu += a * outside * mu
         gf += per_pixel(through_mu)
-        _accumulate(f, gf.reshape(f.data.shape))
+        _accumulate(nf, gf.reshape(fd.shape))
 
-    return GraphNodes(stats=_result(np.stack([mu, nu]), (f,), bw),
+    return GraphNodes(stats=_result(np.stack([mu, nu]), (nf,), bw),
                       fbar=f.mean(axis=(1, 2)), present=present)
 
 

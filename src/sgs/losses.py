@@ -216,6 +216,7 @@ def softmax_bce(target_probs, logits):
         np.add(qc, rc, out=terms[:, c])
     np.negative(terms, out=terms)
     loss = terms.mean()
+    nx = logits._node
 
     def bw(g):
         scale = g / q.size
@@ -235,9 +236,9 @@ def softmax_bce(target_probs, logits):
             dot += gq[:, c] * q[:, c]
         gq -= dot[:, None]
         gq *= q
-        _accumulate(logits, gq)
+        _accumulate(nx, gq)
 
-    return _result(loss, (logits,), bw)
+    return _result(loss, (nx,), bw)
 
 
 @dataclass(frozen=True)
@@ -304,11 +305,12 @@ def _settled(fake, weight, score):
     kept = leaf.grad
     if kept.base is not None and kept.base.size > kept.size:
         kept = kept.copy()  # a view would keep the scorer's input gradient alive
+    nf = fake._node
 
     def bw(g):
-        _accumulate(fake, (g / weight) * kept)
+        _accumulate(nf, (g / weight) * kept)
 
-    return _result(term.data, (fake,), bw)
+    return _result(term.data, (nf,), bw)
 
 
 def objective(fake, d, target, weights):

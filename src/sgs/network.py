@@ -151,10 +151,10 @@ class SIModule(Module):
         way: all four parameter gradients, or none, since
         :meth:`Module.freeze` freezes a module whole.  The closure keeps the
         instance norm's ``[1, C, 1, 1]`` mean and scale, ``Q``,
-        ``heads_mat`` and the tables, and no [1, C, h, w] array beyond the
-        input the graph already holds: backward rebuilds the normalized
-        input from ``x``, and ``R`` from the shared conv's weights, which
-        the optimizer rebinds and never writes.
+        ``heads_mat``, the tables and the parameters' nodes, and no [1, C,
+        h, w] array beyond the input's value: backward rebuilds the
+        normalized input from it, and ``R`` from the shared conv's weights,
+        which the optimizer rebinds and never writes.
         """
         c = self.channels
         if x.data.shape[1] != c:
@@ -177,13 +177,15 @@ class SIModule(Module):
         xd = x.data
         y, m, s = _instance_norm(xd)
         field_shape = (1, c, layout.height, layout.width)
-        params = (shared.w, shared.b, heads.w, heads.b)
+        nx = x._node
+        params = nsw, nsb, nhw, nhb = tuple(p._node for p in
+                                            (shared.w, shared.b, heads.w, heads.b))
 
         def bw(g):
             y = _instance_norm_output(xd, m, s)
-            if x.requires_grad:
+            if nx.requires_grad:
                 gamma = q[:c, inv].reshape(field_shape)
-                _accumulate(x, _instance_norm_grad(g * gamma, y, s))
+                _accumulate(nx, _instance_norm_grad(g * gamma, y, s))
             if not any(p.requires_grad for p in params):
                 return
             r = _shared_rows(sw, sb, p3)
@@ -192,25 +194,25 @@ class SIModule(Module):
             gq[:c] = np.bincount(cols, weights=(g * y).ravel(),
                                  minlength=c * u5).reshape(c, u5)
             gq[c:] = np.bincount(cols, weights=g.ravel(), minlength=c * u5).reshape(c, u5)
-            _accumulate(heads.b, gq.sum(axis=1))
+            _accumulate(nhb, gq.sum(axis=1))
             gw = gq @ r[n5].reshape(u5, 9 * hidden)
             gw = gw.reshape(2 * c, 3, 3, hidden).transpose(0, 3, 1, 2)
-            _accumulate(heads.w, np.ascontiguousarray(gw))  # Adam runs faster on C order
+            _accumulate(nhw, np.ascontiguousarray(gw))  # Adam runs faster on C order
             gcols = (gq.T @ hmat).ravel()  # [U5, 9, hidden]
             gr = np.bincount((n5[:, :, None] * hidden + np.arange(hidden)).ravel(),
                              weights=gcols, minlength=(u3 + 1) * hidden)
             gr = gr.reshape(u3 + 1, hidden)[:u3]
             gr *= r[:u3] > 0.0
-            _accumulate(shared.b, gr.sum(axis=0))
+            _accumulate(nsb, gr.sum(axis=0))
             idx = (np.arange(9) * (N_CLASSES + 1) + p3)[:, :, None] * hidden + np.arange(hidden)
             gw = np.bincount(idx.ravel(), weights=np.repeat(gr, 9, axis=0).ravel(),
                              minlength=9 * (N_CLASSES + 1) * hidden)
             gw = gw.reshape(9, N_CLASSES + 1, hidden)[:, :N_CLASSES].T
-            _accumulate(shared.w, np.ascontiguousarray(gw).reshape(sw.shape))
+            _accumulate(nsw, np.ascontiguousarray(gw).reshape(sw.shape))
 
         y *= q[:c, inv].reshape(field_shape)
         y += q[c:, inv].reshape(field_shape)
-        return _result(y, (x, *params), bw)
+        return _result(y, (nx, *params), bw)
 
 
 class SIResBlock(Module):

@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Every value the synthesis pipeline touches -- activations, losses, graph
-nodes -- lives in the :class:`Tensor` type below.  Operations record
-parent links as they execute; ``backward()`` replays the implicit tape in
-reverse topological order and accumulates gradients additively into every
-leaf that asked for them.  Backward consumes the tape it walks: a walked
-node drops its closure and parent links, so the graph is freed during the
+nodes -- lives in the :class:`Tensor` type below.  A tensor is a value
+and a graph node; the node holds the gradient, the parents' nodes and
+the backward closure, never a value.  Operations record parent links as
+they execute; ``backward()`` replays the implicit tape in reverse
+topological order and accumulates gradients additively into every leaf
+that asked for them.  Backward consumes the tape it walks: a walked node
+drops its closure and parent links, so the graph is freed during the
 walk and only tensors the caller still holds keep their ``.grad``.
 
 Some compositions are fused into single ops with a closed-form
@@ -19,8 +21,11 @@ way, the latter sharing :func:`normalize`'s instance-norm forward and
 backward.
 
 A backward closure keeps only the arrays its formula reads, as
-references taken at forward time, never copies: what it can recompute
-from those in one or two passes (the sign of ``abs``, the clipped
+references taken at forward time, never copies, and its parents' nodes,
+never their tensors: an activation that no closure reads (a conv output
+that only feeds a sum, the input of a reshape or an upsample) is freed
+as soon as the forward drops it.  What a closure can recompute from
+those in one or two passes (the sign of ``abs``, the clipped
 probabilities of the BCE, the instance-norm output from its input and
 kept ``[N, C, 1, 1]`` mean and scale) it recomputes.  :func:`conv2d`
 pads nothing: every im2col tile, forward and backward, is cut from a
@@ -53,10 +58,10 @@ class ShapeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(t, g):
-    """Add gradient ``g`` into ``t.grad`` without mutating either array."""
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+def _accumulate(node, g):
+    """Add gradient ``g`` into ``node.grad`` without mutating either array."""
+    if node.requires_grad:
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def _unbroadcast(g, shape):
@@ -72,34 +77,50 @@ def _unbroadcast(g, shape):
     return g
 
 
-def _result(data, parents, backward):
-    """Build an op result, recording the graph only when a parent needs it."""
+class _Node:
+    """The graph side of one :class:`Tensor`: its gradient, whether it
+    records one, the nodes of its parents and its backward closure, which
+    accumulates into those nodes.  A node holds no value."""
+
+    __slots__ = ("grad", "requires_grad", "parents", "backward")
+
+    def __init__(self, requires_grad=False, parents=(), backward=None):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.parents = parents
+        self.backward = backward
+
+
+def _tensor(data, node):
     out = Tensor.__new__(Tensor)
-    out.data = np.asarray(data, dtype=np.float64)
-    out.grad = None
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    out.data = data
+    out._node = node
     return out
 
 
+def _result(data, parents, backward):
+    """Build an op result over parent nodes, recording the graph only when
+    a parent needs it."""
+    data = np.asarray(data, dtype=np.float64)
+    if any(p.requires_grad for p in parents):
+        return _tensor(data, _Node(True, tuple(parents), backward))
+    return _tensor(data, _Node())
+
+
 def _toposort(root):
-    """Parents-before-children ordering of the ancestors of ``root``."""
+    """Parents-before-children ordering of the nodes of tensor ``root``'s
+    graph."""
+    root = root._node
     order = []
     visited = {id(root)}
-    stack = [(root, iter(root._parents))]
+    stack = [(root, iter(root.parents))]
     while stack:
         node, parents = stack[-1]
         advanced = False
         for p in parents:
             if p.requires_grad and id(p) not in visited:
                 visited.add(id(p))
-                stack.append((p, iter(p._parents)))
+                stack.append((p, iter(p.parents)))
                 advanced = True
                 break
         if not advanced:
@@ -129,28 +150,55 @@ def _promote(x):
 class Tensor:
     """N-dimensional float64 array with optional gradient tracking.
 
+    A tensor is its value, ``.data``, and its graph node; ``.grad`` and
+    ``.requires_grad`` live on the node.  The graph links nodes, so a
+    value that no backward closure reads is freed as soon as the caller
+    drops its tensor.
+
     Constructors reject non-finite values; downstream numerical blowups
     are the caller's responsibility to detect (the trainer checks its
     loss scalars every step).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("Tensor rejects non-finite values (NaN/Inf)")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._node = _Node(bool(requires_grad))
 
     # -- introspection ------------------------------------------------
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def grad(self):
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._node.grad = g
+
+    @property
+    def requires_grad(self):
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        self._node.requires_grad = flag
+
+    @property
+    def _backward(self):
+        # perfbench's conv2d timer reads and replaces this closure.
+        return self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node.backward = fn
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -168,9 +216,9 @@ class Tensor:
         Only scalar roots are accepted.  Backward consumes the graph it
         walks: once a node's closure has run, its closure and parent links
         are dropped, so every node the caller does not hold is freed with
-        its activation, the arrays its closure saved and its ``.grad``.  A
-        held tensor keeps its ``.grad``; a second ``backward()`` on a walked
-        root propagates nothing.  Grads add, they are never reset here.
+        the arrays its closure saved and its ``.grad``.  A held tensor
+        keeps its ``.grad``; a second ``backward()`` on a walked root
+        propagates nothing.  Grads add, they are never reset here.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar root, got shape {self.data.shape}")
@@ -180,74 +228,86 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-            node._backward = None
-            node._parents = ()
+            if node.backward is not None and node.grad is not None:
+                node.backward(node.grad)
+            node.backward = None
+            node.parents = ()
 
     def detach(self):
         """A view of the same values severed from the recorded graph."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._backward = None
-        return out
+        return _tensor(self.data, _Node())
 
     # -- arithmetic -----------------------------------------------------
+    #
+    # Each closure keeps its parents' nodes and shapes, and a parent's
+    # value only where the other parent's gradient reads it; a parent
+    # that records no gradient when the op runs gets none computed.
 
     def __add__(self, other):
         a, b = self, _promote(other)
+        na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
 
         def bw(g):
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            if na.requires_grad:
+                _accumulate(na, _unbroadcast(g, sa))
+            if nb.requires_grad:
+                _accumulate(nb, _unbroadcast(g, sb))
 
-        return _result(a.data + b.data, (a, b), bw)
+        return _result(a.data + b.data, (na, nb), bw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
+        na = self._node
 
         def bw(g):
-            _accumulate(a, -g)
+            _accumulate(na, -g)
 
-        return _result(-a.data, (a,), bw)
+        return _result(-self.data, (na,), bw)
 
     def __sub__(self, other):
         a, b = self, _promote(other)
+        na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
 
         def bw(g):
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, -_unbroadcast(g, b.data.shape))
+            if na.requires_grad:
+                _accumulate(na, _unbroadcast(g, sa))
+            if nb.requires_grad:
+                _accumulate(nb, -_unbroadcast(g, sb))
 
-        return _result(a.data - b.data, (a, b), bw)
+        return _result(a.data - b.data, (na, nb), bw)
 
     def __rsub__(self, other):
         return _promote(other) - self
 
     def __mul__(self, other):
         a, b = self, _promote(other)
+        na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
+        ad = a.data if nb.requires_grad else None
+        bd = b.data if na.requires_grad else None
 
         def bw(g):
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+            if bd is not None:
+                _accumulate(na, _unbroadcast(g * bd, sa))
+            if ad is not None:
+                _accumulate(nb, _unbroadcast(g * ad, sb))
 
-        return _result(a.data * b.data, (a, b), bw)
+        return _result(a.data * b.data, (na, nb), bw)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a, b = self, _promote(other)
+        na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
+        ad, bd = a.data if nb.requires_grad else None, b.data
 
         def bw(g):
-            _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+            if na.requires_grad:
+                _accumulate(na, _unbroadcast(g / bd, sa))
+            if ad is not None:
+                _accumulate(nb, _unbroadcast(-g * ad / (bd * bd), sb))
 
-        return _result(a.data / b.data, (a, b), bw)
+        return _result(a.data / bd, (na, nb), bw)
 
     def __rtruediv__(self, other):
         return _promote(other) / self
@@ -255,69 +315,68 @@ class Tensor:
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        a, e = self, float(exponent)
+        na, ad, e = self._node, self.data, float(exponent)
 
         def bw(g):
-            _accumulate(a, g * e * a.data ** (e - 1.0))
+            _accumulate(na, g * e * ad ** (e - 1.0))
 
-        return _result(a.data ** e, (a,), bw)
+        return _result(ad ** e, (na,), bw)
 
     def abs(self):
-        a, ad = self, self.data
+        na, ad = self._node, self.data
 
         def bw(g):
-            _accumulate(a, g * np.sign(ad))
+            _accumulate(na, g * np.sign(ad))
 
-        return _result(np.abs(ad), (a,), bw)
+        return _result(np.abs(ad), (na,), bw)
 
     # -- shape ops --------------------------------------------------------
 
     def reshape(self, shape):
-        a = self
-        orig = a.data.shape
+        na, orig = self._node, self.data.shape
 
         def bw(g):
-            _accumulate(a, g.reshape(orig))
+            _accumulate(na, g.reshape(orig))
 
-        return _result(a.data.reshape(shape), (a,), bw)
+        return _result(self.data.reshape(shape), (na,), bw)
 
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        a = self
-        axes = _normalize_axes(axis, a.data.ndim)
-        out = a.data.sum(axis=axes, keepdims=keepdims)
+        na, shape = self._node, self.data.shape
+        axes = _normalize_axes(axis, len(shape))
+        out = self.data.sum(axis=axes, keepdims=keepdims)
 
         def bw(g):
             gg = np.asarray(g)
             if axes is not None and not keepdims:
                 for ax in axes:
                     gg = np.expand_dims(gg, ax)
-            _accumulate(a, np.broadcast_to(gg, a.data.shape))
+            _accumulate(na, np.broadcast_to(gg, shape))
 
-        return _result(out, (a,), bw)
+        return _result(out, (na,), bw)
 
     def mean(self, axis=None, keepdims=False):
-        a = self
-        axes = _normalize_axes(axis, a.data.ndim)
+        na, shape = self._node, self.data.shape
+        axes = _normalize_axes(axis, len(shape))
         if axes is None:
-            n = a.data.size
+            n = self.data.size
         else:
             n = 1
             for ax in axes:
-                n *= a.data.shape[ax]
+                n *= shape[ax]
         if n == 0:
             raise ShapeError("mean over an empty extent")
-        out = a.data.mean(axis=axes, keepdims=keepdims)
+        out = self.data.mean(axis=axes, keepdims=keepdims)
 
         def bw(g):
             gg = np.asarray(g)
             if axes is not None and not keepdims:
                 for ax in axes:
                     gg = np.expand_dims(gg, ax)
-            _accumulate(a, np.broadcast_to(gg, a.data.shape) / n)
+            _accumulate(na, np.broadcast_to(gg, shape) / n)
 
-        return _result(out, (a,), bw)
+        return _result(out, (na,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +403,17 @@ def activate(t, slope):
     """
     if not slope >= 0.0:
         raise ValueError(f"activate needs slope >= 0, got {slope}")
-    if t.requires_grad and t._backward is None:
+    node = t._node
+    if node.requires_grad and node.backward is None:
         raise ValueError("activate cannot overwrite a leaf that records a gradient")
     d = t.data
     d *= _activation_mask(d, slope)
-    producer = t._backward
+    producer = node.backward
     if producer is not None:
         def bw(g):
             producer(g * _activation_mask(d, slope))
 
-        t._backward = bw
+        node.backward = bw
     return t
 
 
@@ -367,12 +427,12 @@ def _sigmoid_stable(d):
 
 
 def tanh(x):
-    t = np.tanh(x.data)
+    nx, t = x._node, np.tanh(x.data)
 
     def bw(g):
-        _accumulate(x, g * (1.0 - t * t))
+        _accumulate(nx, g * (1.0 - t * t))
 
-    return _result(t, (x,), bw)
+    return _result(t, (nx,), bw)
 
 
 def softplus(x):
@@ -380,11 +440,12 @@ def softplus(x):
     d = x.data
     s = _sigmoid_stable(d)
     out = np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d)))
+    nx = x._node
 
     def bw(g):
-        _accumulate(x, g * s)
+        _accumulate(nx, g * s)
 
-    return _result(out, (x,), bw)
+    return _result(out, (nx,), bw)
 
 
 def softmax(x, axis):
@@ -392,11 +453,12 @@ def softmax(x, axis):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
+    nx = x._node
 
     def bw(g):
-        _accumulate(x, s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        _accumulate(nx, s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
-    return _result(s, (x,), bw)
+    return _result(s, (nx,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +483,13 @@ def concat(tensors, axis=0):
                 )
     data = np.concatenate([t.data for t in ts], axis=ax)
     offsets = np.cumsum([t.data.shape[ax] for t in ts])[:-1]
+    nodes = tuple(t._node for t in ts)
 
     def bw(g):
-        for t, piece in zip(ts, np.split(g, offsets, axis=ax)):
-            _accumulate(t, piece)
+        for node, piece in zip(nodes, np.split(g, offsets, axis=ax)):
+            _accumulate(node, piece)
 
-    return _result(data, tuple(ts), bw)
+    return _result(data, nodes, bw)
 
 
 # Byte budget of one tile of im2col columns, ``[C*kh*kw, rows*Wo]``, and
@@ -649,26 +712,27 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0):
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1)
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    kx = x.data if kernel.requires_grad else None
+    nx, nk = x._node, kernel._node
+    nb = None if bias is None else bias._node
+    kx = x.data if nk.requires_grad else None
     # The output-gradient tiles have Cout*kh*kw rows, the input's Cin*kh*kw;
     # reuse the former, built anyway for the input gradient, unless larger.
     from_g = stride == 1 and cout <= cin
 
     def bw(g):
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        if nb is not None and nb.requires_grad:
+            _accumulate(nb, g.sum(axis=(0, 2, 3)))
         gk = None
-        if x.requires_grad:
+        if nx.requires_grad:
             gx, gk = _conv_input_grad(g, kdata, stride, padding, h, w,
                                       kx if from_g else None)
-            _accumulate(x, gx)
+            _accumulate(nx, gx)
         if kx is not None:
             if gk is None:
                 gk = _conv_kernel_grad(g, kx, kdata.shape, stride, padding)
-            _accumulate(kernel, gk)
+            _accumulate(nk, gk)
 
-    return _result(out, parents, bw)
+    return _result(out, (nx, nk) if nb is None else (nx, nk, nb), bw)
 
 
 def upsample_nearest(x, factor):
@@ -679,11 +743,12 @@ def upsample_nearest(x, factor):
         raise ShapeError(f"factor must be a positive int, got {factor!r}")
     n, c, h, w = x.data.shape
     out = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
+    nx = x._node
 
     def bw(g):
-        _accumulate(x, g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
+        _accumulate(nx, g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
 
-    return _result(out, (x,), bw)
+    return _result(out, (nx,), bw)
 
 
 def avg_pool2d(x, factor):
@@ -696,12 +761,13 @@ def avg_pool2d(x, factor):
     if h % factor or w % factor:
         raise ShapeError(f"spatial size {h}x{w} not divisible by pool factor {factor}")
     out = x.data.reshape(n, c, h // factor, factor, w // factor, factor).mean(axis=(3, 5))
+    nx = x._node
 
     def bw(g):
         gg = np.repeat(np.repeat(g, factor, axis=2), factor, axis=3)
-        _accumulate(x, gg / (factor * factor))
+        _accumulate(nx, gg / (factor * factor))
 
-    return _result(out, (x,), bw)
+    return _result(out, (nx,), bw)
 
 
 def _instance_norm(x):
@@ -746,13 +812,13 @@ def normalize(x):
     input, so it never reads the output, which :func:`activate` may
     overwrite.
     """
-    xd = x.data
+    nx, xd = x._node, x.data
     y, m, s = _instance_norm(xd)
 
     def bw(g):
-        _accumulate(x, _instance_norm_grad(g, _instance_norm_output(xd, m, s), s))
+        _accumulate(nx, _instance_norm_grad(g, _instance_norm_output(xd, m, s), s))
 
-    return _result(y, (x,), bw)
+    return _result(y, (nx,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +859,9 @@ def adam_step(opt, lr):
     of ``m1 = beta1*m1 + (1-beta1)*g``, ``m2 = beta2*m2 + (1-beta2)*(g*g)``
     and ``data - lr*mhat / (sqrt(vhat) + 1e-8)``, so the bytes match that
     formula.  ``p.data`` is rebound, never written: a graph recorded
-    before the step may still read it.
+    before the step may still read it.  Each ``p.grad`` is released
+    (set to None) once it has been applied, so the next step starts from
+    no gradient and a step holds no gradient past its own update.
 
     A parameter with no accumulated gradient is rejected before anything
     moves: that always means a bookkeeping bug, never a legitimate no-op.
@@ -819,6 +887,7 @@ def adam_step(opt, lr):
         mhat *= lr
         mhat /= vhat
         p.data = p.data - mhat
+        p.grad = None
 
 
 def lr_at_epoch(base_lr, epoch, total_epochs):

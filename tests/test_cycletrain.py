@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -552,6 +553,40 @@ def test_generator_phase_graph_size(tmp_path):
     fake, disc, target, weights = desk_generator_phase(tmp_path)
     total = objective(fake, disc, target, weights)["l_total"]
     assert len(_toposort(total)) == 163
+
+
+def captured_tensors(fn):
+    """The tensors a backward closure reaches: through its cells, and the
+    cells of closures, containers and objects it captures."""
+    found, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif hasattr(obj, "__dict__") and not isinstance(obj, (type, types.ModuleType)):
+            stack.extend(vars(obj).values())
+    return found
+
+
+def test_generator_phase_closures_capture_no_tensor(tmp_path):
+    """No backward closure of a desk G-phase graph (generator forward plus
+    ``objective``) captures a tensor: each keeps its parents' nodes and
+    the arrays its formula reads, so a value no closure reads is freed
+    when the forward drops it."""
+    fake, disc, target, weights = desk_generator_phase(tmp_path)
+    nodes = _toposort(objective(fake, disc, target, weights)["l_total"])
+    closures = [node.backward for node in nodes if node.backward is not None]
+    assert len(closures) > 80
+    assert [captured_tensors(fn) for fn in closures] == [[]] * len(closures)
 
 
 def test_objective_leaves_no_scorer_activation(tmp_path):

@@ -399,9 +399,9 @@ def composed_bce(target_probs, probs):
 
     def bw(g):
         d = (1.0 - p) / rc * (rc == 1.0 - q) - p / qc * (qc == q)
-        _accumulate(probs, d * (g / q.size))
+        _accumulate(probs._node, d * (g / q.size))
 
-    return _result(loss, (probs,), bw)
+    return _result(loss, (probs._node,), bw)
 
 
 def saturated_logits(rng, size):
@@ -723,7 +723,7 @@ class TestSettledObjective:
         fake = gen.forward(*target.views[:3])
         terms = objective(fake, d, target, LossWeights())
         for key in ("l_gan_g", "l_perc", "l_bce", "l_ict"):
-            assert terms[key]._parents == (fake,), key
+            assert terms[key]._node.parents == (fake._node,), key
 
     def test_zero_weight_runs_no_backward(self):
         """A zero parsing weight scores the parser for the logged value
@@ -734,7 +734,7 @@ class TestSettledObjective:
         terms, gfake, grads = self.stepped(objective, gen, d, target, weights)
         ref, rfake, rgrads = self.stepped(unsettled_objective, gen, d, target, weights,
                                           parsing=False)
-        assert terms["l_bce"]._parents == () and not terms["l_bce"].requires_grad
+        assert terms["l_bce"]._node.parents == () and not terms["l_bce"].requires_grad
         assert terms["l_bce"].item() == ref["l_bce"].item() > 0.0
         assert np.array_equal(gfake, rfake)
         assert all(np.array_equal(a, b) for a, b in zip(grads, rgrads))

@@ -152,7 +152,8 @@ class TestSIModule:
         si = SIModule(2, np.random.default_rng(10), hidden=3)
         x = Tensor(np.random.default_rng(11).random((1, 2, 4, 4)), requires_grad=True)
         out = si.forward(x, SemanticLayout(rand_layout(4, seed=5)))
-        assert out._parents == (x, si.shared.w, si.shared.b, si.heads.w, si.heads.b)
+        assert out._node.parents == tuple(
+            t._node for t in (x, si.shared.w, si.shared.b, si.heads.w, si.heads.b))
         assert len(numerics._toposort(out)) == 6
 
     def test_param_names_and_order_unchanged(self):
@@ -242,7 +243,7 @@ class TestLayoutHeads:
         layout = SemanticLayout(rand_layout(4))
         x0 = np.random.default_rng(6).normal(size=(1, 2, 4, 4))
         out = si.forward(Tensor(x0), layout)
-        assert not out.requires_grad and out._parents == () and out._backward is None
+        assert not out.requires_grad and out._node.parents == () and out._node.backward is None
         x = Tensor(x0, requires_grad=True)
         (si.forward(x, layout) * 1.0).sum().backward()
         assert x.grad is not None and all(p.grad is None for p in si.params())

@@ -1,6 +1,7 @@
 """Autodiff engine tests: value oracles, gradient checks, persistence."""
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -142,8 +143,8 @@ class TestBackwardConsumesGraph:
         root = (mid * mid).sum()
         root.backward()
         for node in (root, mid):
-            assert node._parents == ()
-            assert node._backward is None
+            assert node._node.parents == ()
+            assert node._node.backward is None
         assert np.array_equal(root.grad, 1.0)
         assert np.array_equal(mid.grad, 2.0 * mid.data)
         assert np.array_equal(t.grad, 18.0 * t.data)
@@ -165,6 +166,56 @@ class TestBackwardConsumesGraph:
         assert built > 4 * 2**20
         kept = x.grad.nbytes + k.grad.nbytes + root.data.nbytes + root.grad.nbytes
         assert held <= kept + slack, f"{held} bytes held, {kept} in grads"
+
+
+def _conv3x3(x, k):
+    return conv2d(x, k, None, 1, 1)
+
+
+# (producer, consumer) pairs: the consumer's backward reads no value of
+# the producer's fresh output, so the graph keeps only that output's node.
+UNREAD_OUTPUTS = {
+    "conv-into-residual-sum": (_conv3x3, lambda h, x: h + x),
+    "sum-into-constant-product": (lambda x, k: x + 1.0, lambda h, x: h * 0.5),
+    "conv-into-tanh": (_conv3x3, lambda h, x: tanh(h)),
+    "conv-into-upsample": (_conv3x3, lambda h, x: upsample_nearest(h, 2)),
+}
+
+
+class TestGraphHoldsNodesNotValues:
+    """The graph links nodes: a value lives only as long as the caller or
+    a backward closure that reads it holds it."""
+
+    @staticmethod
+    def leaves(x_grad=True):
+        rng = np.random.default_rng(4)
+        return (Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=x_grad),
+                Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True))
+
+    @pytest.mark.parametrize("case", list(UNREAD_OUTPUTS))
+    def test_value_no_closure_reads_is_freed(self, case):
+        produce, consume = UNREAD_OUTPUTS[case]
+        x, k = self.leaves()
+        h = produce(x, k)
+        value = weakref.ref(h.data)
+        out = consume(h, x)
+        del h
+        assert value() is None
+        (out * out).sum().backward()
+        assert x.grad is not None
+
+    def test_values_closures_read_live_until_backward(self):
+        """A conv with a trainable kernel keeps its input for the kernel
+        gradient, and :func:`activate` keeps its output for the mask."""
+        x, k = self.leaves(x_grad=False)
+        a = activate(_conv3x3(x, k), 0.0)
+        values = [weakref.ref(x.data), weakref.ref(a.data)]
+        root = a.sum()
+        del x, a
+        assert all(v() is not None for v in values)
+        root.backward()
+        assert all(v() is None for v in values)
+        assert k.grad is not None
 
 
 class TestElementwiseValues:
@@ -502,7 +553,7 @@ class TestConv2d:
         try:
             before = tracemalloc.get_traced_memory()[0]
             if backward:
-                out._backward(g)
+                out._node.backward(g)
                 kept = x.grad.nbytes + kernel.grad.nbytes
             else:
                 kept = conv2d(x, kernel, None, stride, 1).data.nbytes
@@ -601,7 +652,7 @@ class TestTiledConv2d(TestConv2d):
         assert np.allclose(out.data, conv2d_reference(x.data, k.data, b, stride, 1),
                            atol=1e-12)
         g = rng.normal(size=out.data.shape)
-        out._backward(g)
+        out._node.backward(g)
         ref = conv2d_kernel_grad_reference(x.data, kshape, g, stride, 1)
         assert np.allclose(k.grad, ref, atol=1e-12)
         if x_grad:
@@ -692,9 +743,9 @@ def relu_reference(x):
     xd = x.data
 
     def bw(g):
-        _accumulate(x, g * (xd > 0.0))
+        _accumulate(x._node, g * (xd > 0.0))
 
-    return _result(xd * (xd > 0.0), (x,), bw)
+    return _result(xd * (xd > 0.0), (x._node,), bw)
 
 
 def leaky_relu_reference(x, slope):
@@ -702,9 +753,9 @@ def leaky_relu_reference(x, slope):
     xd = x.data
 
     def bw(g):
-        _accumulate(x, g * np.where(xd > 0.0, 1.0, slope))
+        _accumulate(x._node, g * np.where(xd > 0.0, 1.0, slope))
 
-    return _result(xd * np.where(xd > 0.0, 1.0, slope), (x,), bw)
+    return _result(xd * np.where(xd > 0.0, 1.0, slope), (x._node,), bw)
 
 
 def unfused(t, slope):
@@ -767,8 +818,8 @@ class TestActivate:
     def test_records_no_node(self):
         x = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
         out = conv2d(x, Tensor(np.ones((1, 1, 1, 1))))
-        parents = out._parents
-        assert activate(out, 0.2) is out and out._parents == parents
+        parents = out._node.parents
+        assert activate(out, 0.2) is out and out._node.parents == parents
 
     def test_negative_slope_rejected(self):
         out = conv2d(Tensor(np.ones((1, 1, 3, 3)), requires_grad=True),
@@ -897,6 +948,20 @@ class TestAdam:
         p.grad = np.ones(2)
         adam_step(Adam([p]), lr=0.1)
         assert np.array_equal(old, np.ones(2))
+
+    def test_step_releases_every_gradient(self):
+        """A step leaves no gradient behind, so a second step with no
+        backward in between is the missing-gradient error."""
+        rng = np.random.default_rng(3)
+        params = [Parameter(rng.normal(size=s)) for s in [(3, 5), (4,)]]
+        opt = Adam(params)
+        (params[0].sum() + params[1].sum()).backward()
+        adam_step(opt, lr=0.1)
+        assert all(p.grad is None for p in params)
+        data = [p.data for p in params]
+        with pytest.raises(ValueError, match="no gradient"):
+            adam_step(opt, lr=0.1)
+        assert opt.step == 1 and all(p.data is d for p, d in zip(params, data))
 
     def test_parameter_holds_no_optimizer_state(self):
         p = Parameter(np.ones(2))
