@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import N_CLASSES
-from .numerics import Tensor, _accumulate, _result
+from .numerics import Tensor, _op
 
 COSINE_EPS = 1e-12
 # Additive guard inside square roots: keeps gradients finite at exactly-zero
@@ -51,8 +51,8 @@ def compute_nodes(f, layout, variance="literal"):
 
     The layout is a partition, so per-class sums are one ``np.bincount``
     per channel over the class map, and the stacked statistics are one
-    graph node over ``f`` with a closed-form backward.  Its closure keeps
-    nothing pixel-sized: the backward recomputes the deviations from
+    graph node over ``f`` with one closed-form gradient function.  It
+    keeps nothing pixel-sized: it recomputes the deviations from
     ``f.data``.
     """
     if f.data.ndim != 3:
@@ -78,7 +78,7 @@ def compute_nodes(f, layout, variance="literal"):
         return np.take(v.T, classes, axis=1)
 
     # An absent class has no pixels, so its sums and nodes are exact zeros.
-    nf, fd = f._node, f.data
+    fd = f.data
     mu = class_means(fd.reshape(cf, h * w))
 
     def deviations():  # f - mu[classes], [Cf, HW]
@@ -96,7 +96,7 @@ def compute_nodes(f, layout, variance="literal"):
     else:
         outside = None
 
-    def bw(g):  # g[0] reaches f through mu, g[1] through nu
+    def grad(g):  # g[0] reaches f through mu, g[1] through nu
         a = 2.0 * g[1] / denom
         gf = deviations()
         gf *= per_pixel(a)
@@ -104,9 +104,9 @@ def compute_nodes(f, layout, variance="literal"):
         if outside is not None:
             through_mu += a * outside * mu
         gf += per_pixel(through_mu)
-        _accumulate(nf, gf.reshape(fd.shape))
+        return gf.reshape(fd.shape)
 
-    return GraphNodes(stats=_result(np.stack([mu, nu]), (nf,), bw),
+    return GraphNodes(stats=_op(np.stack([mu, nu]), (f,), (grad,)),
                       fbar=f.mean(axis=(1, 2)), present=present)
 
 

@@ -23,8 +23,7 @@ from .layout import N_CLASSES
 from .numerics import (
     ShapeError,
     Tensor,
-    _accumulate,
-    _result,
+    _op,
     activate,
     avg_pool2d,
     conv2d,
@@ -184,7 +183,8 @@ def _clipped(q):
 
 def softmax_bce(target_probs, logits):
     """Elementwise-mean BCE of ``softmax(logits, axis=1)`` against
-    (constant) target probs, as one graph node from the logits.
+    (constant) target probs, as one graph node whose only parent is the
+    logits, with one closed-form gradient function.
 
     Probabilities are clamped away from {0, 1} before the logs, so exact
     one-hot probabilities evaluate to exactly zero loss against
@@ -194,8 +194,8 @@ def softmax_bce(target_probs, logits):
     BCE's, in their order, so the loss and gradient are bit for bit
     those of the two ops composed; the log terms and their gradient run
     one class plane of axis 1 at a time.  Between forward and backward
-    the closure keeps only the probabilities.  No gradient reaches the
-    target.
+    the gradient function keeps only the probabilities.  No gradient
+    reaches the target.
     """
     if target_probs.data.shape != logits.data.shape:
         raise ShapeError(
@@ -216,9 +216,8 @@ def softmax_bce(target_probs, logits):
         np.add(qc, rc, out=terms[:, c])
     np.negative(terms, out=terms)
     loss = terms.mean()
-    nx = logits._node
 
-    def bw(g):
+    def grad(g):
         scale = g / q.size
         gq = np.empty_like(q)
         for c in range(q.shape[1]):
@@ -236,9 +235,9 @@ def softmax_bce(target_probs, logits):
             dot += gq[:, c] * q[:, c]
         gq -= dot[:, None]
         gq *= q
-        _accumulate(nx, gq)
+        return gq
 
-    return _result(loss, (nx,), bw)
+    return _op(loss, (logits,), (grad,))
 
 
 @dataclass(frozen=True)
@@ -291,8 +290,8 @@ def _settled(fake, weight, score):
     The scorer runs on a detached copy of ``fake`` that records
     gradients, ``weight * term`` is backpropagated at once, freeing the
     scorer's graph, and only the copy's gradient ``kept`` is held.  The
-    term comes back as one node over ``fake`` whose backward adds ``(g /
-    weight) * kept``: ``kept`` itself under ``l_total``, where ``g ==
+    term comes back as one node over ``fake`` whose gradient function is
+    ``(g / weight) * kept``: ``kept`` itself under ``l_total``, where ``g ==
     weight``, and the term's own gradient when backpropagated alone.  A
     zero weight scores the detached fake for its value only.
     """
@@ -305,12 +304,7 @@ def _settled(fake, weight, score):
     kept = leaf.grad
     if kept.base is not None and kept.base.size > kept.size:
         kept = kept.copy()  # a view would keep the scorer's input gradient alive
-    nf = fake._node
-
-    def bw(g):
-        _accumulate(nf, (g / weight) * kept)
-
-    return _result(term.data, (nf,), bw)
+    return _op(term.data, (fake,), (lambda g: (g / weight) * kept,))
 
 
 def objective(fake, d, target, weights):

@@ -318,14 +318,16 @@ class Generator(Module):
         z = concat([x.reshape((1,) + x.data.shape), sal], axis=1)
         for conv in self.enc:
             z = conv.forward(z)
-        taps = {"enc_bottleneck": z}
+        wanted = set(want_taps or ())
+        taps = {"enc_bottleneck": z} if "enc_bottleneck" in wanted else {}
 
         for j, block in enumerate(self.blocks, start=1):
-            if want_taps is not None and taps.keys() >= set(want_taps):
+            if want_taps is not None and taps.keys() >= wanted:
                 break
             z = upsample_nearest(z, 2)
             z = block.forward(z, layout.downsampled(h // z.data.shape[2]))
-            taps[f"dec_block{j}"] = z
+            if f"dec_block{j}" in wanted:
+                taps[f"dec_block{j}"] = z
         if want_taps is not None:
             return {name: taps[name] for name in want_taps}
 

@@ -10,6 +10,14 @@ that asked for them.  Backward consumes the tape it walks: a walked node
 drops its closure and parent links, so the graph is freed during the
 walk and only tensors the caller still holds keep their ``.grad``.
 
+One rule builds an op: :func:`_op` takes its value and one gradient
+function per parent, which maps the output gradient to that parent's,
+and runs a parent's function only for a parent that records a gradient,
+summing the result down to the parent's shape.  Only ops whose parents
+share one computation or one split -- :func:`conv2d`, :func:`concat`
+and ``sgs.network.SIModule.forward`` -- write their backward closure
+over :func:`_result` themselves.
+
 Some compositions are fused into single ops with a closed-form
 backward, so each records one node and saves one set of arrays:
 subtraction (``a - b`` and ``2.0 - a``) and :func:`normalize` (instance
@@ -20,17 +28,17 @@ the gamma/beta convs over the layout) are single nodes built the same
 way, the latter sharing :func:`normalize`'s instance-norm forward and
 backward.
 
-A backward closure keeps only the arrays its formula reads, as
-references taken at forward time, never copies, and its parents' nodes,
-never their tensors: an activation that no closure reads (a conv output
-that only feeds a sum, the input of a reshape or an upsample) is freed
-as soon as the forward drops it.  What a closure can recompute from
-those in one or two passes (the sign of ``abs``, the clipped
-probabilities of the BCE, the instance-norm output from its input and
-kept ``[N, C, 1, 1]`` mean and scale) it recomputes.  :func:`conv2d`
-pads nothing: every im2col tile, forward and backward, is cut from a
-bounded band of input rows staged with its zero border; see its
-docstring for which tiles feed its kernel gradient.
+A gradient function keeps only the arrays its formula reads, as
+references taken at forward time, never copies, and a backward closure
+keeps its parents' nodes, never their tensors: an activation that no
+closure reads (a conv output that only feeds a sum, the input of a
+reshape or an upsample) is freed as soon as the forward drops it.
+What a closure can recompute from those in one or two passes (the sign
+of ``abs``, the clipped probabilities of the BCE, the instance-norm
+output from its input and kept ``[N, C, 1, 1]`` mean and scale) it
+recomputes.  :func:`conv2d` pads nothing: every im2col tile, forward
+and backward, is cut from a bounded band of input rows staged with its
+zero border; see its docstring for which tiles feed its kernel gradient.
 
 Desk scale keeps the design deliberately small: 64-bit floats, a single
 thread, no in-place mutation of anything that participates in a recorded
@@ -43,6 +51,7 @@ kept for backward.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 
@@ -105,6 +114,27 @@ def _result(data, parents, backward):
     if any(p.requires_grad for p in parents):
         return _tensor(data, _Node(True, tuple(parents), backward))
     return _tensor(data, _Node())
+
+
+def _op(data, parents, grads):
+    """Build an op result over the tensors ``parents``: one gradient
+    function per parent, ``grads[i]`` mapping the output gradient to
+    parent ``i``'s before it is summed down to that parent's shape.
+
+    ``grads[i]`` (None for a parent that gets no gradient) is kept only
+    for a parent that records a gradient when the op runs, and run in
+    backward only if it still does; the arrays a dropped function reads
+    are freed with it."""
+    nodes = tuple(p._node for p in parents)
+    kept = tuple((node, p.data.shape, fn) for node, p, fn in zip(nodes, parents, grads)
+                 if fn is not None and node.requires_grad)
+
+    def bw(g):
+        for node, shape, fn in kept:
+            if node.requires_grad:
+                _accumulate(node, _unbroadcast(fn(g), shape))
+
+    return _result(data, nodes, bw)
 
 
 def _toposort(root):
@@ -238,76 +268,35 @@ class Tensor:
         return _tensor(self.data, _Node())
 
     # -- arithmetic -----------------------------------------------------
-    #
-    # Each closure keeps its parents' nodes and shapes, and a parent's
-    # value only where the other parent's gradient reads it; a parent
-    # that records no gradient when the op runs gets none computed.
 
     def __add__(self, other):
-        a, b = self, _promote(other)
-        na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
-
-        def bw(g):
-            if na.requires_grad:
-                _accumulate(na, _unbroadcast(g, sa))
-            if nb.requires_grad:
-                _accumulate(nb, _unbroadcast(g, sb))
-
-        return _result(a.data + b.data, (na, nb), bw)
+        other = _promote(other)
+        return _op(self.data + other.data, (self, other), (lambda g: g, lambda g: g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        na = self._node
-
-        def bw(g):
-            _accumulate(na, -g)
-
-        return _result(-self.data, (na,), bw)
+        return _op(-self.data, (self,), (lambda g: -g,))
 
     def __sub__(self, other):
-        a, b = self, _promote(other)
-        na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
-
-        def bw(g):
-            if na.requires_grad:
-                _accumulate(na, _unbroadcast(g, sa))
-            if nb.requires_grad:
-                _accumulate(nb, -_unbroadcast(g, sb))
-
-        return _result(a.data - b.data, (na, nb), bw)
+        other = _promote(other)
+        return _op(self.data - other.data, (self, other), (lambda g: g, lambda g: -g))
 
     def __rsub__(self, other):
         return _promote(other) - self
 
     def __mul__(self, other):
-        a, b = self, _promote(other)
-        na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
-        ad = a.data if nb.requires_grad else None
-        bd = b.data if na.requires_grad else None
-
-        def bw(g):
-            if bd is not None:
-                _accumulate(na, _unbroadcast(g * bd, sa))
-            if ad is not None:
-                _accumulate(nb, _unbroadcast(g * ad, sb))
-
-        return _result(a.data * b.data, (na, nb), bw)
+        other = _promote(other)
+        ad, bd = self.data, other.data
+        return _op(ad * bd, (self, other), (lambda g: g * bd, lambda g: g * ad))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self, _promote(other)
-        na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
-        ad, bd = a.data if nb.requires_grad else None, b.data
-
-        def bw(g):
-            if na.requires_grad:
-                _accumulate(na, _unbroadcast(g / bd, sa))
-            if ad is not None:
-                _accumulate(nb, _unbroadcast(-g * ad / (bd * bd), sb))
-
-        return _result(a.data / bd, (na, nb), bw)
+        other = _promote(other)
+        ad, bd = self.data, other.data
+        return _op(ad / bd, (self, other),
+                   (lambda g: g / bd, lambda g: -g * ad / (bd * bd)))
 
     def __rtruediv__(self, other):
         return _promote(other) / self
@@ -315,68 +304,46 @@ class Tensor:
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        na, ad, e = self._node, self.data, float(exponent)
-
-        def bw(g):
-            _accumulate(na, g * e * ad ** (e - 1.0))
-
-        return _result(ad ** e, (na,), bw)
+        ad, e = self.data, float(exponent)
+        return _op(ad ** e, (self,), (lambda g: g * e * ad ** (e - 1.0),))
 
     def abs(self):
-        na, ad = self._node, self.data
-
-        def bw(g):
-            _accumulate(na, g * np.sign(ad))
-
-        return _result(np.abs(ad), (na,), bw)
+        ad = self.data
+        return _op(np.abs(ad), (self,), (lambda g: g * np.sign(ad),))
 
     # -- shape ops --------------------------------------------------------
 
     def reshape(self, shape):
-        na, orig = self._node, self.data.shape
-
-        def bw(g):
-            _accumulate(na, g.reshape(orig))
-
-        return _result(self.data.reshape(shape), (na,), bw)
+        orig = self.data.shape
+        return _op(self.data.reshape(shape), (self,), (lambda g: g.reshape(orig),))
 
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        na, shape = self._node, self.data.shape
-        axes = _normalize_axes(axis, len(shape))
-        out = self.data.sum(axis=axes, keepdims=keepdims)
-
-        def bw(g):
-            gg = np.asarray(g)
-            if axes is not None and not keepdims:
-                for ax in axes:
-                    gg = np.expand_dims(gg, ax)
-            _accumulate(na, np.broadcast_to(gg, shape))
-
-        return _result(out, (na,), bw)
+        return self._reduce(axis, keepdims, mean=False)
 
     def mean(self, axis=None, keepdims=False):
-        na, shape = self._node, self.data.shape
+        return self._reduce(axis, keepdims, mean=True)
+
+    def _reduce(self, axis, keepdims, mean):
+        """The sum, or with ``mean`` the mean, over ``axis``; the gradient
+        broadcasts back over the reduced axes, divided by their extent for
+        a mean."""
+        shape = self.data.shape
         axes = _normalize_axes(axis, len(shape))
-        if axes is None:
-            n = self.data.size
-        else:
-            n = 1
-            for ax in axes:
-                n *= shape[ax]
-        if n == 0:
+        n = self.data.size if axes is None else math.prod(shape[ax] for ax in axes)
+        if mean and n == 0:
             raise ShapeError("mean over an empty extent")
-        out = self.data.mean(axis=axes, keepdims=keepdims)
+        out = (self.data.mean if mean else self.data.sum)(axis=axes, keepdims=keepdims)
 
-        def bw(g):
-            gg = np.asarray(g)
+        def grad(g):
+            g = np.asarray(g)
             if axes is not None and not keepdims:
-                for ax in axes:
-                    gg = np.expand_dims(gg, ax)
-            _accumulate(na, np.broadcast_to(gg, shape) / n)
+                g = np.expand_dims(g, axes)
+            g = np.broadcast_to(g, shape)
+            return g / n if mean else g
 
-        return _result(out, (na,), bw)
+        return _op(out, (self,), (grad,))
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +394,8 @@ def _sigmoid_stable(d):
 
 
 def tanh(x):
-    nx, t = x._node, np.tanh(x.data)
-
-    def bw(g):
-        _accumulate(nx, g * (1.0 - t * t))
-
-    return _result(t, (nx,), bw)
+    t = np.tanh(x.data)
+    return _op(t, (x,), (lambda g: g * (1.0 - t * t),))
 
 
 def softplus(x):
@@ -440,12 +403,7 @@ def softplus(x):
     d = x.data
     s = _sigmoid_stable(d)
     out = np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d)))
-    nx = x._node
-
-    def bw(g):
-        _accumulate(nx, g * s)
-
-    return _result(out, (nx,), bw)
+    return _op(out, (x,), (lambda g: g * s,))
 
 
 def softmax(x, axis):
@@ -453,12 +411,7 @@ def softmax(x, axis):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    nx = x._node
-
-    def bw(g):
-        _accumulate(nx, s * (g - (g * s).sum(axis=axis, keepdims=True)))
-
-    return _result(s, (nx,), bw)
+    return _op(s, (x,), (lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True)),))
 
 
 # ---------------------------------------------------------------------------
@@ -743,12 +696,7 @@ def upsample_nearest(x, factor):
         raise ShapeError(f"factor must be a positive int, got {factor!r}")
     n, c, h, w = x.data.shape
     out = np.repeat(np.repeat(x.data, factor, axis=2), factor, axis=3)
-    nx = x._node
-
-    def bw(g):
-        _accumulate(nx, g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)))
-
-    return _result(out, (nx,), bw)
+    return _op(out, (x,), (lambda g: g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)),))
 
 
 def avg_pool2d(x, factor):
@@ -761,13 +709,11 @@ def avg_pool2d(x, factor):
     if h % factor or w % factor:
         raise ShapeError(f"spatial size {h}x{w} not divisible by pool factor {factor}")
     out = x.data.reshape(n, c, h // factor, factor, w // factor, factor).mean(axis=(3, 5))
-    nx = x._node
 
-    def bw(g):
-        gg = np.repeat(np.repeat(g, factor, axis=2), factor, axis=3)
-        _accumulate(nx, gg / (factor * factor))
+    def grad(g):
+        return np.repeat(np.repeat(g, factor, axis=2), factor, axis=3) / (factor * factor)
 
-    return _result(out, (nx,), bw)
+    return _op(out, (x,), (grad,))
 
 
 def _instance_norm(x):
@@ -812,13 +758,10 @@ def normalize(x):
     input, so it never reads the output, which :func:`activate` may
     overwrite.
     """
-    nx, xd = x._node, x.data
+    xd = x.data
     y, m, s = _instance_norm(xd)
-
-    def bw(g):
-        _accumulate(nx, _instance_norm_grad(g, _instance_norm_output(xd, m, s), s))
-
-    return _result(y, (nx,), bw)
+    return _op(y, (x,),
+               (lambda g: _instance_norm_grad(g, _instance_norm_output(xd, m, s), s),))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from sgs.losses import (
     ParsingOracle,
     discriminator_loss,
     objective,
+    tap_l1,
     target_record,
 )
 from sgs.network import Generator, PatchDiscriminator
@@ -577,15 +578,30 @@ def captured_tensors(fn):
     return found
 
 
-def test_generator_phase_closures_capture_no_tensor(tmp_path):
-    """No backward closure of a desk G-phase graph (generator forward plus
-    ``objective``) captures a tensor: each keeps its parents' nodes and
-    the arrays its formula reads, so a value no closure reads is freed
-    when the forward drops it."""
-    fake, disc, target, weights = desk_generator_phase(tmp_path)
-    nodes = _toposort(objective(fake, disc, target, weights)["l_total"])
-    closures = [node.backward for node in nodes if node.backward is not None]
-    assert len(closures) > 80
+@pytest.mark.parametrize("graph", ["generator_phase", "discriminator_phase", "teacher_taps"])
+def test_closures_capture_no_tensor(tmp_path, graph):
+    """No backward closure of a desk training graph captures a tensor:
+    each keeps its parents' nodes and the arrays its formula reads, so a
+    value no closure reads is freed when the forward drops it.  The
+    graphs are the G phase (generator forward plus ``objective``), the D
+    phase (``discriminator_loss`` with D trainable) and a cycle stage's
+    frozen teacher run with ``want_taps`` over a fake that records
+    gradients, under ``tap_l1``."""
+    fake, disc, target, weights = desk_generator_phase(tmp_path,
+                                                       teacher=graph == "teacher_taps")
+    src, m_src, _, tgt, m_tgt, lay_tgt = target.views
+    if graph == "generator_phase":
+        root, at_least = objective(fake, disc, target, weights)["l_total"], 80
+    elif graph == "discriminator_phase":
+        disc.freeze(False)
+        root, at_least = discriminator_loss(disc, src, m_src, tgt, fake), 20
+    else:
+        leaf = fake.detach()
+        leaf.requires_grad = True
+        taps = target.teacher.forward(leaf, m_tgt, lay_tgt, want_taps=target.tap_names)
+        root, at_least = tap_l1(target.teacher_taps, taps, target.tap_names), 50
+    closures = [node.backward for node in _toposort(root) if node.backward is not None]
+    assert len(closures) > at_least
     assert [captured_tensors(fn) for fn in closures] == [[]] * len(closures)
 
 

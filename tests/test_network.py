@@ -1,5 +1,6 @@
 """Generator, discriminator, and SI-module behavior tests."""
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -379,6 +380,25 @@ class TestGenerator:
         assert list(taps) == ["dec_block2", "enc_bottleneck"]
         for name in taps:
             assert np.array_equal(taps[name].data, full[name].data)
+
+    def test_untapped_block_outputs_are_freed(self, monkeypatch):
+        """A forward without ``want_taps`` holds no block's output: each is
+        freed by the time the next block runs, as ``upsample_nearest``
+        keeps none of its input's values."""
+        gen = tiny_generator()
+        x, m, layout = gen_inputs(32)
+        outputs, alive = [], []
+        forward = SIResBlock.forward
+
+        def tracking(block, *args):
+            alive.append([ref() is not None for ref in outputs])
+            out = forward(block, *args)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(SIResBlock, "forward", tracking)
+        gen.forward(x, m, layout)
+        assert alive == [[], [False], [False, False]]
 
     def test_layout_pyramid_resolutions_double(self):
         gen = tiny_generator()

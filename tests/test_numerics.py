@@ -18,6 +18,7 @@ from sgs.numerics import (
     ShapeError,
     Tensor,
     _accumulate,
+    _op,
     _result,
     activate,
     adam_step,
@@ -166,6 +167,52 @@ class TestBackwardConsumesGraph:
         assert built > 4 * 2**20
         kept = x.grad.nbytes + k.grad.nbytes + root.data.nbytes + root.grad.nbytes
         assert held <= kept + slack, f"{held} bytes held, {kept} in grads"
+
+
+class TestOpBuilder:
+    """``_op`` runs a parent's gradient function only for a parent that
+    records a gradient, and sums its result down to the parent's shape."""
+
+    @staticmethod
+    def counting(calls, name, scale):
+        def grad(g):
+            calls.append(name)
+            return g * scale
+
+        return grad
+
+    def test_parent_recording_no_gradient_is_never_called(self):
+        calls = []
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b, c = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)), requires_grad=True)
+        grads = (self.counting(calls, "a", 2.0), self.counting(calls, "b", 3.0), None)
+        _op(np.ones((2, 3)), (a, b, c), grads).sum().backward()
+        assert calls == ["a"]
+        assert np.array_equal(a.grad, np.full((2, 3), 2.0))
+        assert b.grad is None and c.grad is None
+
+    def test_parent_frozen_before_backward_gets_no_gradient(self):
+        calls = []
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        root = _op(np.ones((2, 3)), (a, b), (self.counting(calls, "a", 2.0),
+                                              self.counting(calls, "b", 3.0))).sum()
+        b.requires_grad = False
+        root.backward()
+        assert calls == ["a"]
+        assert b.grad is None
+
+    def test_broadcast_parent_gradient_is_summed_to_its_shape(self):
+        calls = []
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((1, 3)), requires_grad=True)
+        c = Tensor(1.0, requires_grad=True)
+        grads = tuple(self.counting(calls, name, 2.0) for name in "abc")
+        _op(np.ones((4, 2, 3)), (a, b, c), grads).sum().backward()
+        assert calls == ["a", "b", "c"]
+        assert np.array_equal(a.grad, np.full((2, 3), 8.0))
+        assert np.array_equal(b.grad, np.full((1, 3), 16.0))
+        assert c.grad.shape == () and c.grad == 48.0
 
 
 def _conv3x3(x, k):
