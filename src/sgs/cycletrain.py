@@ -17,7 +17,6 @@ time rather than every generator it trained.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -199,23 +198,19 @@ def size_text(h, w):
     return f"{h}px" if h == w else f"{h}x{w}px"
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        h.update(f.read())
-    return h.hexdigest()
-
-
 def save_generator(gen, out_dir):
+    """Write ``model.bin`` (the weights, by :func:`save_checkpoint`) and
+    ``model.json`` (the constructor arguments) into ``out_dir``; returns
+    the sha256 of the ``model.bin`` bytes written."""
     os.makedirs(out_dir, exist_ok=True)
-    bin_path = os.path.join(out_dir, "model.bin")
-    save_checkpoint(bin_path, [(name, p.data) for name, p in gen.named_params()])
+    digest = save_checkpoint(os.path.join(out_dir, "model.bin"),
+                             [(name, p.data) for name, p in gen.named_params()])
     cfg = {k: getattr(gen, k) for k in MODEL_JSON_KEYS}
     if not isinstance(gen.seed, int):
         cfg["seed"] = list(gen.seed)
     with atomic_open(os.path.join(out_dir, "model.json")) as f:
         f.write(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
-    return bin_path
+    return digest
 
 
 def _checkpoint_widths(blob, bin_path):
@@ -235,23 +230,25 @@ def load_generator(model_dir, digest=None):
     """Rebuild a generator from model.json + model.bin.
 
     ``model.json`` holds every constructor argument (``MODEL_JSON_KEYS``),
-    so the generator is built from it alone; ``model.bin`` then restores
-    its weights, and the generator is returned frozen.  The widths
-    ``model.json`` declares are first checked against ``model.bin``'s
-    entry shapes, so no generator wider than its weights is built.
-    Anything missing, mistyped or inconsistent, such as a checkpoint
-    saved by an older version, an empty seed list or channel counts that
-    are neither direction's, raises ``DataError``, as does a
-    ``model.bin`` whose sha256 differs from ``digest`` when one is given:
-    a flipped byte inside finite weights passes every other check.
+    so the generator is built from it alone, without drawing the weights
+    (:meth:`Generator.unweighted`); ``model.bin``, read once by
+    :func:`load_checkpoint`, then supplies them, and the generator is
+    returned frozen.  The widths ``model.json`` declares are first
+    checked against ``model.bin``'s entry shapes, so no generator wider
+    than its weights is built.  Anything missing, mistyped or
+    inconsistent, such as a checkpoint saved by an older version, an
+    empty seed list or channel counts that are neither direction's,
+    raises ``DataError``, as does a ``model.bin`` whose sha256 differs
+    from ``digest`` when one is given: a flipped byte inside finite
+    weights passes every other check.  The digest is that of the bytes
+    the weights were parsed from, so a file replaced during the load
+    cannot pass unchecked.
     """
     json_path = os.path.join(model_dir, "model.json")
     bin_path = os.path.join(model_dir, "model.bin")
     for p in (json_path, bin_path):
         if not os.path.exists(p):
             raise DataError(f"missing checkpoint file {p}")
-    if digest is not None and _sha256(bin_path) != digest:
-        raise DataError(f"{bin_path}: sha256 differs from the recorded digest {digest}")
     with open(json_path, "r", encoding="utf-8") as f:
         try:
             cfg = json.load(f)
@@ -270,12 +267,17 @@ def load_generator(model_dir, digest=None):
     if mistyped:
         raise DataError(f"{json_path}: wrong value type for {mistyped}")
     try:
-        blob = load_checkpoint(bin_path)
+        blob, found = load_checkpoint(bin_path)
+    except ValueError as err:
+        raise DataError(f"corrupt checkpoint in {model_dir}: {err}") from err
+    if digest is not None and found != digest:
+        raise DataError(f"{bin_path}: sha256 differs from the recorded digest {digest}")
+    try:
         wrong = [f"{k} {cfg[k]} (model.bin: {v})"
                  for k, v in _checkpoint_widths(blob, bin_path).items() if cfg[k] != v]
         if wrong:
             raise ValueError(f"{json_path}: widths differ from model.bin: {', '.join(wrong)}")
-        gen = Generator(**{k: cfg[k] for k in MODEL_JSON_KEYS})
+        gen = Generator.unweighted(**{k: cfg[k] for k in MODEL_JSON_KEYS})
         restore_params(blob, gen.named_params(), bin_path)
     except (KeyError, IndexError, TypeError, ValueError) as err:
         # str() of a KeyError quotes its message; print the message itself.
@@ -411,12 +413,12 @@ def train_direction(train_samples, val_samples, cfg, direction, stage,
         epoch_ict.append(sum(v["l_ict"] for v in epoch_vals) / len(epoch_vals))
 
     gen.freeze()  # the val forwards record no graph
-    save_generator(gen, out_dir)
+    digest = save_generator(gen, out_dir)
     val = evaluate_direction(gen, val_samples, direction, extractor)
     with atomic_open(os.path.join(out_dir, "val_metrics.json")) as f:
         f.write(json.dumps(val, sort_keys=True) + "\n")
     ckpt = Checkpoint(stage=stage, direction=direction, path=out_dir, val=val,
-                      digest=_sha256(os.path.join(out_dir, "model.bin")))
+                      digest=digest)
     return StageResult(checkpoint=ckpt, epoch_total=epoch_total, epoch_ict=epoch_ict)
 
 

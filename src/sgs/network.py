@@ -248,6 +248,14 @@ def _saliency_channel(m, h, w):
     return Tensor(m.values[None, None, :, :])
 
 
+class _NoDraws(np.random.Generator):
+    """An rng that ``np.random.default_rng`` hands back unchanged, whose
+    ``normal`` draws nothing and returns zeros."""
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return np.zeros(size)
+
+
 class Generator(Module):
     """Layout-modulated encoder/decoder mapping source image -> image.
 
@@ -291,6 +299,15 @@ class Generator(Module):
             )
             prev = cout
         self.out = Conv(rng, out_channels, prev, 3)
+
+    @classmethod
+    def unweighted(cls, seed=0, **widths):
+        """A generator of these widths built without drawing a weight:
+        every kernel is zeros, for ``restore_params`` to replace.  ``seed``
+        is checked, and recorded, as the constructor does."""
+        gen = cls(seed=_NoDraws(np.random.PCG64(seed)), **widths)
+        gen.seed = seed
+        return gen
 
     def forward(self, x, m, layout, want_taps=None):
         """Run ``x`` ([Cin, H, W]) through the network.

@@ -51,6 +51,7 @@ kept for backward.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 import os
 import struct
@@ -782,17 +783,23 @@ class Parameter(Tensor):
 
 class Adam:
     """Adam's state for a fixed list of parameters (Kingma & Ba 2015):
-    one first- and one second-moment array per parameter, zeros at the
-    start, and one step count shared by all of them.  :func:`adam_step`
-    advances it."""
+    one first- and one second-moment array per parameter, C-order zeros
+    at the start, and one step count shared by all of them.
+    :func:`adam_step` advances it."""
 
     def __init__(self, params, beta1=0.5, beta2=0.999):
         self.params = list(params)
         self.beta1 = beta1
         self.beta2 = beta2
-        self.m1 = [np.zeros_like(p.data) for p in self.params]
-        self.m2 = [np.zeros_like(p.data) for p in self.params]
+        self.m1 = [np.zeros(p.data.shape) for p in self.params]
+        self.m2 = [np.zeros(p.data.shape) for p in self.params]
         self.step = 0
+
+
+# Elements per block of :func:`adam_step`.  A block touches seven arrays
+# of this many float64s (gradient, two moments, old and new weights and
+# two scratch buffers), 1.75 MiB, within a 2 MiB L2.
+_ADAM_BLOCK = 32 * 1024
 
 
 def adam_step(opt, lr):
@@ -801,10 +808,15 @@ def adam_step(opt, lr):
     The moments are updated in their own buffers, in the operation order
     of ``m1 = beta1*m1 + (1-beta1)*g``, ``m2 = beta2*m2 + (1-beta2)*(g*g)``
     and ``data - lr*mhat / (sqrt(vhat) + 1e-8)``, so the bytes match that
-    formula.  ``p.data`` is rebound, never written: a graph recorded
-    before the step may still read it.  Each ``p.grad`` is released
-    (set to None) once it has been applied, so the next step starts from
-    no gradient and a step holds no gradient past its own update.
+    formula.  Each parameter is worked through in blocks of
+    ``_ADAM_BLOCK`` elements, every pass of the formula over one block
+    before the next, so a block stays in cache; the whole call allocates
+    two block-sized scratch buffers and, per parameter, its new weights.
+    ``p.data`` is rebound to those, never written: a graph recorded
+    before the step may still read the old array.  Each ``p.grad`` is
+    released (set to None) once it has been applied, so the next step
+    starts from no gradient and a step holds no gradient past its own
+    update.
 
     A parameter with no accumulated gradient is rejected before anything
     moves: that always means a bookkeeping bug, never a legitimate no-op.
@@ -814,22 +826,31 @@ def adam_step(opt, lr):
             raise ValueError("adam_step found a parameter with no gradient")
     opt.step += 1
     beta1, beta2, step = opt.beta1, opt.beta2, opt.step
+    n = min(_ADAM_BLOCK, max((p.data.size for p in opt.params), default=0))
+    tmp, vhat = np.empty(n), np.empty(n)
     for p, m1, m2 in zip(opt.params, opt.m1, opt.m2):
-        g = p.grad
-        tmp = np.multiply(1.0 - beta1, g)
-        m1 *= beta1
-        m1 += tmp
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - beta2
-        m2 *= beta2
-        m2 += tmp
-        mhat = np.divide(m1, 1.0 - beta1 ** step, out=tmp)
-        vhat = m2 / (1.0 - beta2 ** step)
-        np.sqrt(vhat, out=vhat)
-        vhat += 1e-8
-        mhat *= lr
-        mhat /= vhat
-        p.data = p.data - mhat
+        new = np.empty(p.data.shape)
+        # ravel is a view of the C-order weights and moments; it copies
+        # only a gradient that backward left in another order.
+        flat = [np.ravel(a) for a in (p.grad, m1, m2, p.data, new)]
+        for lo in range(0, new.size, _ADAM_BLOCK):
+            g, a, b, old, out = (x[lo:lo + _ADAM_BLOCK] for x in flat)
+            t, v = tmp[:len(g)], vhat[:len(g)]
+            np.multiply(1.0 - beta1, g, out=t)
+            a *= beta1
+            a += t
+            np.multiply(g, g, out=t)
+            t *= 1.0 - beta2
+            b *= beta2
+            b += t
+            np.divide(a, 1.0 - beta1 ** step, out=t)
+            np.divide(b, 1.0 - beta2 ** step, out=v)
+            np.sqrt(v, out=v)
+            v += 1e-8
+            t *= lr
+            t /= v
+            np.subtract(old, t, out=out)
+        p.data = new
         p.grad = None
 
 
@@ -872,57 +893,78 @@ def atomic_open(path, mode="w"):
 
 
 def save_checkpoint(path, entries):
-    """Write named float64 arrays to the flat binary container format.
+    """Write named float64 arrays to the flat binary container format;
+    returns the sha256 (hex) of the bytes written.
 
     Layout: magic ``SGS1`` then, per entry, u32-LE name length, UTF-8
     name, u32-LE rank, u32-LE dims, raw little-endian float64 data.
-    Written atomically, through :func:`atomic_open`.
+    Each array's data is written, and hashed, from its own buffer; only
+    an array that is not C-ordered little-endian float64 is converted
+    first.  Written atomically, through :func:`atomic_open`.
     """
+    digest = hashlib.sha256()
     with atomic_open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
+
+        def put(chunk):
+            f.write(chunk)
+            digest.update(chunk)
+
+        put(CHECKPOINT_MAGIC)
         for name, arr in entries:
-            # tobytes() below always emits C order; no need to copy first.
-            # (ascontiguousarray would also silently promote rank 0 to 1.)
-            a = np.asarray(arr, dtype="<f8")
+            a = np.asarray(arr, dtype="<f8", order="C")  # keeps rank 0
             nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", a.ndim))
-            for d in a.shape:
-                f.write(struct.pack("<I", d))
-            f.write(a.tobytes())
+            put(struct.pack(f"<I{len(nb)}sI{a.ndim}I", len(nb), nb, a.ndim, *a.shape))
+            put(a)
+    return digest.hexdigest()
 
 
 def load_checkpoint(path):
-    """Read a checkpoint container back into an ordered name -> array dict."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
+    """Read a checkpoint container; returns an ordered name -> array dict
+    and the sha256 (hex) of the bytes read.
+
+    The file is opened and read once: each entry's data goes straight
+    into the C-order float64 array returned for it, and every byte read
+    is hashed on the way, so the digest covers exactly the bytes parsed.
+    """
+    digest = hashlib.sha256()
     out = {}
-    pos = 4
-    while pos < len(blob):
-        entry = pos
-        try:
-            (nlen,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            name = blob[pos : pos + nlen].decode("utf-8")
-            pos += nlen
-            (rank,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            shape = struct.unpack_from(f"<{rank}I", blob, pos)
-            pos += 4 * rank
-            count = int(np.prod(shape)) if rank else 1
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape)
-        except (struct.error, ValueError) as err:
-            raise ValueError(
-                f"{path}: truncated or corrupt checkpoint entry at byte {entry}: {err}"
-            ) from err
-        pos += 8 * count
-        if name in out:
-            raise ValueError(f"{path}: duplicate checkpoint entry {name!r}")
-        out[name] = arr.astype(np.float64)
-    return out
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def fits(n):
+            if f.tell() + n > size:
+                raise ValueError(f"needs {n} more bytes, {size - f.tell()} left")
+
+        def take(n):
+            fits(n)
+            chunk = f.read(n)
+            digest.update(chunk)
+            return chunk
+
+        magic = f.read(4)
+        if magic != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+        digest.update(magic)
+        while f.tell() < size:
+            entry = f.tell()
+            try:
+                (nlen,) = struct.unpack("<I", take(4))
+                name = take(nlen).decode("utf-8")
+                (rank,) = struct.unpack("<I", take(4))
+                shape = struct.unpack(f"<{rank}I", take(4 * rank))
+                fits(8 * math.prod(shape))  # before allocating: dims may be corrupt
+                arr = np.empty(shape, dtype="<f8")
+                if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                    raise ValueError("file shrank while being read")
+            except ValueError as err:
+                raise ValueError(
+                    f"{path}: truncated or corrupt checkpoint entry at byte {entry}: {err}"
+                ) from err
+            digest.update(arr)
+            if name in out:
+                raise ValueError(f"{path}: duplicate checkpoint entry {name!r}")
+            out[name] = arr.astype(np.float64, copy=False)
+    return out, digest.hexdigest()
 
 
 def checkpoint_entry(blob, name, path):
@@ -935,7 +977,9 @@ def checkpoint_entry(blob, name, path):
 
 def restore_params(blob, named_params, path):
     """Restore (name, Parameter) pairs, by name, from the dict
-    :func:`load_checkpoint` read; ``path`` names it in errors.
+    :func:`load_checkpoint` read; ``path`` names it in errors.  Each
+    parameter is rebound to the dict's own array, not a copy: no step
+    writes a parameter's array in place (:func:`adam_step` rebinds).
 
     A missing entry raises ``KeyError``, as does the first entry that
     names no parameter (an Adam moment or ``.step`` entry that older
@@ -953,7 +997,7 @@ def restore_params(blob, named_params, path):
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: checkpoint entry {name!r} holds non-finite values")
-        p.data = arr.copy()
+        p.data = arr
         p.grad = None
     for key in blob:
         if key not in names:

@@ -645,7 +645,7 @@ class TestEvalCommand:
                                              tmp_path, capsys):
         model = tmp_path / "model"
         shutil.copytree(trained_run["model"], model)
-        blob = load_checkpoint(str(model / "model.bin"))
+        blob, _ = load_checkpoint(str(model / "model.bin"))
         blob["out.w"].flat[0] = np.nan
         save_checkpoint(str(model / "model.bin"), list(blob.items()))
         rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
@@ -661,7 +661,7 @@ class TestEvalCommand:
         versions saved one beside each parameter, is not loaded."""
         model = tmp_path / "model"
         shutil.copytree(trained_run["model"], model)
-        blob = load_checkpoint(str(model / "model.bin"))
+        blob, _ = load_checkpoint(str(model / "model.bin"))
         blob["out.w.m1"] = np.zeros_like(blob["out.w"])
         save_checkpoint(str(model / "model.bin"), list(blob.items()))
         rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
@@ -675,7 +675,7 @@ class TestEvalCommand:
                                                      tmp_path, capsys):
         model = tmp_path / "model"
         shutil.copytree(trained_run["model"], model)
-        blob = load_checkpoint(str(model / "model.bin"))
+        blob, _ = load_checkpoint(str(model / "model.bin"))
         del blob["enc.0.w"]
         save_checkpoint(str(model / "model.bin"), list(blob.items()))
         rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
@@ -691,7 +691,7 @@ class TestEvalCommand:
         ``conv1.b`` an older version saved, is not loaded."""
         model = tmp_path / "model"
         shutil.copytree(trained_run["model"], model)
-        blob = load_checkpoint(str(model / "model.bin"))
+        blob, _ = load_checkpoint(str(model / "model.bin"))
         blob["blocks.0.conv1.b"] = np.zeros(blob["blocks.0.conv1.w"].shape[0])
         save_checkpoint(str(model / "model.bin"), list(blob.items()))
         rc = main(["eval", "--model", str(model), "--data", cli_corpus["manifest"],
@@ -709,7 +709,7 @@ class TestEvalCommand:
         model = tmp_path / "model"
         shutil.copytree(trained_run["model"], model)
         old = []
-        for name, arr in load_checkpoint(str(model / "model.bin")).items():
+        for name, arr in load_checkpoint(str(model / "model.bin"))[0].items():
             layer, wb = re.fullmatch(r"(.*)\.([wb])", name).groups()
             enc = re.fullmatch(r"enc\.(\d+)", layer)
             if enc:

@@ -242,7 +242,7 @@ class TestCheckpointRoundTrip:
     def test_model_bin_holds_one_entry_per_parameter(self, tmp_path):
         gen = self.make_gen()
         save_generator(gen, str(tmp_path))
-        blob = load_checkpoint(str(tmp_path / "model.bin"))
+        blob, _ = load_checkpoint(str(tmp_path / "model.bin"))
         assert list(blob) == [n for n, _ in gen.named_params()]
 
     def test_model_json_keys(self, tmp_path):
@@ -273,11 +273,55 @@ class TestCheckpointRoundTrip:
     def test_digest_is_checked(self, tmp_path):
         """A recorded digest that matches loads; one that differs from
         ``model.bin``'s sha256 is a DataError naming the file."""
-        save_generator(self.make_gen(), str(tmp_path))
-        digest = hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()
+        digest = save_generator(self.make_gen(), str(tmp_path))
+        assert digest == hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()
         load_generator(str(tmp_path), digest)
         with pytest.raises(DataError, match=r"model\.bin: sha256 differs"):
             load_generator(str(tmp_path), "0" * 64)
+
+    def test_model_bin_opened_once_per_load(self, tmp_path, monkeypatch):
+        """The digest is checked on the bytes the weights are parsed from:
+        one open of ``model.bin`` serves both, so a file replaced between
+        a check and a parse cannot load unchecked."""
+        digest = save_generator(self.make_gen(), str(tmp_path))
+        opened, real_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.path.basename(os.fspath(file)))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        load_generator(str(tmp_path), digest)
+        assert opened.count("model.bin") == 1
+
+    def test_load_draws_no_weight(self, tmp_path, monkeypatch):
+        """The generator restored into is built without drawing its
+        weights: every rng the load creates is one that draws nothing."""
+        gen = self.make_gen(seed=[4, 1])
+        save_generator(gen, str(tmp_path))
+        made, real_rng = [], np.random.default_rng
+
+        def recording_rng(seed=None):
+            made.append(real_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        loaded = load_generator(str(tmp_path))
+        assert made and all(type(r) is not np.random.Generator for r in made)
+        assert loaded.seed == [4, 1]
+        for (name, p), (_, q) in zip(gen.named_params(), loaded.named_params()):
+            assert np.array_equal(p.data, q.data), name
+
+    def test_unweighted_generator_matches_constructor_but_zeros(self):
+        kw = dict(in_channels=3, out_channels=1, depth=4, base_channels=4,
+                  si_hidden=3, image_size=32, seed=[2, 5])
+        drawn, shell = Generator(**kw), Generator.unweighted(**kw)
+        assert shell.seed == [2, 5]
+        assert [(n, p.data.shape) for n, p in drawn.named_params()] == \
+            [(n, p.data.shape) for n, p in shell.named_params()]
+        assert not any(np.any(p.data) for p in shell.params())
+        with pytest.raises(ValueError, match="non-negative"):
+            Generator.unweighted(**dict(kw, seed=[-1]))
 
     def test_list_seed_round_trips(self, tmp_path):
         gen = self.make_gen(seed=[3, 0, 1, 0])
@@ -319,7 +363,7 @@ class TestTruncatedCheckpoint:
         float64.  A file cut just before it is missing that parameter."""
         blob = small_checkpoint["model.bin"]
         (tmp_path / "model.bin").write_bytes(blob)
-        last = list(load_checkpoint(str(tmp_path / "model.bin")))[-1]
+        last = list(load_checkpoint(str(tmp_path / "model.bin"))[0])[-1]
         assert last == "out.b"
         cut = len(blob) - (4 + len(last.encode("utf-8")) + 4 + 4 + 8)
         with pytest.raises(DataError, match="missing parameter 'out.b'"):

@@ -1,5 +1,7 @@
 """Autodiff engine tests: value oracles, gradient checks, persistence."""
+import hashlib
 import os
+import struct
 import tracemalloc
 import weakref
 
@@ -923,6 +925,46 @@ class TestNormalize:
         assert held < 0.5 * channels * 128 * 128 * 8
 
 
+BLOCK = numerics._ADAM_BLOCK
+
+
+def whole_array_adam_step(opt, lr):
+    """The whole-array Adam step, before it worked in blocks: the oracle
+    of the blocked one."""
+    opt.step += 1
+    beta1, beta2, step = opt.beta1, opt.beta2, opt.step
+    for p, m1, m2 in zip(opt.params, opt.m1, opt.m2):
+        g = p.grad
+        tmp = np.multiply(1.0 - beta1, g)
+        m1 *= beta1
+        m1 += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        m2 *= beta2
+        m2 += tmp
+        mhat = np.divide(m1, 1.0 - beta1 ** step, out=tmp)
+        vhat = m2 / (1.0 - beta2 ** step)
+        np.sqrt(vhat, out=vhat)
+        vhat += 1e-8
+        mhat *= lr
+        mhat /= vhat
+        p.data = p.data - mhat
+        p.grad = None
+
+
+def tobytes_checkpoint(entries):
+    """The container bytes as the writer built them before it wrote each
+    array's own buffer: the oracle of :func:`save_checkpoint`."""
+    out = [numerics.CHECKPOINT_MAGIC]
+    for name, arr in entries:
+        a = np.asarray(arr, dtype="<f8")
+        nb = name.encode("utf-8")
+        out += [struct.pack("<I", len(nb)), nb, struct.pack("<I", a.ndim)]
+        out += [struct.pack("<I", d) for d in a.shape]
+        out.append(a.tobytes())
+    return b"".join(out)
+
+
 class TestAdam:
     def test_single_step_closed_form(self):
         p = Parameter(np.array([1.0, -2.0]))
@@ -980,6 +1022,60 @@ class TestAdam:
                 assert np.array_equal(opt.m1[i], m1[i])
                 assert np.array_equal(opt.m2[i], m2[i])
                 assert np.array_equal(p.data, data[i])
+
+    @pytest.mark.parametrize("sizes", [
+        (1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (7 * BLOCK // 2,),
+        (1, BLOCK + 1, 7 * BLOCK // 2, BLOCK - 1),
+    ], ids=["1", "block-1", "block", "block+1", "3.5block", "mixed"])
+    def test_blocked_bytes_match_whole_array_step(self, sizes):
+        """Over several steps, the blocked step leaves every weight and
+        moment equal, bit for bit, to the whole-array step below (the
+        previous implementation, kept here as the oracle)."""
+        rng = np.random.default_rng(len(sizes) + sizes[0])
+        params = [Parameter(rng.normal(size=n)) for n in sizes]
+        twins = [Parameter(p.data.copy()) for p in params]
+        opt, ref = Adam(params), Adam(twins)
+        for step in range(4):
+            for p, q in zip(params, twins):
+                g = rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-6, 2)
+                p.grad, q.grad = g, g.copy()
+            adam_step(opt, 2e-4 * (step + 1))
+            whole_array_adam_step(ref, 2e-4 * (step + 1))
+            for pairs in zip(params, twins), zip(opt.m1, ref.m1), zip(opt.m2, ref.m2):
+                for a, b in pairs:
+                    a, b = getattr(a, "data", a), getattr(b, "data", b)
+                    assert a.tobytes() == b.tobytes()
+
+    def test_gradient_in_another_order_matches(self):
+        """A gradient backward left in Fortran order, over more than one
+        block, gives the same bytes as its C-order copy."""
+        rng = np.random.default_rng(11)
+        shape = (37, BLOCK // 16)
+        g = np.asfortranarray(rng.normal(size=shape))
+        p = Parameter(rng.normal(size=shape))
+        q = Parameter(p.data.copy())
+        p.grad, q.grad = g, np.ascontiguousarray(g)
+        adam_step(Adam([p]), 0.1)
+        adam_step(Adam([q]), 0.1)
+        assert p.data.tobytes() == q.data.tobytes()
+
+    def test_step_peaks_below_new_array_plus_two_blocks(self):
+        """On a [128, 128, 4, 4] parameter (2 MiB), a step allocates its new
+        weights and two block buffers, plus a few KiB of array headers;
+        the whole-array step peaked at three parameter-sized arrays."""
+        rng = np.random.default_rng(2)
+        p = Parameter(rng.normal(size=(128, 128, 4, 4)))
+        p.grad = rng.normal(size=p.data.shape)
+        opt = Adam([p])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            adam_step(opt, 0.1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        headers = 16 * 1024
+        assert p.data.nbytes < peak < p.data.nbytes + 2 * 8 * BLOCK + headers
 
     def test_missing_gradient_rejected(self):
         p, q = Parameter(np.ones(2)), Parameter(np.ones(2))
@@ -1045,11 +1141,64 @@ class TestCheckpointContainer:
         ]
         path = tmp_path / "ck.bin"
         save_checkpoint(str(path), entries)
-        back = load_checkpoint(str(path))
+        back, _ = load_checkpoint(str(path))
         assert list(back) == ["alpha", "beta.weight", "scalar"]
         for name, arr in entries:
             assert back[name].shape == np.asarray(arr).shape
             assert np.array_equal(back[name], arr)
+
+    @pytest.mark.parametrize("layout", ["c-order", "transposed", "rank-0", "mixed"])
+    def test_writer_bytes_match_tobytes_writer(self, tmp_path, layout):
+        """The file, and the digest returned, match the ``tobytes`` writer
+        for C-order, transposed and rank-0 arrays."""
+        rng = np.random.default_rng(4)
+        arrays = {"c-order": [rng.normal(size=(3, 4))],
+                  "transposed": [rng.normal(size=(5, 2, 3)).transpose(2, 0, 1)],
+                  "rank-0": [np.float64(-0.0), 1.5]}
+        arrays["mixed"] = [a for v in arrays.values() for a in v]
+        entries = [(f"e.{i}", a) for i, a in enumerate(arrays[layout])]
+        path = tmp_path / "ck.bin"
+        digest = save_checkpoint(str(path), entries)
+        assert path.read_bytes() == tobytes_checkpoint(entries)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_loader_returns_owned_c_order_arrays_and_digest(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(str(path), [("a", rng.normal(size=(4, 3, 2)).T), ("b", 2.0),
+                                    ("c", np.zeros((0, 3)))])
+        blob, digest = load_checkpoint(str(path))
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        for arr in blob.values():
+            assert arr.dtype == np.float64
+            assert arr.flags.owndata and arr.flags.writeable and arr.flags.c_contiguous
+        assert blob["b"].shape == () and blob["c"].shape == (0, 3)
+
+    def test_load_peaks_below_its_arrays_and_a_tenth(self, tmp_path):
+        """A load allocates the arrays it returns and little else: no
+        whole-file bytes object and no second copy of any array."""
+        rng = np.random.default_rng(6)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(str(path), [(f"w{i}", rng.normal(size=s)) for i, s in
+                                    enumerate([(128, 128, 4, 4), (64, 3), (), (7,)])])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            blob, _ = load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in blob.values())
+        assert held < peak < 1.1 * held
+
+    def test_corrupt_dims_rejected_before_allocating(self, tmp_path):
+        """Dims whose data would run past the end of the file are a
+        corrupt entry, not an allocation of their product."""
+        path = tmp_path / "ck.bin"
+        path.write_bytes(numerics.CHECKPOINT_MAGIC + struct.pack("<I1sI3I", 1, b"w", 3,
+                                                                 *[2**32 - 1] * 3))
+        with pytest.raises(ValueError, match=r"corrupt checkpoint entry at byte 4: needs \d+ more"):
+            load_checkpoint(str(path))
 
     def test_save_that_raises_partway_keeps_previous_file(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -1088,11 +1237,11 @@ class TestCheckpointContainer:
         adam_step(Adam([p]), lr=0.05)
         path = tmp_path / "params.bin"
         save_checkpoint(str(path), [("w", p.data)])
-        assert list(load_checkpoint(str(path))) == ["w"]
+        assert list(load_checkpoint(str(path))[0]) == ["w"]
 
         q = Parameter(np.zeros(3))
         q.grad = np.ones(3)
-        restore_params(load_checkpoint(str(path)), [("w", q)], str(path))
+        restore_params(load_checkpoint(str(path))[0], [("w", q)], str(path))
         assert np.array_equal(q.data, p.data)
         assert q.grad is None
 
@@ -1101,7 +1250,7 @@ class TestCheckpointContainer:
         path = tmp_path / "p.bin"
         save_checkpoint(str(path), [("w", p.data)])
         with pytest.raises(ShapeError):
-            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(4)))],
+            restore_params(load_checkpoint(str(path))[0], [("w", Parameter(np.ones(4)))],
                            str(path))
 
     def test_load_params_moment_shape_mismatch(self, tmp_path):
@@ -1111,14 +1260,14 @@ class TestCheckpointContainer:
         for m1 in (np.ones(1), np.ones(3)):
             save_checkpoint(str(path), [("w", np.ones(3)), ("w.m1", m1)])
             with pytest.raises(KeyError, match="'w.m1' names no parameter"):
-                restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
+                restore_params(load_checkpoint(str(path))[0], [("w", Parameter(np.ones(3)))],
                                str(path))
 
     def test_load_params_non_finite_rejected(self, tmp_path):
         path = tmp_path / "p.bin"
         save_checkpoint(str(path), [("w", np.array([1.0, np.nan]))])
         with pytest.raises(ValueError, match="non-finite"):
-            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(2)))],
+            restore_params(load_checkpoint(str(path))[0], [("w", Parameter(np.ones(2)))],
                            str(path))
 
     @pytest.mark.parametrize("step", [np.inf, np.nan, -1.0, 2.5, np.array([1.0, 2.0])])
@@ -1127,14 +1276,14 @@ class TestCheckpointContainer:
         path = tmp_path / "p.bin"
         save_checkpoint(str(path), [("w", np.ones(3)), ("w.step", step)])
         with pytest.raises(KeyError, match="'w.step' names no parameter"):
-            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
+            restore_params(load_checkpoint(str(path))[0], [("w", Parameter(np.ones(3)))],
                            str(path))
 
     def test_load_params_stray_entry_rejected(self, tmp_path):
         path = tmp_path / "p.bin"
         save_checkpoint(str(path), [("w", np.ones(3)), ("b", np.zeros(3))])
         with pytest.raises(KeyError, match="'b' names no parameter"):
-            restore_params(load_checkpoint(str(path)), [("w", Parameter(np.ones(3)))],
+            restore_params(load_checkpoint(str(path))[0], [("w", Parameter(np.ones(3)))],
                            str(path))
 
     def test_load_params_missing_name(self, tmp_path):
@@ -1142,5 +1291,5 @@ class TestCheckpointContainer:
         path = tmp_path / "p.bin"
         save_checkpoint(str(path), [("w", p.data)])
         with pytest.raises(KeyError):
-            restore_params(load_checkpoint(str(path)), [("other", Parameter(np.ones(3)))],
+            restore_params(load_checkpoint(str(path))[0], [("other", Parameter(np.ones(3)))],
                            str(path))
